@@ -24,8 +24,8 @@ def path(text):
 
 
 def norm(m):
-    # the standard cleanup pipeline: drop epsilons, determinize, minimize
-    return fst.minimize(fst.determinize(fst.remove_epsilons(m)))
+    # minimize is the one cleanup call: it drops epsilons and determinizes too
+    return fst.minimize(m)
 
 
 # a:b rewrites one symbol; closure repeats it any number of times

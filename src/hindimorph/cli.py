@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from . import fst, lexicon, morph, rules, tagger
 
@@ -54,9 +55,9 @@ def _read_text(path) -> str:
         raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
-def _words_from(args_words: list[str]) -> list[str]:
+def _words_from(args_words: list[str]) -> Iterable[str]:
     if not args_words or args_words == ["-"]:
-        return [line.rstrip("\n") for line in sys.stdin if line.strip()]
+        return (line.rstrip("\r\n") for line in sys.stdin if line.strip())
     return args_words
 
 
@@ -97,12 +98,8 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _load_morph(model_path, indecl_path=None) -> morph.MorphModel:
-    return morph.MorphModel.load(model_path, indecl_path)
-
-
 def cmd_analyze(args) -> int:
-    model = _load_morph(args.model, args.indecl)
+    model = morph.MorphModel.load(args.model, args.indecl)
     for word in _words_from(args.words):
         analyses = morph.analyze(model, word)
         if analyses:
@@ -113,7 +110,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model = _load_morph(args.model)
+    model = morph.MorphModel.load(args.model)
     for lexical in _words_from(args.lexical):
         surfaces = morph.generate(model, lexical)
         if surfaces:
@@ -137,9 +134,8 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     model = tagger.load_model(args.model)
-    morph_model = _load_morph(args.fst)
-    sentences = _words_from(args.sentence)
-    for sentence in sentences:
+    morph_model = morph.MorphModel.load(args.fst)
+    for sentence in _words_from(args.sentence):
         tagged = tagger.tag(model, morph_model, sentence, beam=args.beam)
         print(" ".join(f"{surface}/{t}" for surface, t in tagged))
     return 0
@@ -147,7 +143,7 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     model = tagger.load_model(args.model)
-    morph_model = _load_morph(args.fst)
+    morph_model = morph.MorphModel.load(args.fst)
     gold = tagger.TaggedCorpus.read(args.corpus)
     result = tagger.evaluate(model, morph_model, gold)
     known_note = "" if result.known_defined else ", undefined"

@@ -152,7 +152,8 @@ class Arc(NamedTuple):
 class Transducer:
     """An immutable transducer.  Construct through :func:`build`."""
 
-    __slots__ = ("state_count", "start", "finals", "arcs", "symbols", "_adj")
+    __slots__ = ("state_count", "start", "finals", "arcs", "symbols", "_adj",
+                 "_eps_cycle_states")
 
     def __init__(self, state_count: int, start: int, finals: frozenset[int],
                  arcs: tuple[Arc, ...], symbols: SymbolTable):
@@ -165,6 +166,8 @@ class Transducer:
         for arc in arcs:
             adj[arc.src].append(arc)
         self._adj = tuple(tuple(a) for a in adj)
+        # Filled by the first apply(); see _emitting_eps_cycle_states.
+        self._eps_cycle_states: frozenset[int] | None = None
 
     def out_arcs(self, state: int) -> tuple[Arc, ...]:
         if not 0 <= state < self.state_count:
@@ -440,7 +443,9 @@ def _trim(a: Transducer) -> Transducer:
 def minimize(a: Transducer) -> Transducer:
     """Minimal deterministic machine (pair alphabet) for a's relation.
 
-    Determinizes, trims unreachable and dead states, then merges
+    This is the one normalization call: it removes (epsilon, epsilon)
+    arcs and determinizes (through :func:`determinize`), trims
+    unreachable and dead states, then merges
     behaviorally indistinguishable states by Moore partition refinement
     over the partial transition function.  States of the result are
     numbered in breadth-first order from the start, by sorted label, so
@@ -500,7 +505,8 @@ def _emitting_eps_cycle_states(a: Transducer) -> frozenset[int]:
     Reaching such a state during application means infinitely many
     outputs, so :func:`apply` refuses.  Computed from the strongly
     connected components of the input-epsilon subgraph: an SCC is bad
-    when one of its internal input-epsilon arcs emits a symbol.
+    when one of its internal input-epsilon arcs emits a symbol (an arc
+    with both ends in one SCC always lies on a cycle).
     """
     eps_arcs = [arc for arc in a.arcs if arc.ilab == EPSILON]
     succ: dict[int, list[int]] = {}
@@ -552,21 +558,9 @@ def _emitting_eps_cycle_states(a: Transducer) -> frozenset[int]:
                         break
                 scc_count += 1
 
-    bad_sccs = set()
-    for arc in eps_arcs:
-        if scc_of[arc.src] == scc_of[arc.dst] and arc.olab != EPSILON:
-            if arc.src == arc.dst or _scc_has_cycle(arc.src, succ, scc_of):
-                bad_sccs.add(scc_of[arc.src])
-    return frozenset(s for s in range(a.state_count) if scc_of.get(s) in bad_sccs)
-
-
-def _scc_has_cycle(member: int, succ: dict[int, list[int]], scc_of: dict[int, int]) -> bool:
-    """True when member's SCC contains more than one state or a self-loop."""
-    target = scc_of[member]
-    size = sum(1 for s, c in scc_of.items() if c == target)
-    if size > 1:
-        return True
-    return any(d == member for d in succ.get(member, ()))
+    bad_sccs = {scc_of[arc.src] for arc in eps_arcs
+                if arc.olab != EPSILON and scc_of[arc.src] == scc_of[arc.dst]}
+    return frozenset(s for s in range(a.state_count) if scc_of[s] in bad_sccs)
 
 
 def apply(a: Transducer, input_str: str) -> "StringPairSet":
@@ -577,11 +571,14 @@ def apply(a: Transducer, input_str: str) -> "StringPairSet":
     machine's table (distinct from an in-alphabet string that is simply
     rejected, which yields an empty result), and :class:`EpsilonCycle`
     when an output-writing input-epsilon cycle is reachable on this
-    input.
+    input.  The states on such cycles are found once per machine, on
+    its first apply, and kept on the machine for every later call.
     """
     ids = tuple(i for i in scan(input_str, a.symbols) if i != EPSILON)
     rendered_in = render(ids, a.symbols)
-    bad = _emitting_eps_cycle_states(a)
+    bad = a._eps_cycle_states
+    if bad is None:
+        bad = a._eps_cycle_states = _emitting_eps_cycle_states(a)
 
     def step(cfg):
         if cfg[0] in bad:

@@ -155,7 +155,7 @@ def load_classified(paths: Mapping[PosClass, str | Path]) -> tuple[list[LexiconE
 
 def compile_root_fst(rows: Iterable[tuple[str, str | None]],
                      symbols: SymbolTable) -> Transducer:
-    """Identity trie over root strings, determinized and minimized.
+    """Identity trie over root strings, minimized.
 
     Each row is (root, infl_class|None); a class label appends one
     identity arc over the ``<label>`` tag symbol before acceptance.
@@ -181,7 +181,7 @@ def compile_root_fst(rows: Iterable[tuple[str, str | None]],
             for src, kids in enumerate(children)
             for sid, dst in kids.items()]
     trie = fst.build(len(children), 0, finals, arcs, symbols)
-    return fst.minimize(fst.determinize(trie))
+    return fst.minimize(trie)
 
 
 def compile_lexicon_fst(entries: Iterable[LexiconEntry],

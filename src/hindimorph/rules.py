@@ -509,15 +509,6 @@ def render_rules(rule_file: RuleFile) -> str:
 # ---------------------------------------------------------------------------
 # Compiler
 
-def intern_lexical_string(text: str, symbols: SymbolTable) -> list[int]:
-    """Tokenize `text` into symbol ids, interning unseen symbols.
-
-    ``<``...``>`` spans become one tag symbol each, every other Unicode
-    scalar one symbol; a literal ``<>`` contributes nothing.
-    """
-    return fst.scan(text, symbols, intern=True)
-
-
 def _resolve_include(path: str, base_dir: Path | None,
                      lexdir: Path | str | None) -> Path:
     candidates = []
@@ -602,7 +593,7 @@ def compile(rule_file: RuleFile, symbols: SymbolTable,
         defs[name] = _compile_node(expr, symbols, defs, rule_file.base_dir, lexdir)
     result = _compile_node(rule_file.result, symbols, defs,
                            rule_file.base_dir, lexdir)
-    return fst.minimize(fst.determinize(fst.remove_epsilons(result)))
+    return fst.minimize(result)
 
 
 def compile_file(path, symbols: SymbolTable,

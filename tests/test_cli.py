@@ -1,9 +1,12 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hindimorph
 from hindimorph import cli, data_path, fst, lexicon, tagger
 
 
@@ -108,6 +111,39 @@ def test_generate_reads_stdin(capsys, monkeypatch, fst_file):
     rc, stdout, _ = run(capsys, ["generate", "-m", str(fst_file)])
     assert rc == 0
     assert stdout == "लडका<Noun><masculine><pl>\tलडके\n"
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("analyze", ["लडके", "xyzzy"]),
+    ("generate", ["लडका<Noun><masculine><pl>", "घर<Bogus>"]),
+])
+def test_crlf_stdin_matches_lf_stdin(capsys, monkeypatch, fst_file, command, lines):
+    outputs = []
+    for newline in ("\n", "\r\n"):
+        text = "".join(line + newline for line in lines)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        rc, stdout, _ = run(capsys, [command, "-m", str(fst_file)])
+        assert rc == 0
+        outputs.append(stdout)
+    assert "\r" not in outputs[1]
+    assert outputs[1] == outputs[0]
+
+
+class _FailingStdin:
+    """Yields one line, then fails as a broken pipe would."""
+
+    def __iter__(self):
+        yield "लडके\n"
+        raise OSError("stdin read failed")
+
+
+def test_analyze_streams_stdin(capsys, monkeypatch, fst_file):
+    monkeypatch.setattr("sys.stdin", _FailingStdin())
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(fst_file)])
+    # the first word is answered before the second line is read
+    assert stdout == "लडके\tलडका<Noun><Vocative>\tलडका<Noun><masculine><pl>\n"
+    assert rc == 1
+    assert stderr == "hindimorph analyze: error: stdin read failed\n"
 
 
 # --- train -------------------------------------------------------------------
@@ -290,8 +326,12 @@ def test_missing_required_option_is_a_usage_error(capsys):
 def test_module_invocation_matches_in_process(capsys, fst_file):
     rc, stdout, _ = run(capsys, ["analyze", "-m", str(fst_file), "लडके"])
     assert rc == 0
+    # the child finds the package where this process imported it from
+    src = str(Path(hindimorph.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hindimorph", "analyze", "-m", str(fst_file), "लडके"],
-        capture_output=True, text=True, encoding="utf-8")
+        capture_output=True, text=True, encoding="utf-8", env=env)
     assert proc.returncode == 0
     assert proc.stdout == stdout

@@ -324,6 +324,7 @@ def test_determinize_preserves_cyclic_relations():
 
 def test_minimize_matches_oracle_and_contracts():
     rng = random.Random(109)
+    cyclic_rng = random.Random(209)
     table = oracle.make_table()
     for _ in range(TRIALS):
         a = oracle.rand_acyclic(rng, table)
@@ -333,6 +334,10 @@ def test_minimize_matches_oracle_and_contracts():
         assert mini.state_count <= det.state_count
         again = fst.minimize(mini)
         assert again.state_count == mini.state_count
+        # minimize normalizes on its own: the explicit pipeline adds nothing
+        for m in (a, oracle.rand_machine(cyclic_rng, table)):
+            assert fst.to_bytes(fst.minimize(m)) == fst.to_bytes(
+                fst.minimize(fst.determinize(fst.remove_epsilons(m))))
 
 
 def test_closure_matches_oracle():
@@ -415,6 +420,23 @@ def test_apply_epsilon_cycle_policy():
     assert set(fst.apply(t, "")) == {("", "")}
     with pytest.raises(EpsilonCycle):
         fst.apply(t, "b")
+    # the guard is kept on the machine: a second call raises again
+    with pytest.raises(EpsilonCycle):
+        fst.apply(t, "b")
+    # and a reloaded machine finds it afresh
+    with pytest.raises(EpsilonCycle):
+        fst.apply(fst.from_bytes(fst.to_bytes(t)), "b")
+    # an emitting input-epsilon self-loop is a cycle too
+    loop = build(2, 0, (1,), [(0, b, b, 1), (1, EPSILON, a, 1)], table)
+    assert set(fst.apply(loop, "")) == set()
+    with pytest.raises(EpsilonCycle):
+        fst.apply(loop, "b")
+    # an emitting arc that leaves a silent cycle lies on no cycle
+    exit_arc = build(3, 0, (2,),
+                     [(0, EPSILON, EPSILON, 1), (1, EPSILON, EPSILON, 0),
+                      (1, EPSILON, a, 2)],
+                     table)
+    assert set(fst.apply(exit_arc, "")) == {("", "a")}
 
 
 def test_apply_tolerates_silent_epsilon_cycle():

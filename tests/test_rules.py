@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -247,6 +248,10 @@ def test_compiled_machine_is_normalized(grammar):
     assert not any(arc.ilab == 0 and arc.olab == 0 for arc in grammar.arcs)
     # ...and already minimal
     assert fst.minimize(grammar).state_count == grammar.state_count
+    # compiled bytes are pinned so a change of normalization cannot
+    # silently change the model files
+    assert hashlib.sha256(fst.to_bytes(grammar)).hexdigest() == (
+        "5014e0d4dc6dd8332e96a65ca56e9d6e47cf677ebe6793e66474984e0f0506b6")
 
 
 def test_compile_is_compositional_with_oracle():
@@ -312,15 +317,3 @@ def test_missing_include():
 def test_empty_include_is_empty_relation(tmp_path):
     (tmp_path / "none.lex").write_text("% nothing here\n", encoding="utf-8")
     assert rel('a | #include "none.lex"', base_dir=tmp_path) == {("a", "a")}
-
-
-# ---------------------------------------------------------------------------
-# interning
-
-
-def test_intern_lexical_string():
-    syms = SymbolTable()
-    ids = rules.intern_lexical_string("जा<Verb>", syms)
-    assert [syms.lookup(i) for i in ids] == ["ज", "ा", "<Verb>"]
-    # epsilon writes nothing and is already id 0
-    assert rules.intern_lexical_string("<>", syms) == []
