@@ -9,6 +9,13 @@ log-likelihood minus an L2 penalty.  Decoding is a beam search over tag
 sequences conditioned on the previous tag.  Words never seen in
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
+
+The public weights are one dict keyed ``template:value:tag``; the
+string-keyed :func:`objective`, :func:`gradient` and :func:`_log_probs`
+are the reference definitions.  Training and decoding run on interned
+feature rows instead (one float per tag for each ``template:value``
+feature), with the reference's float operations in the reference's
+order, so they give the same weights, losses and taggings bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ PUNCT_CHARS = frozenset("।?!,")
 
 # String-payload feature templates plus the two always-on boolean flags.
 TEMPLATES = ("w", "pw", "nw", "pt", "s1", "s2", "s3", "s4", "p1", "punct", "dig")
+# Where extract_features puts the only feature that depends on the previous tag.
+_PREV_TAG_SLOT = TEMPLATES.index("pt")
 
 # First analysis tag -> plausible tagset candidates for unseen words.
 MORPH_TAG_MAP: dict[str, tuple[str, ...]] = {
@@ -102,6 +111,10 @@ class TaggedCorpus:
                 if not sep or not surface or not tag:
                     raise CorpusFormatError(
                         f"{source}:{lineno}: token {item!r} is not surface/TAG")
+                if ":" in tag:
+                    # weight keys are template:value:tag, split at the last ':'
+                    raise CorpusFormatError(
+                        f"{source}:{lineno}: tag {tag!r} contains ':'")
                 sentence.append((surface, tag))
             sentences.append(sentence)
         return cls(sentences)
@@ -147,6 +160,11 @@ class TagModel:
     dictionary: dict[str, frozenset[str]]
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
+    # Feature -> one weight per tag, in tagset order.  Filled by train() or
+    # by the first decode (see _feature_rows); later edits to `weights`
+    # are not seen by decoding.
+    _rows: dict[str, list[float]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,18 @@ def _log_probs(weights: dict[str, float], feats: Sequence[str],
     peak = max(scores.values())
     log_z = peak + math.log(sum(math.exp(s - peak) for s in scores.values()))
     return {t: s - log_z for t, s in scores.items()}
+
+
+def _row_log_probs(rows: Sequence[Sequence[float]]) -> list[float]:
+    """:func:`_log_probs` over feature rows, in tagset order.
+
+    Each score sums the rows in the order given, from 0, as the
+    reference sums the features, so the results are the same floats.
+    """
+    scores = [sum(column) for column in zip(*rows)]
+    peak = max(scores)
+    log_z = peak + math.log(sum(math.exp(s - peak) for s in scores))
+    return [s - log_z for s in scores]
 
 
 def tag_probs(model: TagModel, feats: Sequence[str]) -> dict[str, float]:
@@ -216,17 +246,38 @@ def gradient(weights: dict[str, float], positions: Sequence[tuple[list[str], str
     return grad
 
 
+def _check_config(config: TrainConfig) -> None:
+    if config.epochs < 0:
+        raise TaggerError(f"epochs must be >= 0, got {config.epochs}")
+    if not (math.isfinite(config.l2_lambda) and config.l2_lambda >= 0):
+        raise TaggerError(f"l2_lambda must be finite and >= 0, got {config.l2_lambda}")
+    if not (math.isfinite(config.step) and config.step > 0):
+        raise TaggerError(f"step must be finite and > 0, got {config.step}")
+
+
 def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     """Train a tagger by full-batch gradient ascent from zero weights.
+
+    Each feature string is interned once to a row of one weight per tag.
+    An epoch is one sweep over the positions: each position's
+    log-probabilities are computed once and serve both the loss recorded
+    before the epoch and the gradient, which is accumulated only into the
+    rows of the features that fire.  The float operations and their
+    order are those of ascending with :func:`objective` and
+    :func:`gradient`, so the weights and losses are the same floats;
+    ``weights`` is built once, at the end, keyed in the order the
+    reference first meets each key.
 
     Iteration order is fixed by the corpus, so the result is
     deterministic.  The returned model records the loss (negated
     objective) before each epoch and after the last one in
-    ``loss_history``.
+    ``loss_history``.  Raises :class:`TaggerError` unless ``epochs >= 0``,
+    ``l2_lambda`` is finite and ``>= 0`` and ``step`` is finite and ``> 0``.
     """
+    config = config or TrainConfig()
+    _check_config(config)
     if not corpus.sentences or all(not s for s in corpus.sentences):
         raise EmptyCorpus("training corpus has no tokens")
-    config = config or TrainConfig()
     tagset = corpus.tagset()
     dictionary: dict[str, frozenset[str]] = {}
     observed: dict[str, set[str]] = {}
@@ -237,15 +288,61 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
         dictionary[surface] = frozenset(observed[surface])
     positions = _positions(corpus)
 
-    weights: dict[str, float] = {}
+    tag_index = {t: k for k, t in enumerate(tagset)}
+    feature_ids: dict[str, int] = {}
+    # (feature id, tag index) in the order `gradient` first inserts the key:
+    # a new feature's gold tag, then the rest of the tagset.
+    key_order: list[tuple[int, int]] = []
+    sweep: list[tuple[list[int], int]] = []
+    for feats, gold_tag in positions:
+        gold = tag_index[gold_tag]
+        ids = []
+        for f in feats:
+            fid = feature_ids.get(f)
+            if fid is None:
+                fid = feature_ids[f] = len(feature_ids)
+                key_order.append((fid, gold))
+                key_order.extend((fid, k) for k in range(len(tagset)) if k != gold)
+            ids.append(fid)
+        sweep.append((ids, gold))
+
+    rows = [[0.0] * len(tagset) for _ in feature_ids]
+    n = float(len(positions))
+    decay = 2.0 * config.l2_lambda
+    step = config.step
+
+    def loss(total: float) -> float:
+        penalty = sum(rows[f][k] * rows[f][k] for f, k in key_order)
+        return -(total / n - config.l2_lambda * penalty)
+
     losses: list[float] = []
     for _ in range(config.epochs):
-        losses.append(-objective(weights, positions, tagset, config.l2_lambda))
-        grad = gradient(weights, positions, tagset, config.l2_lambda)
-        for key, g in grad.items():
-            weights[key] = weights.get(key, 0.0) + config.step * g
-    losses.append(-objective(weights, positions, tagset, config.l2_lambda))
-    return TagModel(tagset, weights, TEMPLATES, dictionary, config.l2_lambda, losses)
+        grad = [[0.0] * len(tagset) for _ in rows]
+        total = 0.0
+        for ids, gold in sweep:
+            log_p = _row_log_probs([rows[f] for f in ids])
+            total += log_p[gold]
+            probs = [math.exp(lp) for lp in log_p]
+            for f in ids:
+                g = grad[f]
+                g[gold] += 1.0
+                grad[f] = [a - p for a, p in zip(g, probs)]
+        losses.append(loss(total))
+        rows = [[w + step * (g / n - decay * w) for w, g in zip(w_row, g_row)]
+                for w_row, g_row in zip(rows, grad)]
+    total = 0.0
+    for ids, gold in sweep:
+        total += _row_log_probs([rows[f] for f in ids])[gold]
+    losses.append(loss(total))
+
+    names = list(feature_ids)
+    weights: dict[str, float] = {}
+    if config.epochs:  # the reference's keys come from its first gradient step
+        for f, k in key_order:
+            weights[f"{names[f]}:{tagset[k]}"] = rows[f][k]
+    model = TagModel(tagset, weights, TEMPLATES, dictionary, config.l2_lambda, losses)
+    model._rows = dict(zip(names, rows))
+    return model
 
 
 def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
@@ -278,20 +375,60 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
     return tuple(t for t in model.tagset if t in cands)
 
 
+def _feature_rows(model: TagModel) -> dict[str, list[float]]:
+    """The model's weights as feature -> one weight per tag (built once).
+
+    A key splits at its last ':' into feature and tag.  A key whose tag
+    is not in the tagset is skipped: :func:`_log_probs` never reads it.
+    """
+    rows = model._rows
+    if rows is None:
+        tag_index = {t: k for k, t in enumerate(model.tagset)}
+        rows = {}
+        for key, w in model.weights.items():
+            feature, _, t = key.rpartition(":")
+            k = tag_index.get(t)
+            if k is None:
+                continue
+            row = rows.get(feature)
+            if row is None:
+                row = rows[feature] = [0.0] * len(model.tagset)
+            row[k] = w
+        model._rows = rows
+    return rows
+
+
+def _check_beam(beam: int) -> None:
+    if beam < 1:
+        raise TaggerError(f"beam must be >= 1, got {beam}")
+
+
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 tokens: Sequence[Token], beam: int = 3) -> list[str]:
-    """Beam-search decode; ties break toward earlier tagset order."""
+    """Beam-search decode; ties break toward earlier tagset order.
+
+    Features are extracted once per token.  At each position the
+    log-probabilities are computed once per distinct previous tag among
+    the beam entries, from the model's feature rows; they are the floats
+    :func:`_log_probs` gives.
+    """
+    index = _feature_rows(model)
+    zero = [0.0] * len(model.tagset)
     tag_index = {t: i for i, t in enumerate(model.tagset)}
     beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
     for i, token in enumerate(tokens):
-        cands = candidate_tags(model, morph_model, token.surface)
+        cands = [(t, tag_index[t]) for t in candidate_tags(model, morph_model, token.surface)]
+        rows = [index.get(f, zero) for f in extract_features(tokens, i, BOUNDARY_TAG)]
+        by_prev: dict[str, list[float]] = {}
         expanded = []
         for score, tags, path in beams:
             prev_tag = tags[-1] if tags else BOUNDARY_TAG
-            feats = extract_features(tokens, i, prev_tag)
-            log_p = _log_probs(model.weights, feats, model.tagset)
-            for t in cands:
-                expanded.append((score + log_p[t], tags + (t,), path + (tag_index[t],)))
+            log_p = by_prev.get(prev_tag)
+            if log_p is None:
+                rows[_PREV_TAG_SLOT] = index.get(f"pt:{prev_tag}", zero)
+                log_p = by_prev[prev_tag] = _row_log_probs(rows)
+            for t, k in cands:
+                expanded.append((score + log_p[k], tags + (t,), path + (k,)))
         expanded.sort(key=lambda item: (-item[0], item[2]))
         beams = expanded[:beam]
     return list(beams[0][1])
@@ -299,7 +436,8 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
 
 def tag(model: TagModel, morph_model: morph.MorphModel | None,
         sentence: str, beam: int = 3) -> list[tuple[str, str]]:
-    """Tokenize and tag a raw sentence."""
+    """Tokenize and tag a raw sentence; ``beam`` must be at least 1."""
+    _check_beam(beam)
     tokens = tokenize_sentence(sentence)
     if not tokens:
         return []
@@ -326,6 +464,7 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
     cleared.  Gold tags outside the model's tagset raise
     :class:`TagsetMismatch`.
     """
+    _check_beam(beam)
     extra = sorted({t for s in gold.sentences for _, t in s} - set(model.tagset))
     if extra:
         raise TagsetMismatch(f"gold tags outside the model tagset: {extra}")
@@ -447,6 +586,20 @@ def model_from_bytes(data: bytes) -> TagModel:
         weights[key] = f64()
     if pos != len(view):
         raise TaggerError("trailing bytes after tagger model data")
+    if templates != TEMPLATES:
+        raise TaggerError(f"tagger model templates {templates} are not {TEMPLATES}")
+    if not tagset:
+        raise TaggerError("tagger model has an empty tagset")
+    if len(set(tagset)) != len(tagset):
+        raise TaggerError("tagger model tagset repeats a tag")
+    bad_tags = [t for t in tagset if ":" in t]
+    if bad_tags:
+        raise TaggerError(f"tagger model tags contain ':': {bad_tags}")
+    if not math.isfinite(l2_lambda):
+        raise TaggerError(f"tagger model l2_lambda is not finite: {l2_lambda}")
+    if not all(map(math.isfinite, weights.values())):
+        bad = [key for key, w in weights.items() if not math.isfinite(w)]
+        raise TaggerError(f"tagger model weights are not finite: {bad[:3]}")
     return TagModel(tagset, weights, templates, dictionary, l2_lambda)
 
 

@@ -28,5 +28,5 @@ def mini_corpus():
 
 @pytest.fixture(scope="session")
 def tag_model(mini_corpus):
-    # ~2s of gradient ascent; shared by the tagger and acceptance tests
+    # the default 100-epoch training; shared by the tagger, CLI and acceptance tests
     return tagger.train(mini_corpus, tagger.TrainConfig())

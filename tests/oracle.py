@@ -1,17 +1,22 @@
 """Brute-force reference implementations used to check the transducer
-algebra.
+algebra, and string-keyed references for the tagger.
 
 Everything here recomputes relations from first principles: pairs are
 collected by naively walking arcs and concatenating symbol strings, and
 the algebra operations are recomputed on plain Python sets.  Nothing in
 this module calls back into the library's own closure/compose/apply
 logic, so agreement between the two is meaningful.
+
+The tagger references train and decode on the string-keyed weight dict
+through ``tagger.objective``, ``tagger.gradient`` and
+``tagger._log_probs``, never through the library's feature rows.
 """
 
 from __future__ import annotations
 
 import random
 
+from hindimorph import tagger
 from hindimorph.fst import EPSILON, SymbolTable, Transducer, build
 
 ALPHABET = ("a", "b", "c")
@@ -186,3 +191,41 @@ def rand_machine(rng: random.Random, table: SymbolTable,
     if not finals:
         finals = [rng.randrange(n)]
     return build(n, 0, finals, arcs, table)
+
+
+# ---------------------------------------------------------------------------
+# tagger references
+
+
+def train_reference(corpus: tagger.TaggedCorpus,
+                    config: tagger.TrainConfig) -> tuple[dict[str, float], list[float]]:
+    """Gradient ascent on the string-keyed objective: (weights, loss history)."""
+    tagset = corpus.tagset()
+    positions = tagger._positions(corpus)
+    weights: dict[str, float] = {}
+    losses: list[float] = []
+    for _ in range(config.epochs):
+        losses.append(-tagger.objective(weights, positions, tagset, config.l2_lambda))
+        grad = tagger.gradient(weights, positions, tagset, config.l2_lambda)
+        for key, g in grad.items():
+            weights[key] = weights.get(key, 0.0) + config.step * g
+    losses.append(-tagger.objective(weights, positions, tagset, config.l2_lambda))
+    return weights, losses
+
+
+def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens, beam: int) -> list[str]:
+    """Beam decode that extracts and scores features anew for every beam entry."""
+    tag_index = {t: i for i, t in enumerate(model.tagset)}
+    beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
+    for i, token in enumerate(tokens):
+        cands = tagger.candidate_tags(model, morph_model, token.surface)
+        expanded = []
+        for score, tags, path in beams:
+            prev_tag = tags[-1] if tags else tagger.BOUNDARY_TAG
+            feats = tagger.extract_features(tokens, i, prev_tag)
+            log_p = tagger._log_probs(model.weights, feats, model.tagset)
+            for t in cands:
+                expanded.append((score + log_p[t], tags + (t,), path + (tag_index[t],)))
+        expanded.sort(key=lambda item: (-item[0], item[2]))
+        beams = expanded[:beam]
+    return list(beams[0][1])

@@ -187,6 +187,22 @@ def test_train_malformed_corpus_leaves_no_output(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--epochs", "-2"], ["--step", "nan"], ["--step", "0"],
+    ["--lambda", "inf"], ["--lambda", "-1"],
+], ids=["epochs-2", "step-nan", "step0", "lambda-inf", "lambda-1"])
+def test_train_rejects_invalid_options(capsys, tmp_path, flags):
+    corpus = tmp_path / "toy.txt"
+    corpus.write_text("ab/X cd/Y\nab/X ef/Y\n", encoding="utf-8")
+    out = tmp_path / "toy.tag"
+    rc, stdout, stderr = run(capsys, ["train", "-c", str(corpus), "-o", str(out), *flags])
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("hindimorph train: error:")
+    assert "must be" in stderr
+    assert not out.exists()
+
+
 # --- tag / eval --------------------------------------------------------------
 
 
@@ -214,6 +230,15 @@ def test_tag_beam_flag(capsys, tag_file, fst_file):
         "आम आदमी आम खाता है ।"])
     assert rc == 0
     assert stdout == "आम/JJ आदमी/N_NN आम/N_NN खाता/V_VM है/V_AUX ।/I\n"
+
+
+@pytest.mark.parametrize("beam", ["0", "-1"])
+def test_tag_rejects_beam_below_one(capsys, tag_file, fst_file, beam):
+    rc, stdout, stderr = run(capsys, [
+        "tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", beam, "आम"])
+    assert rc == 1
+    assert stdout == ""
+    assert stderr == f"hindimorph tag: error: beam must be >= 1, got {beam}\n"
 
 
 def test_tag_corrupt_model(capsys, tmp_path, fst_file):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 import struct
 
 import pytest
 
+import oracle
 from hindimorph import tagger
 from hindimorph.tagger import (
     CorpusFormatError,
@@ -92,6 +94,13 @@ def test_parse_rejects_empty_surface_or_tag():
         TaggedCorpus.parse("/JJ")
     with pytest.raises(CorpusFormatError):
         TaggedCorpus.parse("आम/")
+
+
+def test_parse_rejects_colon_in_tag():
+    # w:a:B:A would be feature w:a with tag B:A, or feature w:a:B with tag A
+    with pytest.raises(CorpusFormatError, match="<corpus>:1: tag 'B:A' contains ':'"):
+        TaggedCorpus.parse("a:B/A x/B:A ।/I")
+    assert TaggedCorpus.parse("a:B/A").sentences == [[("a:B", "A")]]
 
 
 def test_parse_error_names_source_and_line():
@@ -266,6 +275,22 @@ def test_train_rejects_empty_corpus():
         train(TaggedCorpus([[]]))
 
 
+@pytest.mark.parametrize("config", [
+    TrainConfig(epochs=-2),
+    TrainConfig(l2_lambda=-0.1),
+    TrainConfig(l2_lambda=math.nan),
+    TrainConfig(l2_lambda=math.inf),
+    TrainConfig(step=0.0),
+    TrainConfig(step=-0.1),
+    TrainConfig(step=math.nan),
+    TrainConfig(step=math.inf),
+], ids=["epochs-2", "lambda-0.1", "lambda-nan", "lambda-inf",
+        "step0", "step-0.1", "step-nan", "step-inf"])
+def test_train_rejects_invalid_config(config):
+    with pytest.raises(TaggerError, match="must be"):
+        train(toy_corpus(), config)
+
+
 def test_train_separates_a_trivial_corpus():
     corpus = TaggedCorpus.parse("ab/X cd/Y\nab/X ef/Y\n")
     model = train(corpus, TrainConfig(epochs=30))
@@ -280,6 +305,40 @@ def test_train_is_deterministic():
     b = train(corpus, config)
     assert a.weights == b.weights
     assert a.loss_history == b.loss_history
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(epochs=0),
+    TrainConfig(epochs=1),
+    TrainConfig(epochs=3),
+    TrainConfig(l2_lambda=0.0, epochs=3, step=0.5),
+], ids=["epochs0", "epochs1", "epochs3", "lambda0-step0.5"])
+def test_train_equals_reference_ascent(config):
+    model = train(toy_corpus(), config)
+    weights, losses = oracle.train_reference(toy_corpus(), config)
+    assert list(model.weights) == list(weights)
+    assert _bits(model.weights.values()) == _bits(weights.values())
+    assert _bits(model.loss_history) == _bits(losses)
+
+
+def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
+    config = TrainConfig(epochs=5)
+    model = train(mini_corpus, config)
+    weights, losses = oracle.train_reference(mini_corpus, config)
+    assert list(model.weights) == list(weights)
+    assert _bits(model.weights.values()) == _bits(weights.values())
+    assert _bits(model.loss_history) == _bits(losses)
+    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == (
+        "158026d59bf9a54b1985595670491e0b949cb651eebdb98f412557da80497f0a")
+
+
+def test_default_model_bytes_are_pinned(tag_model):
+    assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == (
+        "fec3bf2a06a280389d1224ffef99e93e04e5d11e47ccf7e66d6d5f25b39da2ed")
 
 
 def test_loss_history_starts_at_log_tagset_size_and_decreases(tag_model):
@@ -397,6 +456,49 @@ def test_tag_beam_one_still_tags_goldens(tag_model, morph_model):
     assert tag(tag_model, morph_model, sentence, beam=1) == expected
 
 
+@pytest.mark.parametrize("beam", [0, -1])
+def test_tag_and_evaluate_reject_beam_below_one(tag_model, morph_model, beam):
+    with pytest.raises(TaggerError, match=f"beam must be >= 1, got {beam}"):
+        tag(tag_model, morph_model, "आम आदमी आम खाता है ।", beam=beam)
+    with pytest.raises(TaggerError, match="beam must be >= 1"):
+        tag(tag_model, morph_model, "", beam=beam)
+    with pytest.raises(TaggerError, match="beam must be >= 1"):
+        evaluate(tag_model, morph_model, TaggedCorpus.parse("आम/JJ"), beam=beam)
+
+
+# Not in the tagger dictionary: morph fallback (noun, verb), no analysis
+# (Latin, digits) and a word that only the stray weight below knows.
+UNKNOWN_WORDS = ("मालन", "पढ़ी", "xyzzy", "२०२४", "x")
+
+
+def _substituted_sentences(corpus):
+    """Each corpus sentence with two of its non-punctuation words made unknown."""
+    out = []
+    for i, sentence in enumerate(corpus.sentences):
+        surfaces = [s for s, _ in sentence]
+        words = [j for j, s in enumerate(surfaces) if s not in tagger.PUNCT_CHARS]
+        for n, j in enumerate(words[i % len(words)::3][:2]):
+            surfaces[j] = UNKNOWN_WORDS[(i + n) % len(UNKNOWN_WORDS)]
+        out.append([Token(s, s in tagger.PUNCT_CHARS) for s in surfaces])
+    return out
+
+
+def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpus):
+    # The trained model decodes from its training rows; the loaded one
+    # builds its rows from the file and must skip the key w:x:ZZ, whose
+    # tag is outside the tagset.
+    stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
+                     tagger.TEMPLATES, tag_model.dictionary, tag_model.l2_lambda)
+    loaded = model_from_bytes(model_to_bytes(stray))
+    sentences = _substituted_sentences(mini_corpus)
+    assert sum(t.surface in UNKNOWN_WORDS for s in sentences for t in s) >= 100
+    for model in (tag_model, loaded):
+        for beam in (1, 3, 5):
+            for tokens in sentences:
+                assert tagger._tag_tokens(model, morph_model, tokens, beam) == (
+                    oracle.tag_tokens_reference(model, morph_model, tokens, beam))
+
+
 # --- evaluation -----------------------------------------------------------
 
 
@@ -503,6 +605,72 @@ def test_reject_invalid_utf8_string():
     data += struct.pack("<I", 2) + b"\xff\xfe"  # not UTF-8
     with pytest.raises(TaggerError, match="UTF-8"):
         model_from_bytes(data)
+
+
+def _small_model_bytes(**fields) -> bytes:
+    """The bytes of a small valid model, with the given fields replaced."""
+    model = dict(tagset=("A", "B"), weights={"w:a:A": 1.0}, templates=tagger.TEMPLATES,
+                 dictionary={}, l2_lambda=0.1)
+    model.update(fields)
+    return model_to_bytes(TagModel(**model))
+
+
+def test_small_valid_model_loads():
+    model = model_from_bytes(_small_model_bytes())
+    assert tag(model, None, "a") == [("a", "A")]
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"templates": ()}, "templates"),
+    ({"templates": tagger.TEMPLATES[:-1]}, "templates"),
+    ({"templates": tagger.TEMPLATES[::-1]}, "templates"),
+    ({"tagset": ()}, "empty tagset"),
+    ({"tagset": ("A", "A")}, "repeats a tag"),
+    ({"tagset": ("A", "B:A")}, "contain ':'"),
+    ({"l2_lambda": math.nan}, "l2_lambda is not finite"),
+    ({"l2_lambda": -math.inf}, "l2_lambda is not finite"),
+    ({"weights": {"w:a:A": math.nan}}, "weights are not finite"),
+    ({"weights": {"w:a:A": 1.0, "w:b:B": math.inf}}, "weights are not finite"),
+], ids=["no-templates", "templates-short", "templates-reordered", "empty-tagset",
+        "repeated-tag", "colon-tag", "lambda-nan", "lambda-inf", "weight-nan",
+        "weight-inf"])
+def test_reject_invalid_model_fields(fields, message):
+    with pytest.raises(TaggerError, match=message):
+        model_from_bytes(_small_model_bytes(**fields))
+
+
+def test_mutated_model_bytes_raise_only_tagger_error(morph_model):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    corpus = TaggedCorpus.parse("ab/X cd/Y ।/I\nab/X ef/Y\n")
+    blob = model_to_bytes(train(corpus, TrainConfig(epochs=2)))
+    edit = st.one_of(
+        st.tuples(st.just("set"), st.integers(0, len(blob) - 1), st.integers(0, 255)),
+        st.tuples(st.just("insert"), st.integers(0, len(blob)), st.integers(0, 255)),
+        st.tuples(st.just("delete"), st.integers(0, len(blob) - 1), st.integers(1, 16)))
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.lists(edit, min_size=1, max_size=4))
+    def check(edits):
+        data = bytearray(blob)
+        for kind, pos, value in edits:
+            pos = min(pos, len(data))
+            if kind == "insert":
+                data[pos:pos] = bytes([value])
+            elif kind == "delete":
+                del data[pos:pos + value]
+            elif pos < len(data):
+                data[pos] = value
+        try:
+            model = model_from_bytes(bytes(data))
+        except TaggerError:
+            return
+        for sentence in ("ab cd ।", "ef zz ab", "मालन पढ़ी ।"):
+            for fallback in (morph_model, None):
+                tagged = tag(model, fallback, sentence)
+                assert all(t in model.tagset for _, t in tagged)
+
+    check()
 
 
 def test_reject_dictionary_index_out_of_range():
