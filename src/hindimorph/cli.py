@@ -57,7 +57,7 @@ def _read_text(path) -> str:
 
 def _words_from(args_words: list[str]) -> Iterable[str]:
     if not args_words or args_words == ["-"]:
-        return (line.rstrip("\r\n") for line in sys.stdin if line.strip())
+        return (word for word in map(str.strip, sys.stdin) if word)
     return args_words
 
 

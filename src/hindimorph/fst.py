@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from itertools import chain
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
+
+from ._binary import Reader, pack_str
 
 EPSILON = 0
 EPSILON_SYMBOL = "<>"
@@ -700,82 +704,51 @@ FORMAT_VERSION = 1
 
 def to_bytes(a: Transducer) -> bytes:
     """Serialize to the binary transducer format (little-endian)."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
     entries = list(a.symbols)
-    out += struct.pack("<I", len(entries))
-    for sym in entries:
-        raw = sym.encode("utf-8")
-        out += struct.pack("<I", len(raw))
-        out += raw
-    out += struct.pack("<I", a.state_count)
-    out += struct.pack("<I", a.start)
     finals = sorted(a.finals)
-    out += struct.pack("<I", len(finals))
-    for f in finals:
-        out += struct.pack("<I", f)
-    out += struct.pack("<I", len(a.arcs))
-    for src, ilab, olab, dst in a.arcs:
-        out += struct.pack("<IIII", src, ilab, olab, dst)
-    return bytes(out)
+    blob = b"".join([
+        MAGIC, struct.pack("<HI", FORMAT_VERSION, len(entries)),
+        *map(pack_str, entries),
+        struct.pack(f"<{4 + len(finals) + 4 * len(a.arcs)}I", a.state_count, a.start,
+                    len(finals), *finals, len(a.arcs), *chain.from_iterable(a.arcs)),
+    ])
+    if a.state_count > len(blob):  # from_bytes would refuse it; trimmed machines fit
+        raise FstError(f"{a.state_count} states in a {len(blob)}-byte file; trim the machine")
+    return blob
 
 
 def from_bytes(data: bytes) -> Transducer:
     """Parse the binary transducer format.  The machine gets a fresh
-    SymbolTable reconstructed from the file."""
-    view = memoryview(data)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise FstError("truncated transducer file")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    def u16() -> int:
-        return struct.unpack("<H", take(2))[0]
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    if bytes(take(4)) != MAGIC:
+    SymbolTable reconstructed from the file.  A file may not declare more
+    states than it has bytes, which bounds what it makes `build` allocate."""
+    reader = Reader(data, FstError, "transducer")
+    if reader.take(4) != MAGIC:
         raise FstError("not a transducer file (bad magic)")
-    version = u16()
+    (version,) = reader.unpack("<H")
     if version != FORMAT_VERSION:
         raise FstError(f"unsupported transducer format version {version}")
-    sym_count = u32()
+    sym_count = reader.u32()
     if sym_count < 1:
         raise FstError("symbol table must contain the epsilon entry")
+    if reader.text("symbol 0") != EPSILON_SYMBOL:
+        raise FstError("symbol id 0 must be the epsilon symbol")
     table = SymbolTable()
-    for idx in range(sym_count):
-        raw = bytes(take(u32()))
-        try:
-            sym = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FstError(f"symbol {idx} is not valid UTF-8") from exc
-        if idx == 0:
-            if sym != EPSILON_SYMBOL:
-                raise FstError("symbol id 0 must be the epsilon symbol")
-            continue
+    for idx in range(1, sym_count):
+        sym = reader.text(f"symbol {idx}")
         if table.intern(sym) != idx:
             raise FstError(f"duplicate symbol entry {sym!r}")
-    state_count = u32()
-    start = u32()
-    finals = [u32() for _ in range(u32())]
-    arcs = [struct.unpack("<IIII", take(16)) for _ in range(u32())]
-    if pos != len(view):
-        raise FstError("trailing bytes after transducer data")
+    state_count, start = reader.unpack("<II")
+    finals = [f for (f,) in reader.array("<I")]
+    arcs = reader.array("<IIII")
+    reader.finish()
+    if state_count > len(data):
+        raise FstError(f"transducer file declares {state_count} states in {len(data)} bytes")
     return build(state_count, start, finals, arcs, table)
 
 
 def save(a: Transducer, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_bytes(a))
+    Path(path).write_bytes(to_bytes(a))
 
 
 def load(path) -> Transducer:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
+    return from_bytes(Path(path).read_bytes())

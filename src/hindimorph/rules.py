@@ -303,12 +303,33 @@ def _lex(text: str) -> list[_Token]:
 # Parser
 
 _ATOM_STARTERS = {"SYM", "TAG", "EPS", "CLASS", "LPAREN", "VAR", "INCLUDE"}
+_POSTFIX = {"STAR": Star, "PLUS": Plus, "OPT": Opt}
+# Caps open parentheses and AST height, far below Python's recursion limit.
+_MAX_NESTING = 100
+_TOO_DEEP = f"expression is nested too deeply (more than {_MAX_NESTING} levels)"
+
+
+def _height(node) -> int:
+    """Levels of the AST under `node`, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height, below = height + 1, []
+        for n in level:
+            if isinstance(n, (Concat, Union)):
+                below += n.parts
+            elif isinstance(n, Compose):
+                below += (n.lhs, n.rhs)
+            elif isinstance(n, (Star, Plus, Opt)):
+                below.append(n.expr)
+        level = below
+    return height
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self.defined: set[str] = set()
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -337,12 +358,12 @@ class _Parser:
                 if name in self.defined:
                     self.error(tok, f"variable ${name}$ redefined")
                 self.next()  # EQUALS
-                expr = self.parse_expr()
+                expr = self.parse_statement_expr()
                 self.end_statement()
                 definitions.append((name, expr))
                 self.defined.add(name)
             else:
-                result = self.parse_expr()
+                result = self.parse_statement_expr()
                 self.end_statement()
         if result is None:
             raise EmptyRuleFile("rule file has no result expression")
@@ -356,6 +377,13 @@ class _Parser:
             self.next()
         elif tok.kind != "EOF":
             self.error(tok, f"unexpected {_describe(tok)} after expression")
+
+    def parse_statement_expr(self):
+        start = self.peek()
+        expr = self.parse_expr()
+        if _height(expr) > _MAX_NESTING:
+            self.error(start, _TOO_DEEP)
+        return expr
 
     def parse_expr(self):
         node = self.parse_union()
@@ -381,19 +409,9 @@ class _Parser:
 
     def parse_postfix(self):
         node = self.parse_atom()
-        while True:
-            kind = self.peek().kind
-            if kind == "STAR":
-                self.next()
-                node = Star(node)
-            elif kind == "PLUS":
-                self.next()
-                node = Plus(node)
-            elif kind == "OPT":
-                self.next()
-                node = Opt(node)
-            else:
-                return node
+        while self.peek().kind in _POSTFIX:
+            node = _POSTFIX[self.next().kind](node)
+        return node
 
     def parse_atom(self):
         tok = self.next()
@@ -410,7 +428,11 @@ class _Parser:
         if tok.kind == "CLASS":
             return CharClass(tok.value)
         if tok.kind == "LPAREN":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self.error(tok, _TOO_DEEP)
             expr = self.parse_expr()
+            self.depth -= 1
             closing = self.next()
             if closing.kind != "RPAREN":
                 self.error(closing, "expected ')'")

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import morph
+from ._binary import Reader, pack_str
 
 BOUNDARY_WORD = "<s>"
 BOUNDARY_WORD_END = "</s>"
@@ -504,88 +505,46 @@ MAGIC = b"MTAG"
 FORMAT_VERSION = 1
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 def model_to_bytes(model: TagModel) -> bytes:
     """Serialize (little-endian; weight map sorted by key for stability)."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
-    out += struct.pack("<d", model.l2_lambda)
-    out += struct.pack("<I", len(model.tagset))
-    for t in model.tagset:
-        out += _pack_str(t)
-    out += struct.pack("<I", len(model.templates))
-    for t in model.templates:
-        out += _pack_str(t)
     tag_index = {t: i for i, t in enumerate(model.tagset)}
-    out += struct.pack("<I", len(model.dictionary))
+    out = [MAGIC, struct.pack("<HdI", FORMAT_VERSION, model.l2_lambda, len(model.tagset))]
+    out += map(pack_str, model.tagset)
+    out.append(struct.pack("<I", len(model.templates)))
+    out += map(pack_str, model.templates)
+    out.append(struct.pack("<I", len(model.dictionary)))
     for word in sorted(model.dictionary):
-        out += _pack_str(word)
         indices = sorted(tag_index[t] for t in model.dictionary[word])
-        out += struct.pack("<I", len(indices))
-        for idx in indices:
-            out += struct.pack("<I", idx)
-    out += struct.pack("<I", len(model.weights))
+        out += (pack_str(word), struct.pack(f"<{1 + len(indices)}I", len(indices), *indices))
+    out.append(struct.pack("<I", len(model.weights)))
     for key in sorted(model.weights):
-        out += _pack_str(key)
-        out += struct.pack("<d", model.weights[key])
-    return bytes(out)
+        out += (pack_str(key), struct.pack("<d", model.weights[key]))
+    return b"".join(out)
 
 
 def model_from_bytes(data: bytes) -> TagModel:
-    view = memoryview(data)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise TaggerError("truncated tagger model file")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    def u16() -> int:
-        return struct.unpack("<H", take(2))[0]
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    def f64() -> float:
-        return struct.unpack("<d", take(8))[0]
-
-    def text() -> str:
-        raw = bytes(take(u32()))
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TaggerError("model string is not valid UTF-8") from exc
-
-    if bytes(take(4)) != MAGIC:
+    reader = Reader(data, TaggerError, "tagger model")
+    if reader.take(4) != MAGIC:
         raise TaggerError("not a tagger model file (bad magic)")
-    version = u16()
+    (version,) = reader.unpack("<H")
     if version != FORMAT_VERSION:
         raise TaggerError(f"unsupported tagger model version {version}")
-    l2_lambda = f64()
-    tagset = tuple(text() for _ in range(u32()))
-    templates = tuple(text() for _ in range(u32()))
+    (l2_lambda,) = reader.unpack("<d")
+    tagset = tuple(reader.text("model string") for _ in range(reader.u32()))
+    templates = tuple(reader.text("model string") for _ in range(reader.u32()))
     dictionary: dict[str, frozenset[str]] = {}
-    for _ in range(u32()):
-        word = text()
-        indices = [u32() for _ in range(u32())]
+    for _ in range(reader.u32()):
+        word = reader.text("model string")
+        indices = reader.array("<I")
         try:
-            dictionary[word] = frozenset(tagset[i] for i in indices)
+            dictionary[word] = frozenset(tagset[i] for (i,) in indices)
         except IndexError as exc:
             raise TaggerError(f"dictionary tag index out of range for {word!r}") from exc
     weights: dict[str, float] = {}
-    for _ in range(u32()):
-        key = text()
-        weights[key] = f64()
-    if pos != len(view):
-        raise TaggerError("trailing bytes after tagger model data")
+    for _ in range(reader.u32()):
+        key = reader.text("model string")
+        weights[key] = reader.unpack("<d")[0]
+    reader.finish()
     if templates != TEMPLATES:
         raise TaggerError(f"tagger model templates {templates} are not {TEMPLATES}")
     if not tagset:
@@ -604,10 +563,8 @@ def model_from_bytes(data: bytes) -> TagModel:
 
 
 def save_model(model: TagModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+    Path(path).write_bytes(model_to_bytes(model))
 
 
 def load_model(path) -> TagModel:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    return model_from_bytes(Path(path).read_bytes())

@@ -56,6 +56,20 @@ def test_compile_missing_rules_file(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("expression", ["(" * 300 + "a" + ")" * 300, "a" + "*" * 1000],
+                         ids=["parens", "stars"])
+def test_compile_rejects_deeply_nested_rules(capsys, tmp_path, expression):
+    rules_file = tmp_path / "deep.mrl"
+    rules_file.write_text(expression + "\n", encoding="utf-8")
+    out = tmp_path / "deep.fst"
+    rc, stdout, stderr = run(capsys, ["compile", "-r", str(rules_file), "-o", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("hindimorph compile: error: line 1, col ")
+    assert "nested too deeply" in stderr
+    assert not out.exists()
+
+
 # --- analyze / generate -----------------------------------------------------
 
 
@@ -119,14 +133,16 @@ def test_generate_reads_stdin(capsys, monkeypatch, fst_file):
 ])
 def test_crlf_stdin_matches_lf_stdin(capsys, monkeypatch, fst_file, command, lines):
     outputs = []
-    for newline in ("\n", "\r\n"):
-        text = "".join(line + newline for line in lines)
+    for lead, newline in (("", "\n"), ("", "\r\n"), ("  ", "\n"),
+                          ("", "  \n"), ("", "\t\n"), (" \t", " \r\n")):
+        text = "".join(lead + line + newline for line in lines)
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         rc, stdout, _ = run(capsys, [command, "-m", str(fst_file)])
         assert rc == 0
         outputs.append(stdout)
     assert "\r" not in outputs[1]
-    assert outputs[1] == outputs[0]
+    # surrounding whitespace is stripped: every variant prints the plain-LF output
+    assert outputs[1:] == [outputs[0]] * (len(outputs) - 1)
 
 
 class _FailingStdin:

@@ -1,8 +1,9 @@
 import random
+import struct
 
 import pytest
 
-from hindimorph import fst
+from hindimorph import data_path, fst, rules
 from hindimorph.fst import (
     EPSILON,
     EpsilonCycle,
@@ -529,3 +530,50 @@ def test_from_bytes_rejects_garbage():
         fst.from_bytes(blob[:-1])
     with pytest.raises(fst.FstError):
         fst.from_bytes(blob + b"\x00")
+
+
+def test_state_count_is_bounded_by_file_size():
+    table = SymbolTable()
+    blob = fst.to_bytes(fst.epsilon(table))
+    assert len(blob) == 36 and blob[16:20] == struct.pack("<I", 1)
+    with pytest.raises(fst.FstError, match="100000 states"):
+        fst.from_bytes(blob[:16] + struct.pack("<I", 100_000) + blob[20:])
+    # the writer refuses what the reader would: an untrimmed 100-state machine
+    with pytest.raises(fst.FstError, match="100 states"):
+        fst.to_bytes(fst.build(100, 0, [0], [], table))
+
+
+def test_mutated_fst_bytes_raise_only_fst_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    blob = fst.to_bytes(rules.compile_file(data_path("rules", "hindi.mrl"), SymbolTable()))
+    edit = st.one_of(
+        st.tuples(st.just("set"), st.integers(0, len(blob) - 1), st.integers(0, 255)),
+        st.tuples(st.just("insert"), st.integers(0, len(blob)), st.integers(0, 255)),
+        st.tuples(st.just("delete"), st.integers(0, len(blob) - 1), st.integers(1, 16)))
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.lists(edit, min_size=1, max_size=4))
+    def check(edits):
+        data = bytearray(blob)
+        for kind, pos, value in edits:
+            pos = min(pos, len(data))
+            if kind == "insert":
+                data[pos:pos] = bytes([value])
+            elif kind == "delete":
+                del data[pos:pos + value]
+            elif pos < len(data):
+                data[pos] = value
+        try:
+            machine = fst.from_bytes(bytes(data))
+        except fst.FstError:
+            return
+        for m in (machine, fst.invert(machine)):
+            for text in ("लडके", "लडका<Noun><masculine><pl>", "घर"):
+                try:
+                    result = fst.apply(m, text)
+                except fst.FstError:
+                    continue
+                assert isinstance(result, StringPairSet)
+
+    check()

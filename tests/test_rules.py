@@ -157,6 +157,21 @@ def test_unbalanced_paren_reported():
         parse_rules("( a | b")
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "a" + ")" * 300,
+    "a" + "*" * 1000,
+    " || ".join(["a"] * 1000),
+], ids=["parens", "stars", "compose"])
+def test_deep_nesting_is_a_rule_error(text):
+    with pytest.raises(RuleSyntaxError, match="nested too deeply"):
+        rules.compile(parse_rules(text), SymbolTable())
+
+
+def test_nesting_up_to_the_limit_compiles():
+    assert rel("(" * 100 + "a" + ")" * 100) == {("a", "a")}
+    assert rel("a" + "?" * 99) == {("", ""), ("a", "a")}
+
+
 def test_rule_text_is_nfc_normalized():
     # precomposed ढ़ (U+095D) and decomposed ढ + nukta parse identically
     pre = parse_rules("पढ़")
