@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
-from . import fst, lexicon, morph, rules, tagger
+from . import _text, fst, lexicon, morph, rules, tagger
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -46,15 +46,6 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _read_text(path) -> str:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
-
-
 def _words_from(args_words: list[str]) -> Iterable[str]:
     if not args_words or args_words == ["-"]:
         return (word for word in map(str.strip, sys.stdin) if word)
@@ -66,7 +57,7 @@ class CliError(Exception):
 
 
 def cmd_lexicon_extract(args) -> int:
-    words = lexicon.extract_unique_sorted(_read_text(args.corpus))
+    words = lexicon.extract_unique_sorted(_text.read_text(args.corpus, CliError))
     payload = "".join(w + "\n" for w in words).encode("utf-8")
     _write_atomic(Path(args.output), payload)
     print(f"{len(words)} unique words -> {args.output}")

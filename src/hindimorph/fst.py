@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -342,6 +343,83 @@ def project(a: Transducer, side: str = "input") -> Transducer:
     return build(a.state_count, a.start, a.finals, sorted(arcs), a.symbols)
 
 
+def _eps_free_rows(a: Transducer) -> tuple[list[list[tuple[int, int]]], set[int]]:
+    """The arcs of `a` without (epsilon, epsilon) arcs, as per-state rows.
+
+    Each row lists ``(label, dst)`` pairs, sorted and without repeats,
+    where ``label = ilab * len(symbols) + olab`` (so label order is
+    (ilab, olab) order, and 0 is the epsilon pair).  A state whose
+    epsilon closure holds a final state is final, and its row gathers
+    the real arcs of its whole closure; a state with no epsilon arc
+    keeps its own arcs.
+    """
+    n_syms = len(a.symbols)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
+    eps_next: dict[int, list[int]] = {}
+    prev = None
+    for arc in a.arcs:  # sorted, so repeated arcs are adjacent
+        if arc == prev:
+            continue
+        prev = arc
+        src, ilab, olab, dst = arc
+        if ilab or olab:
+            rows[src].append((ilab * n_syms + olab, dst))
+        else:
+            eps_next.setdefault(src, []).append(dst)
+    finals = set(a.finals)
+    merged: dict[int, list[tuple[int, int]]] = {}
+    for s in eps_next:
+        closure = {s}
+        stack = [s]
+        while stack:
+            for t in eps_next.get(stack.pop(), ()):
+                if t not in closure:
+                    closure.add(t)
+                    stack.append(t)
+        if not finals.isdisjoint(closure):
+            finals.add(s)
+        merged[s] = sorted({pair for t in closure for pair in rows[t]})
+    for s, row in merged.items():
+        rows[s] = row
+    return rows, finals
+
+
+def _subset(rows: list[list[tuple[int, int]]], finals: set[int],
+            start: int) -> tuple[list[list[tuple[int, int]]], set[int]]:
+    """Subset construction over the pair alphabet, on rows of
+    :func:`_eps_free_rows`.  The result's states are the subsets reached
+    from ``{start}``, numbered breadth-first by sorted label (state 0
+    is the start)."""
+    first = frozenset((start,))
+    ids: dict[frozenset[int], int] = {first: 0}
+    order = [first]
+    det_rows: list[list[tuple[int, int]]] = []
+    det_finals: set[int] = set()
+    for sid, cur in enumerate(order):  # `order` grows as subsets are found
+        if not finals.isdisjoint(cur):
+            det_finals.add(sid)
+        grouped: dict[int, set[int]] = {}
+        for s in cur:
+            for label, dst in rows[s]:
+                grouped.setdefault(label, set()).add(dst)
+        row = []
+        for label in sorted(grouped):
+            target = frozenset(grouped[label])
+            tid = ids.get(target)
+            if tid is None:
+                tid = ids[target] = len(order)
+                order.append(target)
+            row.append((label, tid))
+        det_rows.append(row)
+    return det_rows, det_finals
+
+
+def _rows_to_arcs(rows: list[list[tuple[int, int]]],
+                  n_syms: int) -> list[tuple[int, int, int, int]]:
+    return [(src, *divmod(label, n_syms), dst)
+            for src, row in enumerate(rows) for label, dst in row]
+
+
 def remove_epsilons(a: Transducer) -> Transducer:
     """An equivalent machine with no (epsilon, epsilon) arcs.
 
@@ -350,32 +428,9 @@ def remove_epsilons(a: Transducer) -> Transducer:
     """
     if not any(arc.ilab == EPSILON and arc.olab == EPSILON for arc in a.arcs):
         return a
-    eps_next: list[list[int]] = [[] for _ in range(a.state_count)]
-    for arc in a.arcs:
-        if arc.ilab == EPSILON and arc.olab == EPSILON:
-            eps_next[arc.src].append(arc.dst)
-
-    def eps_closure(s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            for t in eps_next[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    arcs: set[tuple[int, int, int, int]] = set()
-    finals: set[int] = set()
-    for s in range(a.state_count):
-        for t in eps_closure(s):
-            if t in a.finals:
-                finals.add(s)
-            for arc in a.out_arcs(t):
-                if arc.ilab == EPSILON and arc.olab == EPSILON:
-                    continue
-                arcs.add((s, arc.ilab, arc.olab, arc.dst))
-    return build(a.state_count, a.start, finals, sorted(arcs), a.symbols)
+    rows, finals = _eps_free_rows(a)
+    return build(a.state_count, a.start, finals,
+                 _rows_to_arcs(rows, len(a.symbols)), a.symbols)
 
 
 def determinize(a: Transducer) -> Transducer:
@@ -383,124 +438,117 @@ def determinize(a: Transducer) -> Transducer:
 
     In the result every state has at most one outgoing arc per distinct
     (input, output) label.  (epsilon, epsilon) arcs are removed first;
-    one-sided epsilon labels count as ordinary alphabet symbols.
+    one-sided epsilon labels count as ordinary alphabet symbols.  States
+    are the subsets reachable from the start, numbered breadth-first by
+    sorted label.  :func:`minimize` runs the same construction.
     """
-    a = remove_epsilons(a)
-    start = frozenset([a.start])
-    ids: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    queue = deque([start])
-    arcs: list[tuple[int, int, int, int]] = []
-    finals: set[int] = set()
-    if start & a.finals:
-        finals.add(0)
-    while queue:
-        cur = queue.popleft()
-        sid = ids[cur]
-        grouped: dict[tuple[int, int], set[int]] = {}
-        for s in cur:
-            for arc in a.out_arcs(s):
-                grouped.setdefault((arc.ilab, arc.olab), set()).add(arc.dst)
-        for (ilab, olab) in sorted(grouped):
-            target = frozenset(grouped[(ilab, olab)])
-            tid = ids.get(target)
-            if tid is None:
-                tid = len(order)
-                ids[target] = tid
-                order.append(target)
-                queue.append(target)
-                if target & a.finals:
-                    finals.add(tid)
-            arcs.append((sid, ilab, olab, tid))
-    return build(len(order), 0, finals, arcs, a.symbols)
+    rows, finals = _subset(*_eps_free_rows(a), a.start)
+    return build(len(rows), 0, finals, _rows_to_arcs(rows, len(a.symbols)), a.symbols)
 
 
-def _trim(a: Transducer) -> Transducer:
-    """Drop states not on some accepting path (unreachable or dead)."""
-    forward = {a.start}
-    stack = [a.start]
-    while stack:
-        for arc in a.out_arcs(stack.pop()):
-            if arc.dst not in forward:
-                forward.add(arc.dst)
-                stack.append(arc.dst)
-    rev: list[list[int]] = [[] for _ in range(a.state_count)]
-    for arc in a.arcs:
-        rev[arc.dst].append(arc.src)
-    backward = set(a.finals)
-    stack = list(a.finals)
-    while stack:
-        for src in rev[stack.pop()]:
-            if src not in backward:
-                backward.add(src)
-                stack.append(src)
-    keep = sorted(forward & backward)
-    if a.start not in keep:
-        return empty(a.symbols)
-    remap = {old: new for new, old in enumerate(keep)}
-    arcs = [(remap[s], i, o, remap[d]) for s, i, o, d in a.arcs
-            if s in remap and d in remap]
-    finals = [remap[f] for f in a.finals if f in remap]
-    return build(len(keep), remap[a.start], finals, arcs, a.symbols)
+def _no_targets(cls: list[int]) -> tuple[()]:
+    return ()
 
 
 def minimize(a: Transducer) -> Transducer:
     """Minimal deterministic machine (pair alphabet) for a's relation.
 
-    This is the one normalization call: it removes (epsilon, epsilon)
-    arcs and determinizes (through :func:`determinize`), trims
-    unreachable and dead states, then merges
-    behaviorally indistinguishable states by Moore partition refinement
-    over the partial transition function.  States of the result are
-    numbered in breadth-first order from the start, by sorted label, so
-    equal inputs always produce the identical machine.
+    This is the one normalization call.  It works on plain per-state
+    rows of (label, dst) and calls :func:`build` once, at the end:
+
+    1. (epsilon, epsilon) arcs are removed, as by :func:`remove_epsilons`;
+    2. the pair-alphabet subset construction of :func:`determinize`
+       runs only if some state still has two arcs with one label (a
+       trie or an already minimal machine skips it);
+    3. states that are unreachable or on no accepting path are dropped;
+    4. Moore partition refinement over the partial transition function
+       merges indistinguishable states.  It starts from classes keyed
+       by (final, sorted label tuple), so each round compares only the
+       tuples of target classes;
+    5. the classes are numbered breadth-first from the start, by sorted
+       label, so equal relations always give the identical machine.
     """
-    d = _trim(determinize(a))
-    if not d.finals:
+    n_syms = len(a.symbols)
+    rows, finals = _eps_free_rows(a)
+    start = a.start
+    if not all(len(row) == len(dict(row)) for row in rows):
+        rows, finals = _subset(rows, finals, start)
+        start = 0
+
+    # Trim: keep the states reachable from the start that reach a final.
+    reached = [False] * len(rows)
+    reached[start] = True
+    forward = [start]
+    preds: list[list[int]] = [[] for _ in rows]
+    for s in forward:  # grows during the loop: a breadth-first search
+        for _, dst in rows[s]:
+            preds[dst].append(s)
+            if not reached[dst]:
+                reached[dst] = True
+                forward.append(dst)
+    live = [False] * len(rows)
+    stack = [f for f in finals if reached[f]]
+    for f in stack:
+        live[f] = True
+    while stack:
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    if not live[start]:
         return empty(a.symbols)
+    if len(forward) < len(rows) or not all(live):
+        keep = [s for s in forward if live[s]]
+        index = {s: k for k, s in enumerate(keep)}
+        rows = [[(label, index[dst]) for label, dst in rows[s] if live[dst]]
+                for s in keep]
+        finals = {index[s] for s in keep if s in finals}
+        start = 0
 
-    cls = {s: (1 if s in d.finals else 0) for s in range(d.state_count)}
-    n_classes = len(set(cls.values()))
+    # Moore refinement; a class's label tuple is fixed by the first
+    # partition, so later rounds look up only the target classes.  (For
+    # one target, itemgetter gives the class itself, not a 1-tuple; the
+    # members of a class have equally many targets, so their keys agree
+    # in shape.)
+    labels: list[tuple[int, ...]] = []
+    targets = []  # per state, a getter of its targets' classes
+    for row in rows:
+        if row:
+            labs, dsts = zip(*row)
+            labels.append(labs)
+            targets.append(itemgetter(*dsts))
+        else:
+            labels.append(())
+            targets.append(_no_targets)
+    keys: dict[tuple, int] = {}
+    cls = [keys.setdefault((s in finals, labs), len(keys))
+           for s, labs in enumerate(labels)]
+    n_classes = len(keys)
     while True:
-        sigs: dict[tuple, list[int]] = {}
-        for s in range(d.state_count):
-            sig = (cls[s], tuple(sorted(
-                (arc.ilab, arc.olab, cls[arc.dst]) for arc in d.out_arcs(s))))
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == n_classes:
+        keys = {}
+        refined = [keys.setdefault((c, get(cls)), len(keys))
+                   for c, get in zip(cls, targets)]
+        if len(keys) == n_classes:
             break
-        n_classes = len(sigs)
-        cls = {}
-        for idx, sig in enumerate(sorted(sigs)):
-            for s in sigs[sig]:
-                cls[s] = idx
+        cls, n_classes = refined, len(keys)
 
-    # Representative state per class; determinism makes each class's
-    # label -> target-class map identical across its members.
+    # Members of a class share their label -> target-class map, so the
+    # first member stands for the class.
     rep: dict[int, int] = {}
-    for s in range(d.state_count):
-        c = cls[s]
-        if c not in rep or s < rep[c]:
-            rep[c] = s
-
-    order: dict[int, int] = {cls[d.start]: 0}
-    seq = [cls[d.start]]
-    queue = deque(seq)
+    for s, c in enumerate(cls):
+        rep.setdefault(c, s)
+    number = {cls[start]: 0}
+    seq = [cls[start]]
     arcs: list[tuple[int, int, int, int]] = []
-    while queue:
-        c = queue.popleft()
-        cid = order[c]
-        for arc in sorted(d.out_arcs(rep[c])):
-            tc = cls[arc.dst]
-            tid = order.get(tc)
+    for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
+        for label, dst in rows[rep[c]]:
+            tc = cls[dst]
+            tid = number.get(tc)
             if tid is None:
-                tid = len(seq)
-                order[tc] = tid
+                tid = number[tc] = len(seq)
                 seq.append(tc)
-                queue.append(tc)
-            arcs.append((cid, arc.ilab, arc.olab, tid))
-    finals = {order[cls[f]] for f in d.finals}
-    return build(len(seq), 0, finals, arcs, a.symbols)
+            arcs.append((cid, *divmod(label, n_syms), tid))
+    return build(len(seq), 0, {number[cls[f]] for f in finals}, arcs, a.symbols)
 
 
 def _emitting_eps_cycle_states(a: Transducer) -> frozenset[int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from . import fst
+from . import _text, fst
 from .fst import SymbolTable, Transducer
 
 
@@ -106,23 +106,23 @@ def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
     """
     path = Path(path)
     rows: list[tuple[int, str, str | None]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) > 2:
-                raise LexiconError(
-                    f"{path.name}:{lineno}: too many fields (expected root or root<TAB>class)")
-            root = fields[0]
-            infl = fields[1] if len(fields) == 2 else None
-            if not root:
-                raise LexiconError(f"{path.name}:{lineno}: empty root")
-            if infl == "":
-                raise LexiconError(f"{path.name}:{lineno}: empty inflection class")
-            rows.append((lineno, root, infl))
+    text = _text.read_text(path, LexiconError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = unicodedata.normalize("NFC", raw)
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) > 2:
+            raise LexiconError(
+                f"{path.name}:{lineno}: too many fields (expected root or root<TAB>class)")
+        root = fields[0]
+        infl = fields[1] if len(fields) == 2 else None
+        if not root:
+            raise LexiconError(f"{path.name}:{lineno}: empty root")
+        if infl == "":
+            raise LexiconError(f"{path.name}:{lineno}: empty inflection class")
+        rows.append((lineno, root, infl))
     return rows
 
 

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import fst
+from . import _text, fst
 from .fst import Transducer
 
 
@@ -60,23 +60,23 @@ def load_indeclinables(path) -> dict[str, list[Analysis]]:
     """
     result: dict[str, list[Analysis]] = {}
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            word, sep, analysis = stripped.partition("\t")
-            word = word.strip()
-            analysis = analysis.strip()
-            if not sep or not word or not analysis:
-                raise MalformedAnalysis(
-                    f"{path.name}:{lineno}: expected word<TAB>analysis")
-            try:
-                parsed = Analysis.parse(analysis)
-            except MalformedAnalysis as exc:
-                raise MalformedAnalysis(f"{path.name}:{lineno}: {exc}") from exc
-            result.setdefault(word, []).append(parsed)
+    text = _text.read_text(path, MorphError)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = unicodedata.normalize("NFC", raw)
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        word, sep, analysis = stripped.partition("\t")
+        word = word.strip()
+        analysis = analysis.strip()
+        if not sep or not word or not analysis:
+            raise MalformedAnalysis(
+                f"{path.name}:{lineno}: expected word<TAB>analysis")
+        try:
+            parsed = Analysis.parse(analysis)
+        except MalformedAnalysis as exc:
+            raise MalformedAnalysis(f"{path.name}:{lineno}: {exc}") from exc
+        result.setdefault(word, []).append(parsed)
     return result
 
 

@@ -28,7 +28,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import fst, lexicon
+from . import _text, fst, lexicon
 from .fst import EPSILON_SYMBOL, SymbolTable, Transducer
 
 
@@ -471,7 +471,7 @@ def parse_rules(text: str, base_dir: Path | str | None = None) -> RuleFile:
 
 def parse_rules_file(path) -> RuleFile:
     path = Path(path)
-    return parse_rules(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_rules(_text.read_text(path, RuleError), base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +606,16 @@ def compile(rule_file: RuleFile, symbols: SymbolTable,
             lexdir: Path | str | None = None) -> Transducer:
     """Compile a parsed rule file into a normalized transducer.
 
-    Every definition is compiled once and shared by reference.  The
+    Every definition is compiled and minimized once, when it is defined,
+    as SFST does, and shared by reference; so the operands of ``||``
+    and of the final :func:`fst.minimize` are minimal machines.  The
     result is epsilon-free, deterministic over the pair alphabet, and
     minimal.
     """
     defs: dict[str, Transducer] = {}
     for name, expr in rule_file.definitions:
-        defs[name] = _compile_node(expr, symbols, defs, rule_file.base_dir, lexdir)
+        defs[name] = fst.minimize(
+            _compile_node(expr, symbols, defs, rule_file.base_dir, lexdir))
     result = _compile_node(rule_file.result, symbols, defs,
                            rule_file.base_dir, lexdir)
     return fst.minimize(result)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import morph
+from . import _text, morph
 from ._binary import Reader, pack_str
 
 BOUNDARY_WORD = "<s>"
@@ -123,7 +123,7 @@ class TaggedCorpus:
     @classmethod
     def read(cls, path) -> "TaggedCorpus":
         path = Path(path)
-        return cls.parse(path.read_text(encoding="utf-8"), source=path.name)
+        return cls.parse(_text.read_text(path, CorpusFormatError), source=path.name)
 
     def tagset(self) -> tuple[str, ...]:
         return tuple(sorted({tag for sent in self.sentences for _, tag in sent}))

@@ -7,6 +7,10 @@ the algebra operations are recomputed on plain Python sets.  Nothing in
 this module calls back into the library's own closure/compose/apply
 logic, so agreement between the two is meaningful.
 
+``minimize_reference`` keeps the earlier normalization pipeline
+(subset construction, trimming and Moore refinement, each building a
+machine) as the byte-level reference for ``fst.minimize``.
+
 The tagger references train and decode on the string-keyed weight dict
 through ``tagger.objective``, ``tagger.gradient`` and
 ``tagger._log_probs``, never through the library's feature rows.
@@ -15,9 +19,10 @@ through ``tagger.objective``, ``tagger.gradient`` and
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hindimorph import tagger
-from hindimorph.fst import EPSILON, SymbolTable, Transducer, build
+from hindimorph.fst import EPSILON, SymbolTable, Transducer, build, remove_epsilons
 
 ALPHABET = ("a", "b", "c")
 
@@ -191,6 +196,120 @@ def rand_machine(rng: random.Random, table: SymbolTable,
     if not finals:
         finals = [rng.randrange(n)]
     return build(n, 0, finals, arcs, table)
+
+
+# ---------------------------------------------------------------------------
+# normalization reference
+
+
+def determinize_reference(a: Transducer) -> Transducer:
+    """Subset construction over the pair alphabet, one arc list per subset."""
+    a = remove_epsilons(a)
+    start = frozenset([a.start])
+    ids: dict[frozenset[int], int] = {start: 0}
+    order = [start]
+    queue = deque([start])
+    arcs: list[tuple[int, int, int, int]] = []
+    finals: set[int] = set()
+    if start & a.finals:
+        finals.add(0)
+    while queue:
+        cur = queue.popleft()
+        sid = ids[cur]
+        grouped: dict[tuple[int, int], set[int]] = {}
+        for s in cur:
+            for arc in a.out_arcs(s):
+                grouped.setdefault((arc.ilab, arc.olab), set()).add(arc.dst)
+        for (ilab, olab) in sorted(grouped):
+            target = frozenset(grouped[(ilab, olab)])
+            tid = ids.get(target)
+            if tid is None:
+                tid = len(order)
+                ids[target] = tid
+                order.append(target)
+                queue.append(target)
+                if target & a.finals:
+                    finals.add(tid)
+            arcs.append((sid, ilab, olab, tid))
+    return build(len(order), 0, finals, arcs, a.symbols)
+
+
+def _trim_reference(a: Transducer) -> Transducer:
+    """Drop states not on some accepting path (unreachable or dead)."""
+    forward = {a.start}
+    stack = [a.start]
+    while stack:
+        for arc in a.out_arcs(stack.pop()):
+            if arc.dst not in forward:
+                forward.add(arc.dst)
+                stack.append(arc.dst)
+    rev: list[list[int]] = [[] for _ in range(a.state_count)]
+    for arc in a.arcs:
+        rev[arc.dst].append(arc.src)
+    backward = set(a.finals)
+    stack = list(a.finals)
+    while stack:
+        for src in rev[stack.pop()]:
+            if src not in backward:
+                backward.add(src)
+                stack.append(src)
+    keep = sorted(forward & backward)
+    if a.start not in keep:
+        return build(1, 0, (), (), a.symbols)
+    remap = {old: new for new, old in enumerate(keep)}
+    arcs = [(remap[s], i, o, remap[d]) for s, i, o, d in a.arcs
+            if s in remap and d in remap]
+    finals = [remap[f] for f in a.finals if f in remap]
+    return build(len(keep), remap[a.start], finals, arcs, a.symbols)
+
+
+def minimize_reference(a: Transducer) -> Transducer:
+    """Determinize, trim, then Moore refinement over full sorted signatures;
+    classes numbered breadth-first from the start by sorted label."""
+    d = _trim_reference(determinize_reference(a))
+    if not d.finals:
+        return build(1, 0, (), (), a.symbols)
+
+    cls = {s: (1 if s in d.finals else 0) for s in range(d.state_count)}
+    n_classes = len(set(cls.values()))
+    while True:
+        sigs: dict[tuple, list[int]] = {}
+        for s in range(d.state_count):
+            sig = (cls[s], tuple(sorted(
+                (arc.ilab, arc.olab, cls[arc.dst]) for arc in d.out_arcs(s))))
+            sigs.setdefault(sig, []).append(s)
+        if len(sigs) == n_classes:
+            break
+        n_classes = len(sigs)
+        cls = {}
+        for idx, sig in enumerate(sorted(sigs)):
+            for s in sigs[sig]:
+                cls[s] = idx
+
+    rep: dict[int, int] = {}
+    for s in range(d.state_count):
+        c = cls[s]
+        if c not in rep or s < rep[c]:
+            rep[c] = s
+
+    order: dict[int, int] = {cls[d.start]: 0}
+    seq = [cls[d.start]]
+    queue = deque(seq)
+    arcs: list[tuple[int, int, int, int]] = []
+    while queue:
+        c = queue.popleft()
+        cid = order[c]
+        for arc in sorted(d.out_arcs(rep[c])):
+            tc = cls[arc.dst]
+            tid = order.get(tc)
+            if tid is None:
+                tid = len(seq)
+                order[tc] = tid
+                seq.append(tc)
+                queue.append(tc)
+            arcs.append((cid, arc.ilab, arc.olab, tid))
+    finals = {order[cls[f]] for f in d.finals}
+    return build(len(seq), 0, finals, arcs, a.symbols)
 
 
 # ---------------------------------------------------------------------------

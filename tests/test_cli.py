@@ -315,6 +315,21 @@ def test_lexicon_extract(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["compile", "analyze", "train", "lexicon-extract"])
+def test_invalid_utf8_input_is_a_domain_error(capsys, tmp_path, fst_file, command):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"\xef\xbb\xbfab\xfe\n")
+    out = str(tmp_path / "out")
+    argv = {"compile": ["compile", "-r", str(bad), "-o", out],
+            "analyze": ["analyze", "-m", str(fst_file), "--indecl", str(bad), "x"],
+            "train": ["train", "-c", str(bad), "-o", out],
+            "lexicon-extract": ["lexicon-extract", str(bad), "-o", out]}[command]
+    rc, stdout, stderr = run(capsys, argv)
+    assert (rc, stdout) == (1, "")
+    assert stderr == f"hindimorph {command}: error: {bad}: invalid UTF-8 at byte 5\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_lexicon_stats_on_bundled_data(capsys):
     rc, stdout, _ = run(capsys, ["lexicon-stats", "--lexdir", str(data_path("lex"))])
     assert rc == 0

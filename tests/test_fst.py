@@ -341,6 +341,17 @@ def test_minimize_matches_oracle_and_contracts():
                 fst.minimize(fst.determinize(fst.remove_epsilons(m))))
 
 
+@pytest.mark.parametrize("make", [oracle.rand_acyclic, oracle.rand_machine])
+def test_minimize_and_determinize_bytes_match_reference(make):
+    rng = random.Random(f"normalize-{make.__name__}")
+    table = oracle.make_table()
+    for trial in range(300):
+        m = make(rng, table, max_states=4 + trial % 6, out_degree=1 + trial % 4)
+        assert fst.to_bytes(fst.minimize(m)) == fst.to_bytes(oracle.minimize_reference(m))
+        assert fst.to_bytes(fst.determinize(m)) == fst.to_bytes(
+            oracle.determinize_reference(m))
+
+
 def test_closure_matches_oracle():
     rng = random.Random(110)
     table = oracle.make_table()

@@ -17,6 +17,8 @@ from hindimorph.lexicon import (
 
 import oracle
 
+BOM = b"\xef\xbb\xbf"
+
 
 # ---------------------------------------------------------------------------
 # corpus extraction
@@ -67,6 +69,22 @@ def test_read_lexicon_file(tmp_path):
     p = tmp_path / "roots.txt"
     p.write_text("% demo\nघर\nजा\tirr\n\n", encoding="utf-8")
     assert read_lexicon_file(p) == [(2, "घर", None), (3, "जा", "irr")]
+
+
+def test_read_lexicon_drops_a_bom(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("ab\r\nघर\tcls\n", encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert read_lexicon_file(marked) == read_lexicon_file(plain) == [
+        (1, "ab", None), (2, "घर", "cls")]
+
+
+def test_read_lexicon_rejects_invalid_utf8(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(BOM + b"ab\n\xffc\n")
+    with pytest.raises(LexiconError, match=r"bad\.txt: invalid UTF-8 at byte 6"):
+        read_lexicon_file(p)
 
 
 def test_read_lexicon_rejects_extra_fields(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 
 from hindimorph import fst, morph, rules
 from hindimorph.fst import SymbolTable
-from hindimorph.morph import Analysis, MalformedAnalysis, MorphModel
+from hindimorph.morph import Analysis, MalformedAnalysis, MorphError, MorphModel
 
 import oracle
 
@@ -149,6 +149,22 @@ def test_indeclinables_accumulate_analyses(tmp_path):
     f.write_text("तो\tतो<Particle>\nतो\tतो<Emphatic>\n", encoding="utf-8")
     loaded = morph.load_indeclinables(f)
     assert [a.render() for a in loaded["तो"]] == ["तो<Particle>", "तो<Emphatic>"]
+
+
+def test_indeclinables_drop_a_bom(tmp_path):
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("तो\tतो<Particle>\n", encoding="utf-8")
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert morph.load_indeclinables(marked) == morph.load_indeclinables(plain)
+    assert list(morph.load_indeclinables(marked)) == ["तो"]
+
+
+def test_indeclinables_reject_invalid_utf8(tmp_path):
+    f = tmp_path / "bad.tsv"
+    f.write_bytes("तो\tतो<Particle>\n".encode("utf-8") + b"a\x80\tb<X>\n")
+    with pytest.raises(MorphError, match=r"bad\.tsv: invalid UTF-8 at byte 25"):
+        morph.load_indeclinables(f)
 
 
 def test_indeclinable_file_errors(tmp_path):

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +271,19 @@ def test_compiled_machine_is_normalized(grammar):
         "5014e0d4dc6dd8332e96a65ca56e9d6e47cf677ebe6793e66474984e0f0506b6")
 
 
+@pytest.mark.parametrize("n_stems,n_indecl,sha,size", [
+    (1000, 120, "7d19d4cae7aac2adbf82639078b3b8983d5b5681f5e3acfd699f39a99560598a", 38_781),
+    (10_000, 1200, "f839be0aa4f71636112b1b0005b1ccd91f71dd62f578987cd9e83cf438484a09", 282_413),
+])
+def test_synthetic_grammar_bytes_are_pinned(tmp_path, monkeypatch, n_stems, n_indecl, sha, size):
+    # the benchmark's seeded grammar generator, imported as it stands
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    synth = importlib.import_module("synth")
+    rules_path = synth.generate_grammar(1, n_stems, n_indecl).write(tmp_path)
+    blob = fst.to_bytes(rules.compile_file(rules_path, SymbolTable()))
+    assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (sha, size)
+
+
 def test_compile_is_compositional_with_oracle():
     rng = random.Random(31)
     atoms = ["a", "b", "a:b", "b:c", "<>:a", "c:<>", "[ab]"]
@@ -322,6 +337,26 @@ def test_include_resolution_prefers_rule_dir(tmp_path):
     (far / "r.lex").write_text("b\n", encoding="utf-8")
     assert rel('#include "r.lex"', base_dir=near, lexdir=far) == {("a", "a")}
     assert rel('#include "r.lex"', base_dir=tmp_path, lexdir=far) == {("b", "b")}
+
+
+def test_rule_and_root_files_drop_a_bom(tmp_path):
+    def compiled(prefix):
+        d = tmp_path / ("marked" if prefix else "plain")
+        d.mkdir()
+        (d / "roots.lex").write_bytes(prefix + "ab\nकहा\n".encode("utf-8"))
+        (d / "r.mrl").write_bytes(prefix + b'$R$ = #include "roots.lex"\n$R$ <N>:<>\n')
+        return rules.compile_file(d / "r.mrl", SymbolTable())
+
+    marked = compiled(b"\xef\xbb\xbf")
+    assert fst.to_bytes(marked) == fst.to_bytes(compiled(b""))
+    assert fst.apply(marked, "ab<N>").outputs() == ["ab"]
+
+
+def test_rule_file_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.mrl"
+    path.write_bytes(b"a b\n\xe0\xa4 c\n")
+    with pytest.raises(rules.RuleError, match=r"bad\.mrl: invalid UTF-8 at byte 4"):
+        rules.parse_rules_file(path)
 
 
 def test_missing_include():

@@ -108,6 +108,22 @@ def test_parse_error_names_source_and_line():
         TaggedCorpus.parse("a/X\nb/Y\nc\n", source="mini.txt")
 
 
+def test_read_drops_a_bom(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("a/X b/Y\nc/X\n", encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert TaggedCorpus.read(marked).sentences == TaggedCorpus.read(plain).sentences == [
+        [("a", "X"), ("b", "Y")], [("c", "X")]]
+
+
+def test_read_rejects_invalid_utf8(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a/X\n\xc3(/Y\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.txt: invalid UTF-8 at byte 4"):
+        TaggedCorpus.read(bad)
+
+
 def test_tagset_is_sorted_and_deduped():
     c = TaggedCorpus.parse("a/Z b/A c/Z")
     assert c.tagset() == ("A", "Z")
