@@ -23,10 +23,10 @@ print(f"compiled: {machine.state_count} states, {len(machine.arcs)} arcs")
 for lexical, surface in sorted(fst.enumerate_pairs(machine, 12)):
     print(f"  {lexical} -> {surface}")
 
-# generation is apply(); analysis is apply() on the inverted machine
+# generation reads the input (lexical) tape; analysis reads the output
+# (surface) tape of the same machine
 print("generate:", sorted(s for _, s in fst.apply(machine, "लडका<Noun><sg>")))
-analyzer = fst.invert(machine)
-print("analyze:", sorted(a for _, a in fst.apply(analyzer, "लडके")))
+print("analyze:", sorted(a for _, a in fst.apply(machine, "लडके", side="output")))
 
 # the bundled demo grammar does the same at a larger scale
 symbols = SymbolTable()

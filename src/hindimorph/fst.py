@@ -6,7 +6,8 @@ accepting paths, where an epsilon label component contributes nothing
 to its side.  This module provides the relation algebra (union,
 concatenation, closure, composition, inversion, projection),
 normalization (epsilon removal, determinization, minimization), runtime
-application, bounded pair enumeration, and a binary file format.
+application on either tape, bounded pair enumeration, and a binary file
+format.
 
 Determinization works over the *pair* alphabet: each input:output label
 is treated as one atomic symbol.  True input-side determinization does
@@ -171,8 +172,9 @@ class Transducer:
         for arc in arcs:
             adj[arc.src].append(arc)
         self._adj = tuple(tuple(a) for a in adj)
-        # Filled by the first apply(); see _emitting_eps_cycle_states.
-        self._eps_cycle_states: frozenset[int] | None = None
+        # One slot per side, filled by the first apply() that reads that
+        # side; see _emitting_eps_cycle_states.
+        self._eps_cycle_states: dict[str, frozenset[int]] = {}
 
     def out_arcs(self, state: int) -> tuple[Arc, ...]:
         if not 0 <= state < self.state_count:
@@ -551,16 +553,27 @@ def minimize(a: Transducer) -> Transducer:
     return build(len(seq), 0, {number[cls[f]] for f in finals}, arcs, a.symbols)
 
 
-def _emitting_eps_cycle_states(a: Transducer) -> frozenset[int]:
-    """States inside an input-epsilon cycle that writes output.
+def _tapes(side: str) -> tuple[int, int]:
+    """Arc field indices of the tape read and the tape written on `side`."""
+    if side == "input":
+        return 1, 2
+    if side == "output":
+        return 2, 1
+    raise ValueError(f"unknown apply side {side!r}")
+
+
+def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
+    """States inside a cycle that reads epsilon on `side` and writes on
+    the other tape.
 
     Reaching such a state during application means infinitely many
     outputs, so :func:`apply` refuses.  Computed from the strongly
-    connected components of the input-epsilon subgraph: an SCC is bad
-    when one of its internal input-epsilon arcs emits a symbol (an arc
+    connected components of the subgraph of arcs that read epsilon: an
+    SCC is bad when one of its internal arcs writes a symbol (an arc
     with both ends in one SCC always lies on a cycle).
     """
-    eps_arcs = [arc for arc in a.arcs if arc.ilab == EPSILON]
+    read, write = _tapes(side)
+    eps_arcs = [arc for arc in a.arcs if arc[read] == EPSILON]
     succ: dict[int, list[int]] = {}
     for arc in eps_arcs:
         succ.setdefault(arc.src, []).append(arc.dst)
@@ -611,31 +624,43 @@ def _emitting_eps_cycle_states(a: Transducer) -> frozenset[int]:
                 scc_count += 1
 
     bad_sccs = {scc_of[arc.src] for arc in eps_arcs
-                if arc.olab != EPSILON and scc_of[arc.src] == scc_of[arc.dst]}
+                if arc[write] != EPSILON and scc_of[arc.src] == scc_of[arc.dst]}
     return frozenset(s for s in range(a.state_count) if scc_of[s] in bad_sccs)
 
 
-def apply(a: Transducer, input_str: str) -> "StringPairSet":
-    """All (input, output) pairs of `a` whose input side reads input_str.
+def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
+    """All pairs (string read, string written) of the paths of `a` that
+    read `text` on one tape.
 
-    Input-epsilon arcs are traversed freely.  Raises
-    :class:`UnknownSymbol` when the input contains a symbol outside the
+    With ``side="input"`` arcs match on their input label and write
+    their output label, which gives the (input, output) pairs whose
+    input is `text`.  With ``side="output"`` arcs match on their output
+    label and write their input label, which gives the (output, input)
+    pairs whose output is `text`: the result of applying
+    :func:`invert` of `a` to `text`, without building that machine.  A
+    generation-direction grammar analyzes with ``side="output"``.  Any
+    other `side` raises :class:`ValueError`.
+
+    Arcs that read epsilon are traversed freely.  Raises
+    :class:`UnknownSymbol` when `text` contains a symbol outside the
     machine's table (distinct from an in-alphabet string that is simply
     rejected, which yields an empty result), and :class:`EpsilonCycle`
-    when an output-writing input-epsilon cycle is reachable on this
-    input.  The states on such cycles are found once per machine, on
-    its first apply, and kept on the machine for every later call.
+    when a cycle that reads epsilon and writes a symbol is reachable on
+    this text.  The states on such cycles are found once per machine
+    and side, on the first apply that reads that side, and kept on the
+    machine for every later call.
     """
-    ids = tuple(i for i in scan(input_str, a.symbols) if i != EPSILON)
+    read, write = _tapes(side)
+    ids = tuple(i for i in scan(text, a.symbols) if i != EPSILON)
     rendered_in = render(ids, a.symbols)
-    bad = a._eps_cycle_states
+    bad = a._eps_cycle_states.get(side)
     if bad is None:
-        bad = a._eps_cycle_states = _emitting_eps_cycle_states(a)
+        bad = a._eps_cycle_states[side] = _emitting_eps_cycle_states(a, side)
 
     def step(cfg):
         if cfg[0] in bad:
             raise EpsilonCycle(
-                f"output-emitting input-epsilon cycle reachable on {input_str!r}")
+                f"symbol-writing {side}-epsilon cycle reachable on {text!r}")
 
     start = (a.start, 0, ())
     step(start)
@@ -643,18 +668,21 @@ def apply(a: Transducer, input_str: str) -> "StringPairSet":
     queue = deque([start])
     outputs: set[tuple[int, ...]] = set()
     n = len(ids)
+    adj = a._adj
     while queue:
         state, pos, out = queue.popleft()
         if pos == n and state in a.finals:
             outputs.add(out)
-        for arc in a.out_arcs(state):
-            if arc.ilab == EPSILON:
+        for arc in adj[state]:
+            label = arc[read]
+            if label == EPSILON:
                 npos = pos
-            elif pos < n and arc.ilab == ids[pos]:
+            elif pos < n and label == ids[pos]:
                 npos = pos + 1
             else:
                 continue
-            nout = out if arc.olab == EPSILON else out + (arc.olab,)
+            written = arc[write]
+            nout = out if written == EPSILON else out + (written,)
             cfg = (arc.dst, npos, nout)
             if cfg not in seen:
                 step(cfg)

@@ -1,9 +1,11 @@
 """Morphological analysis and generation over a compiled grammar.
 
 A grammar maps lexical forms (root plus ``<Tag>`` symbols) to surface
-forms; analysis runs it inverted.  Indeclinable words that no rule
-should touch live in a plain dictionary file that shadows the
-transducer in both directions.
+forms.  The one machine serves both directions: generation reads the
+lexical form on its input tape, and analysis reads the surface word on
+its output tape (``fst.apply(grammar, word, side="output")``).
+Indeclinable words that no rule should touch live in a plain dictionary
+file that shadows the transducer in both directions.
 """
 
 from __future__ import annotations
@@ -81,12 +83,16 @@ def load_indeclinables(path) -> dict[str, list[Analysis]]:
 
 
 class MorphModel:
-    """A generation-direction grammar plus the indeclinable dictionary."""
+    """A generation-direction grammar plus the indeclinable dictionary.
+
+    The grammar is the only machine: :func:`analyze` applies it on its
+    output (surface) tape and :func:`generate` on its input (lexical)
+    tape.
+    """
 
     def __init__(self, grammar: Transducer,
                  indeclinables: dict[str, list[Analysis]] | None = None):
         self.grammar = grammar
-        self.inverse = fst.invert(grammar)
         self.indeclinables = {w: list(a) for w, a in (indeclinables or {}).items()}
         self._words_by_analysis: dict[str, list[str]] = {}
         for word, analyses in self.indeclinables.items():
@@ -106,16 +112,18 @@ class MorphModel:
 def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     """All analyses of a surface word, ordered by rendered form.
 
-    The indeclinable dictionary shadows the grammar; a word outside
-    both yields an empty list (a soft miss, not an error).
+    The indeclinable dictionary shadows the grammar, which is read
+    from its surface side.  A word outside both yields an empty list (a
+    soft miss, not an error); so does a word with a symbol outside the
+    grammar's alphabet or an unclosed ``<``.
     """
     surface = unicodedata.normalize("NFC", surface)
     stored = model.indeclinables.get(surface)
     if stored is not None:
         return sorted(stored, key=Analysis.render)
     try:
-        pairs = fst.apply(model.inverse, surface)
-    except fst.UnknownSymbol:
+        pairs = fst.apply(model.grammar, surface, side="output")
+    except (fst.UnknownSymbol, fst.UnterminatedTag):
         return []
     analyses = [Analysis.parse(out) for _, out in pairs]
     return sorted(analyses, key=Analysis.render)

@@ -74,6 +74,11 @@ class Token:
     is_punct: bool
 
 
+def _is_punct(word: str) -> bool:
+    """A non-empty token made only of punctuation characters."""
+    return bool(word) and all(ch in PUNCT_CHARS for ch in word)
+
+
 def tokenize_sentence(text: str) -> list[Token]:
     """Whitespace tokenization with punctuation detached as own tokens."""
     tokens: list[Token] = []
@@ -205,7 +210,7 @@ def _positions(corpus: TaggedCorpus) -> list[tuple[list[str], str]]:
     """(features, gold tag) per token, with gold previous tags."""
     positions = []
     for sentence in corpus.sentences:
-        tokens = [Token(s, s in PUNCT_CHARS) for s, _ in sentence]
+        tokens = [Token(s, _is_punct(s)) for s, _ in sentence]
         for i, (_, gold) in enumerate(sentence):
             prev_tag = sentence[i - 1][1] if i > 0 else BOUNDARY_TAG
             positions.append((extract_features(tokens, i, prev_tag), gold))
@@ -357,7 +362,7 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
     """
     word = unicodedata.normalize("NFC", word)
     full = set(model.tagset)
-    if word and all(ch in PUNCT_CHARS for ch in word):
+    if _is_punct(word):
         cands = {PUNCT_TAG}
     elif word in model.dictionary:
         cands = set(model.dictionary[word])
@@ -474,8 +479,7 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
         if not sentence:
             continue
         surfaces = [unicodedata.normalize("NFC", s) for s, _ in sentence]
-        tokens = [Token(s, bool(s) and all(c in PUNCT_CHARS for c in s))
-                  for s in surfaces]
+        tokens = [Token(s, _is_punct(s)) for s in surfaces]
         predicted = _tag_tokens(model, morph_model, tokens, beam)
         for surface, (_, gold_tag), pred in zip(surfaces, sentence, predicted):
             if surface in model.dictionary:

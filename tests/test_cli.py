@@ -95,6 +95,17 @@ def test_analyze_reads_stdin_when_dash(capsys, monkeypatch, fst_file):
     assert from_args == dashed
 
 
+def test_analyze_stray_tag_bracket_is_a_soft_miss(capsys, monkeypatch, fst_file):
+    # an unclosed "<" is a miss like any other word; the stream goes on
+    monkeypatch.setattr("sys.stdin", io.StringIO("लड<\nलडके\n"))
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(fst_file)])
+    assert rc == 0
+    assert stdout == (
+        "लड<\t?\n"
+        "लडके\tलडका<Noun><Vocative>\tलडका<Noun><masculine><pl>\n")
+    assert stderr == ""
+
+
 def test_analyze_with_indeclinables(capsys, fst_file):
     rc, stdout, _ = run(capsys, [
         "analyze", "-m", str(fst_file),
@@ -238,6 +249,17 @@ def test_tag_reads_stdin_sentences(capsys, monkeypatch, tag_file, fst_file):
     assert stdout == (
         "आम/JJ आदमी/N_NN आम/N_NN खाता/V_VM है/V_AUX ।/I\n"
         "उसका/PR_PRI खाता/N_NN संख्या/JJ एक/QT_QTC है/V_AUX ।/I\n")
+
+
+def test_tag_stray_tag_bracket_is_an_unknown_token(capsys, tag_file, fst_file):
+    rc, stdout, stderr = run(capsys, [
+        "tag", "-m", str(tag_file), "-f", str(fst_file),
+        "लड़का < घर जाता है ।", "लड़का x<y घर जाता है ।"])
+    assert rc == 0
+    assert stdout == (
+        "लड़का/N_NN </N_NN घर/N_NN जाता/V_VM है/V_AUX ।/I\n"
+        "लड़का/N_NN x<y/N_NN घर/N_NN जाता/V_VM है/V_AUX ।/I\n")
+    assert stderr == ""
 
 
 def test_tag_beam_flag(capsys, tag_file, fst_file):

@@ -400,6 +400,11 @@ def test_apply_single_arc():
     t = pair_machine(table, "a:b")
     assert set(fst.apply(t, "a")) == {("a", "b")}
     assert set(fst.apply(t, "b")) == set()
+    assert set(fst.apply(t, "b", side="output")) == {("b", "a")}
+    assert set(fst.apply(t, "a", side="output")) == set()
+    for side in ("in", "Output", "both", ""):
+        with pytest.raises(ValueError):
+            fst.apply(t, "a", side=side)
 
 
 def test_apply_unknown_symbol_is_an_error():
@@ -419,6 +424,29 @@ def test_apply_equals_filtered_enumeration():
         for x in sorted(inputs):
             want = {(i, o) for i, o in rel if i == x}
             assert set(fst.apply(t, x)) == want
+        for y in sorted({o for _, o in rel} | {"a", "ba", ""}):
+            want = {(o, i) for i, o in rel if o == y}
+            assert set(fst.apply(t, y, side="output")) == want
+
+
+@pytest.mark.parametrize("make", [oracle.rand_acyclic, oracle.rand_machine])
+def test_apply_output_side_equals_inverted_apply(make):
+    rng = random.Random(f"apply-side-{make.__name__}")
+    table = oracle.make_table()
+    texts = ["", "a", "b", "c", "ab", "ba", "cc", "abc", "z"]
+
+    def outcome(m, text, side):
+        try:
+            return fst.apply(m, text, side=side)
+        except (UnknownSymbol, EpsilonCycle) as exc:
+            return type(exc)
+
+    for trial in range(300):
+        m = make(rng, table, max_states=3 + trial % 5, out_degree=1 + trial % 3)
+        inv = fst.invert(m)
+        for text in texts:
+            assert outcome(m, text, "output") == outcome(inv, text, "input")
+            assert outcome(inv, text, "output") == outcome(m, text, "input")
 
 
 def test_apply_epsilon_cycle_policy():
@@ -449,6 +477,25 @@ def test_apply_epsilon_cycle_policy():
                       (1, EPSILON, a, 2)],
                      table)
     assert set(fst.apply(exit_arc, "")) == {("", "a")}
+    # an output-epsilon cycle that writes input is a cycle for side="output"
+    # only; reading the input tape, the same arcs consume "a"
+    out_arcs = [(0, b, b, 1), (1, a, EPSILON, 2), (2, a, EPSILON, 1)]
+    out_loop = build(3, 0, (0, 2), out_arcs, table)
+    assert set(fst.apply(out_loop, "ba")) == {("ba", "b")}
+    assert set(fst.apply(out_loop, "baaa")) == {("baaa", "b")}
+    assert set(fst.apply(out_loop, "", side="output")) == {("", "")}
+    with pytest.raises(EpsilonCycle):
+        fst.apply(out_loop, "b", side="output")
+    # each side keeps its own slot: a raise on one side leaves the other unset
+    fresh = build(3, 0, (0, 2), out_arcs, table)
+    with pytest.raises(EpsilonCycle):
+        fst.apply(fresh, "b", side="output")
+    assert "output" in fresh._eps_cycle_states
+    assert "input" not in fresh._eps_cycle_states
+    with pytest.raises(EpsilonCycle):
+        fst.apply(t, "b")
+    assert "output" not in t._eps_cycle_states
+    assert set(fst.apply(t, "a", side="output")) == set()
 
 
 def test_apply_tolerates_silent_epsilon_cycle():
@@ -581,10 +628,11 @@ def test_mutated_fst_bytes_raise_only_fst_error():
             return
         for m in (machine, fst.invert(machine)):
             for text in ("लडके", "लडका<Noun><masculine><pl>", "घर"):
-                try:
-                    result = fst.apply(m, text)
-                except fst.FstError:
-                    continue
-                assert isinstance(result, StringPairSet)
+                for side in ("input", "output"):
+                    try:
+                        result = fst.apply(m, text, side=side)
+                    except fst.FstError:
+                        continue
+                    assert isinstance(result, StringPairSet)
 
     check()

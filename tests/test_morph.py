@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from hindimorph import fst, morph, rules
@@ -57,6 +60,9 @@ def test_vocative_among_plural_analyses(morph_model):
 def test_unknown_word_is_soft_miss(morph_model):
     assert morph.analyze(morph_model, "घरों") == []
     assert morph.analyze(morph_model, "xyz") == []
+    # an unclosed "<" cannot be scanned; it is a miss, not an error
+    for word in ("लड<", "<", "लड<Noun"):
+        assert morph.analyze(morph_model, word) == []
 
 
 def test_analysis_objects_carry_structure(morph_model):
@@ -119,6 +125,29 @@ def test_duality_exhaustive(morph_model):
     for surf, lexicals in by_surf.items():
         got = {a.render() for a in morph.analyze(morph_model, surf)}
         assert got == lexicals
+
+
+def test_duality_on_synthetic_grammar(tmp_path, monkeypatch):
+    # the benchmark's seeded 1k-stem grammar, imported as it stands; its
+    # generator tabulates every surface and lexical form the rules derive
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    synth = importlib.import_module("synth")
+    spec = synth.generate_grammar(1, 1000, 120)
+    rules_path = spec.write(tmp_path)
+    fst.save(rules.compile_file(rules_path, SymbolTable()), tmp_path / "synth.fst")
+    model = MorphModel.load(tmp_path / "synth.fst", tmp_path / "indeclinables.tsv")
+    by_analysis: dict[str, list[str]] = {}
+    for word, analysis in spec.indeclinables.items():
+        by_analysis.setdefault(analysis, []).append(word)
+    # the dictionary shadows the grammar in both directions
+    analyses = {**spec.analyses, **{w: (a,) for w, a in spec.indeclinables.items()}}
+    surfaces = {**spec.surfaces, **by_analysis}
+    assert len(spec.analyses) > 2000 and len(spec.surfaces) > 2500
+    for surface, expected in analyses.items():
+        got = [a.render() for a in morph.analyze(model, surface)]
+        assert got == sorted(expected), surface
+    for lexical, expected in surfaces.items():
+        assert morph.generate(model, lexical) == sorted(expected), lexical
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,15 @@ def test_train_separates_a_trivial_corpus():
     assert tag(model, None, "ab cd") == [("ab", "X"), ("cd", "Y")]
 
 
+def test_train_and_decode_agree_on_multichar_punctuation():
+    # a gold "?!" token is punctuation when training, as when decoding
+    corpus = TaggedCorpus.parse("ab/X ?!/I\ncd/Y ?!/I\n")
+    model = train(corpus, TrainConfig(epochs=5))
+    assert candidate_tags(model, None, "?!") == ("I",)
+    assert "punct:1:I" in model.weights
+    assert model.weights["punct:0:I"] < 0 < model.weights["punct:1:I"]
+
+
 def test_train_is_deterministic():
     corpus = toy_corpus()
     config = TrainConfig(epochs=20)
@@ -406,6 +415,8 @@ def test_candidates_morph_fallback_verb(tag_model, morph_model):
 
 def test_candidates_unanalyzable_word_opens_full_tagset(tag_model, morph_model):
     assert candidate_tags(tag_model, morph_model, "xyzzy") == MINI_TAGSET
+    assert candidate_tags(tag_model, morph_model, "<") == MINI_TAGSET
+    assert candidate_tags(tag_model, morph_model, "लड<") == MINI_TAGSET
 
 
 def test_candidates_without_morph_model(tag_model):
