@@ -18,6 +18,8 @@ it is what the minimizer and the serialized models rely on.
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_left
 from collections import deque
 from itertools import chain
 from operator import itemgetter
@@ -156,10 +158,20 @@ class Arc(NamedTuple):
 
 
 class Transducer:
-    """An immutable transducer.  Construct through :func:`build`."""
+    """An immutable transducer.  Construct through :func:`build`.
 
-    __slots__ = ("state_count", "start", "finals", "arcs", "symbols", "_adj",
-                 "_eps_cycle_states")
+    `arcs` is sorted by (src, ilab, olab, dst); the arcs leaving state
+    ``s`` are ``arcs[_first[s]:_first[s + 1]]``, where `_first` is an
+    ``array("I")`` of ``state_count + 1`` offsets.  The first
+    :func:`apply` on a side fills ``_sides[side]``: the states of
+    :func:`_emitting_eps_cycle_states`, and the arcs in (src, read
+    label, written label, dst) order, which is `arcs` itself for
+    "input" and the same Arc objects re-sorted for "output".  Each
+    state's arcs keep their offsets in both orders.
+    """
+
+    __slots__ = ("state_count", "start", "finals", "arcs", "symbols", "_first",
+                 "_sides")
 
     def __init__(self, state_count: int, start: int, finals: frozenset[int],
                  arcs: tuple[Arc, ...], symbols: SymbolTable):
@@ -168,18 +180,16 @@ class Transducer:
         self.finals = finals
         self.arcs = arcs
         self.symbols = symbols
-        adj: list[list[Arc]] = [[] for _ in range(state_count)]
-        for arc in arcs:
-            adj[arc.src].append(arc)
-        self._adj = tuple(tuple(a) for a in adj)
-        # One slot per side, filled by the first apply() that reads that
-        # side; see _emitting_eps_cycle_states.
-        self._eps_cycle_states: dict[str, frozenset[int]] = {}
+        srcs = [arc.src for arc in arcs]
+        self._first = array("I", [bisect_left(srcs, s) for s in range(state_count + 1)])
+        self._sides: dict[str, tuple[frozenset[int], tuple[Arc, ...]]] = {}
 
     def out_arcs(self, state: int) -> tuple[Arc, ...]:
+        """The arcs leaving `state`, in (ilab, olab, dst) order: the
+        slice of `arcs` between the state's two offsets."""
         if not 0 <= state < self.state_count:
             raise InvalidStateId(f"state {state} out of range")
-        return self._adj[state]
+        return self.arcs[self._first[state]:self._first[state + 1]]
 
     def __repr__(self) -> str:
         return (f"Transducer({self.state_count} states, {len(self.arcs)} arcs, "
@@ -578,7 +588,9 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     for arc in eps_arcs:
         succ.setdefault(arc.src, []).append(arc.dst)
 
-    # Iterative Tarjan SCC over the epsilon subgraph.
+    # Iterative Tarjan SCC over the epsilon subgraph.  A state with no
+    # arc that reads epsilon is an SCC of its own with no internal arc,
+    # so the search starts only from states that have such an arc.
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -586,7 +598,7 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     scc_of: dict[int, int] = {}
     counter = 0
     scc_count = 0
-    for root in range(a.state_count):
+    for root in succ:
         if root in index:
             continue
         work = [(root, iter(succ.get(root, ())))]
@@ -625,7 +637,7 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
 
     bad_sccs = {scc_of[arc.src] for arc in eps_arcs
                 if arc[write] != EPSILON and scc_of[arc.src] == scc_of[arc.dst]}
-    return frozenset(s for s in range(a.state_count) if scc_of[s] in bad_sccs)
+    return frozenset(s for s, scc in scc_of.items() if scc in bad_sccs)
 
 
 def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
@@ -641,55 +653,66 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     generation-direction grammar analyzes with ``side="output"``.  Any
     other `side` raises :class:`ValueError`.
 
-    Arcs that read epsilon are traversed freely.  Raises
-    :class:`UnknownSymbol` when `text` contains a symbol outside the
-    machine's table (distinct from an in-alphabet string that is simply
-    rejected, which yields an empty result), and :class:`EpsilonCycle`
-    when a cycle that reads epsilon and writes a symbol is reachable on
-    this text.  The states on such cycles are found once per machine
-    and side, on the first apply that reads that side, and kept on the
-    machine for every later call.
+    The search is breadth-first over (state, symbols read, output)
+    configurations.  A state's arcs, sorted by the label they read,
+    start with those that read epsilon, which are traversed freely; a
+    bisection then jumps to the run of arcs that read the next symbol,
+    so no other arc is visited.
+
+    Raises :class:`UnknownSymbol` when `text` contains a symbol outside
+    the machine's table (distinct from an in-alphabet string that is
+    simply rejected, which yields an empty result), and
+    :class:`EpsilonCycle` when a cycle that reads epsilon and writes a
+    symbol is reachable on this text.
     """
     read, write = _tapes(side)
-    ids = tuple(i for i in scan(text, a.symbols) if i != EPSILON)
-    rendered_in = render(ids, a.symbols)
-    bad = a._eps_cycle_states.get(side)
-    if bad is None:
-        bad = a._eps_cycle_states[side] = _emitting_eps_cycle_states(a, side)
-
-    def step(cfg):
-        if cfg[0] in bad:
+    ids = scan(text, a.symbols)
+    slot = a._sides.get(side)
+    if slot is None:  # the first call on this side; see Transducer
+        arcs = a.arcs if side == "input" else tuple(sorted(a.arcs, key=itemgetter(0, 2, 1, 3)))
+        slot = a._sides[side] = (_emitting_eps_cycle_states(a, side), arcs)
+    bad, arcs = slot
+    first = a._first
+    finals = a.finals
+    read_label = itemgetter(read)
+    n = len(ids)
+    start = (a.start, 0, ())
+    seen = {start}
+    queue = [start]
+    outputs: set[tuple[int, ...]] = set()
+    for state, pos, out in queue:  # grows during the loop: a breadth-first search
+        if state in bad:
             raise EpsilonCycle(
                 f"symbol-writing {side}-epsilon cycle reachable on {text!r}")
-
-    start = (a.start, 0, ())
-    step(start)
-    seen = {start}
-    queue = deque([start])
-    outputs: set[tuple[int, ...]] = set()
-    n = len(ids)
-    adj = a._adj
-    while queue:
-        state, pos, out = queue.popleft()
-        if pos == n and state in a.finals:
-            outputs.add(out)
-        for arc in adj[state]:
+        if pos < n:
+            sym = ids[pos]
+        else:  # the text is read: only arcs that read epsilon go on
+            sym = EPSILON
+            if state in finals:
+                outputs.add(out)
+        k, end = first[state], first[state + 1]
+        while k < end:
+            arc = arcs[k]
             label = arc[read]
             if label == EPSILON:
                 npos = pos
-            elif pos < n and label == ids[pos]:
+            elif label == sym:
                 npos = pos + 1
-            else:
+            elif label < sym:  # jump to the run of arcs that read `sym`
+                k = bisect_left(arcs, sym, k, end, key=read_label)
                 continue
+            else:
+                break
+            k += 1
             written = arc[write]
-            nout = out if written == EPSILON else out + (written,)
-            cfg = (arc.dst, npos, nout)
+            cfg = (arc.dst, npos, out if written == EPSILON else out + (written,))
             if cfg not in seen:
-                step(cfg)
                 seen.add(cfg)
                 queue.append(cfg)
+    entries = a.symbols._entries
+    rendered_in = "".join(map(entries.__getitem__, ids))
     return StringPairSet(
-        (rendered_in, render(out, a.symbols)) for out in outputs)
+        (rendered_in, "".join(map(entries.__getitem__, out))) for out in outputs)
 
 
 def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":

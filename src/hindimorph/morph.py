@@ -87,13 +87,15 @@ class MorphModel:
 
     The grammar is the only machine: :func:`analyze` applies it on its
     output (surface) tape and :func:`generate` on its input (lexical)
-    tape.
+    tape.  Each word's indeclinable analyses are kept sorted by
+    rendered form, the order :func:`analyze` answers in.
     """
 
     def __init__(self, grammar: Transducer,
                  indeclinables: dict[str, list[Analysis]] | None = None):
         self.grammar = grammar
-        self.indeclinables = {w: list(a) for w, a in (indeclinables or {}).items()}
+        self.indeclinables = {w: sorted(a, key=Analysis.render)
+                              for w, a in (indeclinables or {}).items()}
         self._words_by_analysis: dict[str, list[str]] = {}
         for word, analyses in self.indeclinables.items():
             for analysis in analyses:
@@ -115,18 +117,22 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     The indeclinable dictionary shadows the grammar, which is read
     from its surface side.  A word outside both yields an empty list (a
     soft miss, not an error); so does a word with a symbol outside the
-    grammar's alphabet or an unclosed ``<``.
+    grammar's alphabet.  A surface word is plain text, so one that holds
+    a ``<`` is a soft miss too: the grammar's tag syntax (``<>``,
+    ``<Tag>``) belongs to the lexical tape.
     """
     surface = unicodedata.normalize("NFC", surface)
     stored = model.indeclinables.get(surface)
     if stored is not None:
-        return sorted(stored, key=Analysis.render)
+        return list(stored)
+    if "<" in surface:
+        return []
     try:
         pairs = fst.apply(model.grammar, surface, side="output")
-    except (fst.UnknownSymbol, fst.UnterminatedTag):
+    except fst.UnknownSymbol:
         return []
-    analyses = [Analysis.parse(out) for _, out in pairs]
-    return sorted(analyses, key=Analysis.render)
+    # the read string is fixed, so the pairs are already in lexical order
+    return [Analysis.parse(out) for _, out in pairs]
 
 
 def generate(model: MorphModel, lexical: str) -> list[str]:
@@ -146,4 +152,4 @@ def generate(model: MorphModel, lexical: str) -> list[str]:
         pairs = fst.apply(model.grammar, lexical)
     except fst.UnknownSymbol:
         return []
-    return sorted(out for _, out in pairs)
+    return [out for _, out in pairs]

@@ -96,6 +96,27 @@ def full_relation(t: Transducer) -> set[tuple[str, str]]:
     return path_pairs(t, t.state_count)
 
 
+def emitting_eps_cycle_states(t: Transducer, side: str) -> set[int]:
+    """States on a cycle of arcs that read epsilon on `side`, one of which
+    writes a symbol on the other tape: s is such a state when some
+    writing epsilon arc u -> v has s, u and v mutually reachable."""
+    read, write = (1, 2) if side == "input" else (2, 1)
+    eps = [arc for arc in t.arcs if arc[read] == EPSILON]
+    reach = {s: {s} for s in range(t.state_count)}
+    changed = True
+    while changed:
+        changed = False
+        for arc in eps:
+            for s in range(t.state_count):
+                if arc.src in reach[s] and arc.dst not in reach[s]:
+                    reach[s].add(arc.dst)
+                    changed = True
+    return {s for s in range(t.state_count) for arc in eps
+            if arc[write] != EPSILON
+            and {arc.src, arc.dst} <= reach[s]
+            and s in reach[arc.src] and s in reach[arc.dst]}
+
+
 def _render(ids: tuple[int, ...], table: SymbolTable) -> str:
     return "".join(table.lookup(i) for i in ids)
 
@@ -167,10 +188,12 @@ def make_table() -> SymbolTable:
 
 
 def rand_acyclic(rng: random.Random, table: SymbolTable,
-                 max_states: int = 5, out_degree: int = 3) -> Transducer:
-    """Random DAG-shaped transducer: arcs only go to higher state ids."""
+                 max_states: int = 5, out_degree: int = 3,
+                 alphabet: tuple[str, ...] = ALPHABET) -> Transducer:
+    """Random DAG-shaped transducer: arcs only go to higher state ids.
+    Labels are epsilon or a symbol of `alphabet`, which `table` holds."""
     n = rng.randint(2, max_states)
-    labels = [0] + [table.id_of(s) for s in ALPHABET]
+    labels = [0] + [table.id_of(s) for s in alphabet]
     arcs = []
     for src in range(n - 1):
         for _ in range(rng.randint(0, out_degree)):
@@ -183,10 +206,12 @@ def rand_acyclic(rng: random.Random, table: SymbolTable,
 
 
 def rand_machine(rng: random.Random, table: SymbolTable,
-                 max_states: int = 5, out_degree: int = 3) -> Transducer:
-    """Random transducer that may contain cycles (including epsilon ones)."""
+                 max_states: int = 5, out_degree: int = 3,
+                 alphabet: tuple[str, ...] = ALPHABET) -> Transducer:
+    """Random transducer that may contain cycles (including epsilon ones).
+    Labels are epsilon or a symbol of `alphabet`, which `table` holds."""
     n = rng.randint(1, max_states)
-    labels = [0] + [table.id_of(s) for s in ALPHABET]
+    labels = [0] + [table.id_of(s) for s in alphabet]
     arcs = []
     for src in range(n):
         for _ in range(rng.randint(0, out_degree)):

@@ -96,12 +96,14 @@ def test_analyze_reads_stdin_when_dash(capsys, monkeypatch, fst_file):
 
 
 def test_analyze_stray_tag_bracket_is_a_soft_miss(capsys, monkeypatch, fst_file):
-    # an unclosed "<" is a miss like any other word; the stream goes on
-    monkeypatch.setattr("sys.stdin", io.StringIO("लड<\nलडके\n"))
+    # an unclosed "<" is a miss like any other word; the stream goes on.
+    # So is a "<>" inside a word: it is text, not an epsilon to drop.
+    monkeypatch.setattr("sys.stdin", io.StringIO("लड<\nलड<>के\nलडके\n"))
     rc, stdout, stderr = run(capsys, ["analyze", "-m", str(fst_file)])
     assert rc == 0
     assert stdout == (
         "लड<\t?\n"
+        "लड<>के\t?\n"
         "लडके\tलडका<Noun><Vocative>\tलडका<Noun><masculine><pl>\n")
     assert stderr == ""
 

@@ -12,6 +12,7 @@ from hindimorph.fst import (
     StringPairSet,
     SymbolTable,
     SymbolTableMismatch,
+    Transducer,
     UnknownSymbol,
     UnterminatedTag,
     build,
@@ -449,6 +450,70 @@ def test_apply_output_side_equals_inverted_apply(make):
             assert outcome(inv, text, "output") == outcome(m, text, "input")
 
 
+def test_apply_high_fan_out():
+    # 12 symbols and up to 20 arcs per state: states read a label on
+    # several arcs, and their runs of arcs start with epsilon-reading ones
+    alphabet = tuple("abcdefghijkl")
+    table = SymbolTable(alphabet)
+    rng = random.Random(113)
+    cap = 2
+    shapes = set()
+
+    def outcome(m, text, side):
+        try:
+            return fst.apply(m, text, side=side)
+        except EpsilonCycle as exc:
+            return type(exc)
+
+    for make in (oracle.rand_acyclic, oracle.rand_machine):
+        for _ in range(40):
+            m = make(rng, table, max_states=4, out_degree=20, alphabet=alphabet)
+            for s in range(m.state_count):
+                assert list(m.out_arcs(s)) == [a for a in m.arcs if a.src == s]
+            for s in (-1, m.state_count):
+                with pytest.raises(InvalidStateId):
+                    m.out_arcs(s)
+            if m.out_arcs(m.state_count - 1):
+                shapes.add("arcs on the last state")
+            inv = fst.invert(m)
+            rel = oracle.relation_upto(m, cap)
+            texts = {"".join(rng.choices(alphabet, k=rng.randint(0, 3))) for _ in range(12)}
+            for side, other, read in (("input", "output", 0), ("output", "input", 1)):
+                for s in range(m.state_count):
+                    labels = sorted(arc[1 + read] for arc in m.out_arcs(s))
+                    if labels[:1] == [EPSILON] and labels[-1] != EPSILON:
+                        shapes.add("leading epsilon arcs")
+                    real = [lab for lab in labels if lab != EPSILON]
+                    if len(set(real)) < len(real):
+                        shapes.add("several arcs per label")
+                for text in sorted(texts | {pair[read] for pair in rel}):
+                    got = outcome(m, text, side)
+                    assert got == outcome(inv, text, other)
+                    if got is EpsilonCycle or len(text) > cap:
+                        continue
+                    want = {(pair[read], pair[1 - read]) for pair in rel
+                            if pair[read] == text}
+                    assert {p for p in got if len(p[1]) <= cap} == want
+    assert shapes == {"arcs on the last state", "leading epsilon arcs",
+                      "several arcs per label"}
+
+
+def test_apply_keeps_one_copy_of_the_arcs():
+    assert "_adj" not in Transducer.__slots__
+    # 11 arcs, two of them repeated, whose output order differs from `arcs`
+    m = oracle.rand_acyclic(random.Random(115), oracle.make_table(),
+                            max_states=8, out_degree=8)
+    fst.apply(m, "a")
+    fst.apply(m, "a", side="output")
+    # the input side reads `arcs` itself; the output side re-sorts the
+    # same Arc objects by (src, olab, ilab, dst)
+    assert m._sides["input"][1] is m.arcs
+    by_output = m._sides["output"][1]
+    assert sorted(map(id, by_output)) == sorted(map(id, m.arcs))
+    assert by_output != m.arcs
+    assert list(by_output) == sorted(m.arcs, key=lambda a: (a.src, a.olab, a.ilab, a.dst))
+
+
 def test_apply_epsilon_cycle_policy():
     table = SymbolTable("ab")
     a, b = table.id_of("a"), table.id_of("b")
@@ -490,12 +555,27 @@ def test_apply_epsilon_cycle_policy():
     fresh = build(3, 0, (0, 2), out_arcs, table)
     with pytest.raises(EpsilonCycle):
         fst.apply(fresh, "b", side="output")
-    assert "output" in fresh._eps_cycle_states
-    assert "input" not in fresh._eps_cycle_states
+    assert "output" in fresh._sides
+    assert "input" not in fresh._sides
     with pytest.raises(EpsilonCycle):
         fst.apply(t, "b")
-    assert "output" not in t._eps_cycle_states
+    assert "output" not in t._sides
     assert set(fst.apply(t, "a", side="output")) == set()
+
+
+def test_emitting_eps_cycle_states_match_oracle():
+    # the search starts only from states with an epsilon-reading arc
+    rng = random.Random(116)
+    table = oracle.make_table()
+    found = 0
+    for trial in range(300):
+        m = oracle.rand_machine(rng, table, max_states=2 + trial % 8,
+                                out_degree=1 + trial % 4)
+        for side in ("input", "output"):
+            want = oracle.emitting_eps_cycle_states(m, side)
+            assert fst._emitting_eps_cycle_states(m, side) == want
+            found += bool(want)
+    assert found > 50
 
 
 def test_apply_tolerates_silent_epsilon_cycle():

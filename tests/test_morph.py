@@ -63,6 +63,10 @@ def test_unknown_word_is_soft_miss(morph_model):
     # an unclosed "<" cannot be scanned; it is a miss, not an error
     for word in ("लड<", "<", "लड<Noun"):
         assert morph.analyze(morph_model, word) == []
+    # a surface word is plain text: "<>" is not an epsilon in it, nor is
+    # a "<...>" span a tag, though "लडके" itself has two analyses
+    for word in ("लड<>के", "<>लडके", "लडके<>", "लडके<Noun>"):
+        assert morph.analyze(morph_model, word) == []
 
 
 def test_analysis_objects_carry_structure(morph_model):
@@ -144,10 +148,12 @@ def test_duality_on_synthetic_grammar(tmp_path, monkeypatch):
     surfaces = {**spec.surfaces, **by_analysis}
     assert len(spec.analyses) > 2000 and len(spec.surfaces) > 2500
     for surface, expected in analyses.items():
-        got = [a.render() for a in morph.analyze(model, surface)]
-        assert got == sorted(expected), surface
+        got = morph.analyze(model, surface)
+        assert got == sorted(got, key=Analysis.render), surface
+        assert [a.render() for a in got] == sorted(expected), surface
     for lexical, expected in surfaces.items():
-        assert morph.generate(model, lexical) == sorted(expected), lexical
+        got = morph.generate(model, lexical)
+        assert got == sorted(got) == sorted(expected), lexical
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +184,12 @@ def test_indeclinables_accumulate_analyses(tmp_path):
     f.write_text("तो\tतो<Particle>\nतो\tतो<Emphatic>\n", encoding="utf-8")
     loaded = morph.load_indeclinables(f)
     assert [a.render() for a in loaded["तो"]] == ["तो<Particle>", "तो<Emphatic>"]
+    # the model answers in rendered order, and a caller's edit stays its own
+    model = MorphModel(fst.empty(SymbolTable()), loaded)
+    got = morph.analyze(model, "तो")
+    assert [a.render() for a in got] == ["तो<Emphatic>", "तो<Particle>"]
+    got.clear()
+    assert len(morph.analyze(model, "तो")) == 2
 
 
 def test_indeclinables_drop_a_bom(tmp_path):

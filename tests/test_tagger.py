@@ -417,6 +417,7 @@ def test_candidates_unanalyzable_word_opens_full_tagset(tag_model, morph_model):
     assert candidate_tags(tag_model, morph_model, "xyzzy") == MINI_TAGSET
     assert candidate_tags(tag_model, morph_model, "<") == MINI_TAGSET
     assert candidate_tags(tag_model, morph_model, "लड<") == MINI_TAGSET
+    assert candidate_tags(tag_model, morph_model, "माल<>न") == MINI_TAGSET
 
 
 def test_candidates_without_morph_model(tag_model):
