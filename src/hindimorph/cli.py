@@ -6,7 +6,7 @@ Subcommands::
     lexicon-stats --lexdir <dir>             per-class root counts
     compile -r <rules.mrl> [--lexdir <dir>] -o <model.fst>
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
-    generate -m <model.fst> [lexical...|-]
+    generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
     train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N --step F]
     tag -m <model.tag> -f <model.fst> [--beam N] [sentence|-]
     eval -m <model.tag> -f <model.fst> -c <gold.txt>
@@ -101,7 +101,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model = morph.MorphModel.load(args.model)
+    model = morph.MorphModel.load(args.model, args.indecl)
     for lexical in _words_from(args.lexical):
         surfaces = morph.generate(model, lexical)
         if surfaces:
@@ -179,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate surface forms from lexical strings")
     p.add_argument("-m", "--model", required=True)
+    p.add_argument("--indecl", default=None,
+                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
     p.add_argument("lexical", nargs="*",
                    help="lexical strings; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_generate)

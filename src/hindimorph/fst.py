@@ -18,11 +18,12 @@ it is what the minimizer and the serialized models rely on.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from bisect import bisect_left
-from collections import deque
-from itertools import chain
-from operator import itemgetter
+from collections import Counter, deque
+from itertools import accumulate, compress, islice, repeat
+from operator import gt, itemgetter, le, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -158,31 +159,46 @@ class Arc(NamedTuple):
 
 
 class Transducer:
-    """An immutable transducer.  Construct through :func:`build`.
+    """An immutable transducer.  Construct through :func:`build` or
+    :func:`from_bytes`.
 
-    `arcs` is sorted by (src, ilab, olab, dst); the arcs leaving state
-    ``s`` are ``arcs[_first[s]:_first[s + 1]]``, where `_first` is an
-    ``array("I")`` of ``state_count + 1`` offsets.  The first
-    :func:`apply` on a side fills ``_sides[side]``: the states of
-    :func:`_emitting_eps_cycle_states`, and the arcs in (src, read
-    label, written label, dst) order, which is `arcs` itself for
-    "input" and the same Arc objects re-sorted for "output".  Each
-    state's arcs keep their offsets in both orders.
+    The arcs are four ``array("I")`` columns, ``_cols = (src, ilab,
+    olab, dst)``, sorted by (src, ilab, olab, dst): arc ``k`` is
+    ``(src[k], ilab[k], olab[k], dst[k])``.  The arcs leaving state
+    ``s`` are those from ``_first[s]`` up to ``_first[s + 1]``, where
+    `_first` is an ``array("I")`` of ``state_count + 1`` offsets.  The
+    first :func:`apply` on a side fills ``_sides[side]``: the states of
+    :func:`_emitting_eps_cycle_states`, then the columns of the label
+    read, the label written and the target, in (src, read label,
+    written label, dst) order.  They are the machine's own columns for
+    "input", and one re-sorted copy for "output"; each state's arcs
+    keep their offsets in both orders.  No :class:`Arc` is made until
+    `arcs` or :meth:`out_arcs` is read.
     """
 
-    __slots__ = ("state_count", "start", "finals", "arcs", "symbols", "_first",
-                 "_sides")
+    __slots__ = ("state_count", "start", "finals", "symbols", "_cols", "_first",
+                 "_arcs", "_sides")
 
     def __init__(self, state_count: int, start: int, finals: frozenset[int],
-                 arcs: tuple[Arc, ...], symbols: SymbolTable):
+                 cols: tuple[array, array, array, array], symbols: SymbolTable):
         self.state_count = state_count
         self.start = start
         self.finals = finals
-        self.arcs = arcs
         self.symbols = symbols
-        srcs = [arc.src for arc in arcs]
-        self._first = array("I", [bisect_left(srcs, s) for s in range(state_count + 1)])
-        self._sides: dict[str, tuple[frozenset[int], tuple[Arc, ...]]] = {}
+        self._cols = cols
+        counts = Counter(cols[0])
+        self._first = array("I", accumulate(map(counts.get, range(state_count), repeat(0)),
+                                            initial=0))
+        self._arcs: tuple[Arc, ...] | None = None
+        self._sides: dict[str, tuple[frozenset[int], array, array, array]] = {}
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc, sorted by (src, ilab, olab, dst); built from the
+        columns on first use and then kept."""
+        if self._arcs is None:
+            self._arcs = tuple(map(Arc._make, zip(*self._cols)))
+        return self._arcs
 
     def out_arcs(self, state: int) -> tuple[Arc, ...]:
         """The arcs leaving `state`, in (ilab, olab, dst) order: the
@@ -192,17 +208,28 @@ class Transducer:
         return self.arcs[self._first[state]:self._first[state + 1]]
 
     def __repr__(self) -> str:
-        return (f"Transducer({self.state_count} states, {len(self.arcs)} arcs, "
+        return (f"Transducer({self.state_count} states, {len(self._cols[0])} arcs, "
                 f"{len(self.finals)} final)")
 
 
-def build(state_count: int, start: int, finals: Iterable[int],
-          arcs: Iterable[tuple[int, int, int, int]],
-          symbols: SymbolTable) -> Transducer:
-    """Validate and freeze a transducer.
+def _columns(rows: Iterable[tuple[int, int, int, int]]) -> tuple[array, ...]:
+    """The fields of `rows` as ``array("I")`` columns, in row order."""
+    return (tuple(array("I", col) for col in zip(*rows))
+            or (array("I"), array("I"), array("I"), array("I")))
 
-    Arcs are stored sorted by (src, ilab, olab, dst) so that
-    structurally identical machines serialize identically.
+
+def _freeze(state_count: int, start: int, finals: Iterable[int],
+            cols: tuple[array, ...] | None, rows: Iterable[tuple[int, int, int, int]],
+            symbols: SymbolTable) -> Transducer:
+    """Check a machine's fields and freeze it; the one check behind
+    :func:`build` and :func:`from_bytes`.
+
+    `cols` are the arcs as sorted ``array("I")`` columns, or None when
+    some field fits no ``array("I")``.  The columns are range-checked
+    whole: an ``array("I")`` holds no negative value, so each column's
+    maximum decides, and the sorted sources end with theirs.  Only when
+    that fails are `rows`, the arcs in the order given, walked to name
+    the first bad field.
     """
     if state_count < 1:
         raise InvalidStateId("a transducer needs at least one state")
@@ -213,19 +240,39 @@ def build(state_count: int, start: int, finals: Iterable[int],
         if not 0 <= f < state_count:
             raise InvalidStateId(f"final state {f} out of range")
     n_syms = len(symbols)
-    checked = []
-    for src, ilab, olab, dst in arcs:
-        if not 0 <= src < state_count:
-            raise InvalidStateId(f"arc source {src} out of range")
-        if not 0 <= dst < state_count:
-            raise InvalidStateId(f"arc target {dst} out of range")
-        if not 0 <= ilab < n_syms:
-            raise InvalidSymbolId(f"arc input symbol {ilab} out of range")
-        if not 0 <= olab < n_syms:
-            raise InvalidSymbolId(f"arc output symbol {olab} out of range")
-        checked.append(Arc(src, ilab, olab, dst))
-    checked.sort()
-    return Transducer(state_count, start, final_set, tuple(checked), symbols)
+    if (cols is None or len(cols) != 4
+            or cols[0] and (cols[0][-1] >= state_count or max(cols[3]) >= state_count
+                            or max(cols[1]) >= n_syms or max(cols[2]) >= n_syms)):
+        for src, ilab, olab, dst in rows:
+            if not 0 <= src < state_count:
+                raise InvalidStateId(f"arc source {src} out of range")
+            if not 0 <= dst < state_count:
+                raise InvalidStateId(f"arc target {dst} out of range")
+            if not 0 <= ilab < n_syms:
+                raise InvalidSymbolId(f"arc input symbol {ilab} out of range")
+            if not 0 <= olab < n_syms:
+                raise InvalidSymbolId(f"arc output symbol {olab} out of range")
+        raise TypeError("arc fields must be integers below 2**32")
+    return Transducer(state_count, start, final_set, cols, symbols)
+
+
+def build(state_count: int, start: int, finals: Iterable[int],
+          arcs: Iterable[tuple[int, int, int, int]],
+          symbols: SymbolTable) -> Transducer:
+    """Validate and freeze a transducer.
+
+    The arcs are sorted by (src, ilab, olab, dst), so that structurally
+    identical machines serialize identically, and stored as columns
+    (see :class:`Transducer`).  A state, final or arc field out of
+    range raises :class:`InvalidStateId` or :class:`InvalidSymbolId`,
+    naming the first bad arc in the order given.
+    """
+    rows = list(arcs)
+    try:
+        cols = _columns(sorted(rows))
+    except (OverflowError, TypeError):  # a negative or non-integer field
+        cols = None
+    return _freeze(state_count, start, finals, cols, rows, symbols)
 
 
 def empty(symbols: SymbolTable) -> Transducer:
@@ -248,8 +295,10 @@ def _require_shared(a: Transducer, b: Transducer) -> None:
         raise SymbolTableMismatch("operands must share one SymbolTable")
 
 
-def _shifted(arcs: Iterable[Arc], offset: int) -> list[tuple[int, int, int, int]]:
-    return [(src + offset, i, o, dst + offset) for src, i, o, dst in arcs]
+def _shifted(a: Transducer, offset: int) -> Iterator[tuple[int, int, int, int]]:
+    """The arcs of `a` as rows, with both ends moved up by `offset`."""
+    src, ilab, olab, dst = a._cols
+    return zip(map(offset.__add__, src), ilab, olab, map(offset.__add__, dst))
 
 
 def union(a: Transducer, b: Transducer) -> Transducer:
@@ -258,8 +307,8 @@ def union(a: Transducer, b: Transducer) -> Transducer:
     off_b = 1 + a.state_count
     arcs = [(0, EPSILON, EPSILON, a.start + 1),
             (0, EPSILON, EPSILON, b.start + off_b)]
-    arcs += _shifted(a.arcs, 1)
-    arcs += _shifted(b.arcs, off_b)
+    arcs += _shifted(a, 1)
+    arcs += _shifted(b, off_b)
     finals = [f + 1 for f in a.finals] + [f + off_b for f in b.finals]
     return build(1 + a.state_count + b.state_count, 0, finals, arcs, a.symbols)
 
@@ -268,8 +317,8 @@ def concat(a: Transducer, b: Transducer) -> Transducer:
     """Pairwise concatenation: {(xu, yv) | (x,y) in a, (u,v) in b}."""
     _require_shared(a, b)
     off_b = a.state_count
-    arcs = list(a.arcs)
-    arcs += _shifted(b.arcs, off_b)
+    arcs = list(zip(*a._cols))
+    arcs += _shifted(b, off_b)
     arcs += [(f, EPSILON, EPSILON, b.start + off_b) for f in a.finals]
     finals = [f + off_b for f in b.finals]
     return build(a.state_count + b.state_count, a.start, finals, arcs, a.symbols)
@@ -281,11 +330,11 @@ def closure(a: Transducer, mode: str = "star") -> Transducer:
         # Fresh state 0 is both start and the only final; looping back
         # through it keeps a's own finals from accepting mid-iteration.
         arcs = [(0, EPSILON, EPSILON, a.start + 1)]
-        arcs += _shifted(a.arcs, 1)
+        arcs += _shifted(a, 1)
         arcs += [(f + 1, EPSILON, EPSILON, 0) for f in a.finals]
         return build(1 + a.state_count, 0, (0,), arcs, a.symbols)
     if mode == "plus":
-        arcs = list(a.arcs)
+        arcs = list(zip(*a._cols))
         arcs += [(f, EPSILON, EPSILON, a.start) for f in a.finals]
         return build(a.state_count, a.start, a.finals, arcs, a.symbols)
     if mode == "optional":
@@ -303,9 +352,11 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
     an unweighted relation).
     """
     _require_shared(a, b)
-    b_by_ilab: dict[tuple[int, int], list[Arc]] = {}
-    for arc in b.arcs:
-        b_by_ilab.setdefault((arc.src, arc.ilab), []).append(arc)
+    b_by_ilab: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for src, ilab, olab, dst in zip(*b._cols):
+        b_by_ilab.setdefault((src, ilab), []).append((olab, dst))
+    a_first = a._first
+    a_rows = list(zip(*a._cols[1:]))
 
     start = (a.start, b.start)
     ids: dict[tuple[int, int], int] = {start: 0}
@@ -316,15 +367,14 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
         p, q = queue.popleft()
         sid = ids[(p, q)]
         moves = set()
-        for arc in a.out_arcs(p):
-            if arc.olab == EPSILON:
-                moves.add((arc.ilab, EPSILON, arc.dst, q))
+        for ilab, olab, dst in a_rows[a_first[p]:a_first[p + 1]]:
+            if olab == EPSILON:
+                moves.add((ilab, EPSILON, dst, q))
             else:
-                for brc in b_by_ilab.get((q, arc.olab), ()):
-                    moves.add((arc.ilab, brc.olab, arc.dst, brc.dst))
-        for brc in b.out_arcs(q):
-            if brc.ilab == EPSILON:
-                moves.add((EPSILON, brc.olab, p, brc.dst))
+                for b_olab, b_dst in b_by_ilab.get((q, olab), ()):
+                    moves.add((ilab, b_olab, dst, b_dst))
+        for b_olab, b_dst in b_by_ilab.get((q, EPSILON), ()):
+            moves.add((EPSILON, b_olab, p, b_dst))
         for ilab, olab, np, nq in sorted(moves):
             tid = ids.get((np, nq))
             if tid is None:
@@ -340,19 +390,20 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
 
 def invert(a: Transducer) -> Transducer:
     """Swap the input and output tapes."""
-    arcs = [(src, olab, ilab, dst) for src, ilab, olab, dst in a.arcs]
-    return build(a.state_count, a.start, a.finals, arcs, a.symbols)
+    src, ilab, olab, dst = a._cols
+    return build(a.state_count, a.start, a.finals, zip(src, olab, ilab, dst), a.symbols)
 
 
 def project(a: Transducer, side: str = "input") -> Transducer:
     """Identity acceptor of one tape's language ("input" or "output")."""
+    src, ilab, olab, dst = a._cols
     if side == "input":
-        arcs = {(src, ilab, ilab, dst) for src, ilab, _, dst in a.arcs}
+        arcs = set(zip(src, ilab, ilab, dst))
     elif side == "output":
-        arcs = {(src, olab, olab, dst) for src, _, olab, dst in a.arcs}
+        arcs = set(zip(src, olab, olab, dst))
     else:
         raise ValueError(f"unknown projection side {side!r}")
-    return build(a.state_count, a.start, a.finals, sorted(arcs), a.symbols)
+    return build(a.state_count, a.start, a.finals, arcs, a.symbols)
 
 
 def _eps_free_rows(a: Transducer) -> tuple[list[list[tuple[int, int]]], set[int]]:
@@ -369,7 +420,7 @@ def _eps_free_rows(a: Transducer) -> tuple[list[list[tuple[int, int]]], set[int]
     rows: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
     eps_next: dict[int, list[int]] = {}
     prev = None
-    for arc in a.arcs:  # sorted, so repeated arcs are adjacent
+    for arc in zip(*a._cols):  # sorted, so repeated arcs are adjacent
         if arc == prev:
             continue
         prev = arc
@@ -438,7 +489,7 @@ def remove_epsilons(a: Transducer) -> Transducer:
     One-sided epsilon labels (a:<> or <>:b) are real symbol moves and
     stay.  Already epsilon-free machines are returned unchanged.
     """
-    if not any(arc.ilab == EPSILON and arc.olab == EPSILON for arc in a.arcs):
+    if EPSILON not in map(or_, a._cols[1], a._cols[2]):
         return a
     rows, finals = _eps_free_rows(a)
     return build(a.state_count, a.start, finals,
@@ -564,7 +615,8 @@ def minimize(a: Transducer) -> Transducer:
 
 
 def _tapes(side: str) -> tuple[int, int]:
-    """Arc field indices of the tape read and the tape written on `side`."""
+    """Indices (into an arc or ``Transducer._cols``) of the tape read
+    and the tape written on `side`."""
     if side == "input":
         return 1, 2
     if side == "output":
@@ -580,13 +632,15 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     outputs, so :func:`apply` refuses.  Computed from the strongly
     connected components of the subgraph of arcs that read epsilon: an
     SCC is bad when one of its internal arcs writes a symbol (an arc
-    with both ends in one SCC always lies on a cycle).
+    with both ends in one SCC always lies on a cycle).  Reads the
+    machine's columns; the arcs that read epsilon are found at C speed.
     """
-    read, write = _tapes(side)
-    eps_arcs = [arc for arc in a.arcs if arc[read] == EPSILON]
+    src, dst = a._cols[0], a._cols[3]
+    read, write = (a._cols[k] for k in _tapes(side))
+    eps_arcs = list(compress(range(len(read)), map(not_, read)))
     succ: dict[int, list[int]] = {}
-    for arc in eps_arcs:
-        succ.setdefault(arc.src, []).append(arc.dst)
+    for k in eps_arcs:
+        succ.setdefault(src[k], []).append(dst[k])
 
     # Iterative Tarjan SCC over the epsilon subgraph.  A state with no
     # arc that reads epsilon is an SCC of its own with no internal arc,
@@ -635,9 +689,24 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
                         break
                 scc_count += 1
 
-    bad_sccs = {scc_of[arc.src] for arc in eps_arcs
-                if arc[write] != EPSILON and scc_of[arc.src] == scc_of[arc.dst]}
+    bad_sccs = {scc_of[src[k]] for k in eps_arcs
+                if write[k] != EPSILON and scc_of[src[k]] == scc_of[dst[k]]}
     return frozenset(s for s, scc in scc_of.items() if scc in bad_sccs)
+
+
+def _by_output(a: Transducer) -> tuple[array, array, array]:
+    """The olab, ilab and dst columns of `a` in (src, olab, ilab, dst)
+    order.  A state's arcs are in (ilab, olab, dst) order, so only the
+    states where olab falls from one arc to the next are re-sorted."""
+    src, ilab, olab, dst = a._cols
+    first = a._first
+    cols = array("I", olab), array("I", ilab), array("I", dst)
+    falls = compress(range(len(src) - 1), map(gt, olab, islice(olab, 1, None)))
+    for s in {src[k] for k in falls if src[k] == src[k + 1]}:
+        lo, hi = first[s], first[s + 1]
+        for col, run in zip(cols, _columns(sorted(zip(olab[lo:hi], ilab[lo:hi], dst[lo:hi])))):
+            col[lo:hi] = run
+    return cols
 
 
 def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
@@ -656,8 +725,10 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     The search is breadth-first over (state, symbols read, output)
     configurations.  A state's arcs, sorted by the label they read,
     start with those that read epsilon, which are traversed freely; a
-    bisection then jumps to the run of arcs that read the next symbol,
-    so no other arc is visited.
+    bisection of the read column then jumps to the run of arcs that
+    read the next symbol, so no other arc is visited.  The first call
+    on a side fills that side's slot (see :class:`Transducer`); lookup
+    reads only integer columns and makes no :class:`Arc`.
 
     Raises :class:`UnknownSymbol` when `text` contains a symbol outside
     the machine's table (distinct from an in-alphabet string that is
@@ -665,16 +736,15 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     :class:`EpsilonCycle` when a cycle that reads epsilon and writes a
     symbol is reachable on this text.
     """
-    read, write = _tapes(side)
+    _tapes(side)  # an unknown side raises ValueError before any other check
     ids = scan(text, a.symbols)
     slot = a._sides.get(side)
     if slot is None:  # the first call on this side; see Transducer
-        arcs = a.arcs if side == "input" else tuple(sorted(a.arcs, key=itemgetter(0, 2, 1, 3)))
-        slot = a._sides[side] = (_emitting_eps_cycle_states(a, side), arcs)
-    bad, arcs = slot
+        by_read = a._cols[1:] if side == "input" else _by_output(a)
+        slot = a._sides[side] = (_emitting_eps_cycle_states(a, side), *by_read)
+    bad, reads, writes, dsts = slot
     first = a._first
     finals = a.finals
-    read_label = itemgetter(read)
     n = len(ids)
     start = (a.start, 0, ())
     seen = {start}
@@ -692,20 +762,19 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
                 outputs.add(out)
         k, end = first[state], first[state + 1]
         while k < end:
-            arc = arcs[k]
-            label = arc[read]
+            label = reads[k]
             if label == EPSILON:
                 npos = pos
             elif label == sym:
                 npos = pos + 1
             elif label < sym:  # jump to the run of arcs that read `sym`
-                k = bisect_left(arcs, sym, k, end, key=read_label)
+                k = bisect_left(reads, sym, k, end)
                 continue
             else:
                 break
+            written = writes[k]
+            cfg = (dsts[k], npos, out if written == EPSILON else out + (written,))
             k += 1
-            written = arc[write]
-            cfg = (arc.dst, npos, out if written == EPSILON else out + (written,))
             if cfg not in seen:
                 seen.add(cfg)
                 queue.append(cfg)
@@ -726,6 +795,8 @@ def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
         raise ValueError("max_len must be >= 0")
     pairs: set[tuple[str, str]] = set()
     table = a.symbols
+    first = a._first
+    rows = list(zip(*a._cols[1:]))
 
     def note(state: int, ins: tuple[int, ...], outs: tuple[int, ...]) -> None:
         if state in a.finals:
@@ -738,10 +809,10 @@ def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
     for _ in range(max_len):
         nxt = []
         for state, ins, outs in frontier:
-            for arc in a.out_arcs(state):
-                nins = ins if arc.ilab == EPSILON else ins + (arc.ilab,)
-                nouts = outs if arc.olab == EPSILON else outs + (arc.olab,)
-                cfg = (arc.dst, nins, nouts)
+            for ilab, olab, dst in rows[first[state]:first[state + 1]]:
+                nins = ins if ilab == EPSILON else ins + (ilab,)
+                nouts = outs if olab == EPSILON else outs + (olab,)
+                cfg = (dst, nins, nouts)
                 if cfg not in seen:
                     seen.add(cfg)
                     nxt.append(cfg)
@@ -802,14 +873,23 @@ FORMAT_VERSION = 1
 
 
 def to_bytes(a: Transducer) -> bytes:
-    """Serialize to the binary transducer format (little-endian)."""
+    """Serialize to the binary transducer format (little-endian).  The
+    arc block is the columns interleaved, one (src, ilab, olab, dst)
+    record per arc, in sorted order."""
     entries = list(a.symbols)
     finals = sorted(a.finals)
+    n_arcs = len(a._cols[0])
+    block = array("I", bytes(16 * n_arcs))
+    for k, col in enumerate(a._cols):
+        block[k::4] = col
+    if sys.byteorder == "big":
+        block.byteswap()
     blob = b"".join([
         MAGIC, struct.pack("<HI", FORMAT_VERSION, len(entries)),
         *map(pack_str, entries),
-        struct.pack(f"<{4 + len(finals) + 4 * len(a.arcs)}I", a.state_count, a.start,
-                    len(finals), *finals, len(a.arcs), *chain.from_iterable(a.arcs)),
+        struct.pack(f"<{4 + len(finals)}I", a.state_count, a.start,
+                    len(finals), *finals, n_arcs),
+        block.tobytes(),
     ])
     if a.state_count > len(blob):  # from_bytes would refuse it; trimmed machines fit
         raise FstError(f"{a.state_count} states in a {len(blob)}-byte file; trim the machine")
@@ -819,7 +899,14 @@ def to_bytes(a: Transducer) -> bytes:
 def from_bytes(data: bytes) -> Transducer:
     """Parse the binary transducer format.  The machine gets a fresh
     SymbolTable reconstructed from the file.  A file may not declare more
-    states than it has bytes, which bounds what it makes `build` allocate."""
+    states than it has bytes, which bounds what it makes the machine
+    allocate.
+
+    The arc block is copied into one ``array("I")`` and sliced into the
+    four columns; no per-arc object is made.  The fields are checked as
+    :func:`build` checks them, with the same errors, and a file whose
+    arcs are out of order loads as the same sorted machine.
+    """
     reader = Reader(data, FstError, "transducer")
     if reader.take(4) != MAGIC:
         raise FstError("not a transducer file (bad magic)")
@@ -838,11 +925,16 @@ def from_bytes(data: bytes) -> Transducer:
             raise FstError(f"duplicate symbol entry {sym!r}")
     state_count, start = reader.unpack("<II")
     finals = [f for (f,) in reader.array("<I")]
-    arcs = reader.array("<IIII")
+    block = array("I", reader.take(16 * reader.u32()))
     reader.finish()
     if state_count > len(data):
         raise FstError(f"transducer file declares {state_count} states in {len(data)} bytes")
-    return build(state_count, start, finals, arcs, table)
+    if sys.byteorder == "big":
+        block.byteswap()
+    cols = in_file = tuple(block[k::4] for k in range(4))
+    if not all(map(le, zip(*cols), zip(*(col[1:] for col in cols)))):
+        cols = _columns(sorted(zip(*cols)))
+    return _freeze(state_count, start, finals, cols, zip(*in_file), table)
 
 
 def save(a: Transducer, path) -> None:

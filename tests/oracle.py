@@ -19,6 +19,7 @@ through ``tagger.objective``, ``tagger.gradient`` and
 from __future__ import annotations
 
 import random
+import struct
 from collections import deque
 
 from hindimorph import tagger
@@ -221,6 +222,44 @@ def rand_machine(rng: random.Random, table: SymbolTable,
     if not finals:
         finals = [rng.randrange(n)]
     return build(n, 0, finals, arcs, table)
+
+
+# ---------------------------------------------------------------------------
+# transducer file format reference
+
+
+def mfst_bytes(entries: list[str], state_count: int, start: int,
+               finals: list[int], arcs: list[tuple[int, int, int, int]]) -> bytes:
+    """An MFST file holding these fields as given, one field at a time:
+    no check, no sorting.  `entries` are the symbols after epsilon."""
+    out = [b"MFST", struct.pack("<HI", 1, 1 + len(entries))]
+    for sym in ("<>", *entries):
+        raw = sym.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw]
+    out.append(struct.pack("<III", state_count, start, len(finals)))
+    out += [struct.pack("<I", f) for f in finals]
+    out.append(struct.pack("<I", len(arcs)))
+    out += [struct.pack("<IIII", *arc) for arc in arcs]
+    return b"".join(out)
+
+
+def mfst_fields(data: bytes) -> tuple[list[str], int, int, list[int],
+                                      list[tuple[int, int, int, int]]]:
+    """The fields of a well-formed MFST file, read one at a time, in the
+    order of :func:`mfst_bytes`'s arguments."""
+    pos = 10
+    entries = []
+    for _ in range(struct.unpack_from("<I", data, 6)[0]):
+        (size,) = struct.unpack_from("<I", data, pos)
+        entries.append(data[pos + 4:pos + 4 + size].decode("utf-8"))
+        pos += 4 + size
+    state_count, start, n_finals = struct.unpack_from("<III", data, pos)
+    pos += 12
+    finals = [struct.unpack_from("<I", data, pos + 4 * k)[0] for k in range(n_finals)]
+    pos += 4 * n_finals
+    (n_arcs,) = struct.unpack_from("<I", data, pos)
+    arcs = [struct.unpack_from("<IIII", data, pos + 4 + 16 * k) for k in range(n_arcs)]
+    return entries[1:], state_count, start, finals, arcs
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_analyze_with_indeclinables(capsys, fst_file):
     assert stdout == "अरे\tअरे<Particle>\n"
 
 
+def test_generate_with_indeclinables_inverts_analyze(capsys, fst_file):
+    indecl = str(data_path("indeclinables.tsv"))
+    rc, stdout, _ = run(capsys, ["generate", "-m", str(fst_file), "--indecl", indecl,
+                                 "अरे<Particle>", "लडका<Noun><masculine><pl>"])
+    assert rc == 0
+    assert stdout == "अरे<Particle>\tअरे\nलडका<Noun><masculine><pl>\tलडके\n"
+
+
 def test_analyze_missing_model(capsys, tmp_path):
     rc, stdout, stderr = run(capsys, [
         "analyze", "-m", str(tmp_path / "nope.fst"), "घर"])
@@ -339,13 +347,15 @@ def test_lexicon_extract(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("command", ["compile", "analyze", "train", "lexicon-extract"])
+@pytest.mark.parametrize("command", ["compile", "analyze", "generate", "train",
+                                     "lexicon-extract"])
 def test_invalid_utf8_input_is_a_domain_error(capsys, tmp_path, fst_file, command):
     bad = tmp_path / "input.txt"
     bad.write_bytes(b"\xef\xbb\xbfab\xfe\n")
     out = str(tmp_path / "out")
     argv = {"compile": ["compile", "-r", str(bad), "-o", out],
             "analyze": ["analyze", "-m", str(fst_file), "--indecl", str(bad), "x"],
+            "generate": ["generate", "-m", str(fst_file), "--indecl", str(bad), "x<N>"],
             "train": ["train", "-c", str(bad), "-o", out],
             "lexicon-extract": ["lexicon-extract", str(bad), "-o", out]}[command]
     rc, stdout, stderr = run(capsys, argv)

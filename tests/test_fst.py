@@ -119,6 +119,9 @@ def test_build_validates_states_and_symbols():
         build(2, 0, (1,), ((0, 0, 0, 5),), table)
     with pytest.raises(InvalidSymbolId):
         build(2, 0, (1,), ((0, 9, 0, 1),), table)
+    # a negative field, which no array("I") holds, is named like any other
+    with pytest.raises(InvalidStateId, match="arc source -1 out of range"):
+        build(2, 0, (1,), ((0, 0, 0, 1), (-1, 0, 0, 1)), table)
 
 
 def test_build_sorts_arcs():
@@ -501,17 +504,23 @@ def test_apply_high_fan_out():
 def test_apply_keeps_one_copy_of_the_arcs():
     assert "_adj" not in Transducer.__slots__
     # 11 arcs, two of them repeated, whose output order differs from `arcs`
-    m = oracle.rand_acyclic(random.Random(115), oracle.make_table(),
-                            max_states=8, out_degree=8)
+    built = oracle.rand_acyclic(random.Random(115), oracle.make_table(),
+                                max_states=8, out_degree=8)
+    m = fst.from_bytes(fst.to_bytes(built))
     fst.apply(m, "a")
     fst.apply(m, "a", side="output")
-    # the input side reads `arcs` itself; the output side re-sorts the
-    # same Arc objects by (src, olab, ilab, dst)
-    assert m._sides["input"][1] is m.arcs
-    by_output = m._sides["output"][1]
-    assert sorted(map(id, by_output)) == sorted(map(id, m.arcs))
-    assert by_output != m.arcs
-    assert list(by_output) == sorted(m.arcs, key=lambda a: (a.src, a.olab, a.ilab, a.dst))
+    # loading and lookup on both sides made no Arc
+    assert m._arcs is None
+    # the input side reads the machine's own columns; the output side
+    # re-sorts them once by (src, olab, ilab, dst)
+    src, ilab, olab, dst = m._cols
+    _, *by_input = m._sides["input"]
+    assert all(col is own for col, own in zip(by_input, (ilab, olab, dst)))
+    _, reads, writes, dsts = m._sides["output"]
+    by_output = list(zip(src, reads, writes, dsts))
+    assert by_output != list(zip(src, olab, ilab, dst))
+    assert by_output == [(a.src, a.olab, a.ilab, a.dst) for a in
+                         sorted(m.arcs, key=lambda a: (a.src, a.olab, a.ilab, a.dst))]
 
 
 def test_apply_epsilon_cycle_policy():
@@ -681,6 +690,43 @@ def test_state_count_is_bounded_by_file_size():
         fst.to_bytes(fst.build(100, 0, [0], [], table))
 
 
+def test_shuffled_arc_block_loads_as_the_sorted_machine():
+    blob = fst.to_bytes(rules.compile_file(data_path("rules", "hindi.mrl"), SymbolTable()))
+    entries, state_count, start, finals, arcs = oracle.mfst_fields(blob)
+    assert oracle.mfst_bytes(entries, state_count, start, finals, arcs) == blob
+    shuffled = list(arcs)
+    random.Random(117).shuffle(shuffled)
+    data = oracle.mfst_bytes(entries, state_count, start, finals, shuffled)
+    assert data != blob
+    assert fst.to_bytes(fst.from_bytes(data)) == blob
+
+
+VALID_ARCS = [(0, 1, 2, 1), (1, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ((0, 0, [], []), InvalidStateId, "a transducer needs at least one state"),
+    ((3, 3, [2], VALID_ARCS), InvalidStateId, "start state 3 out of range"),
+    ((3, 0, [1, 7], VALID_ARCS), InvalidStateId, "final state 7 out of range"),
+    ((3, 0, [2], [(0, 1, 2, 1), (5, 2, 1, 2)]), InvalidStateId, "arc source 5 out of range"),
+    ((3, 0, [2], [(0, 1, 2, 1), (1, 2, 1, 9)]), InvalidStateId, "arc target 9 out of range"),
+    ((3, 0, [2], [(0, 3, 2, 1), (1, 2, 1, 2)]), InvalidSymbolId,
+     "arc input symbol 3 out of range"),
+    ((3, 0, [2], [(0, 1, 2, 1), (1, 2, 4, 2)]), InvalidSymbolId,
+     "arc output symbol 4 out of range"),
+    # the first bad arc in file order is named, not the first in sorted order
+    ((3, 0, [2], [(2, 1, 2, 1), (1, 2, 1, 9), (0, 5, 0, 1)]), InvalidStateId,
+     "arc target 9 out of range"),
+])
+def test_malformed_fields_raise_as_build_does(fields, error, message):
+    table = SymbolTable("ab")
+    for make in (lambda: fst.from_bytes(oracle.mfst_bytes(["a", "b"], *fields)),
+                 lambda: build(*fields, table)):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 def test_mutated_fst_bytes_raise_only_fst_error():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -706,13 +752,20 @@ def test_mutated_fst_bytes_raise_only_fst_error():
             machine = fst.from_bytes(bytes(data))
         except fst.FstError:
             return
-        for m in (machine, fst.invert(machine)):
+        # a file that loads gives the machine `build` makes of its fields
+        entries, *fields = oracle.mfst_fields(bytes(data))
+        built = build(*fields, SymbolTable(entries))
+        assert fst.to_bytes(machine) == fst.to_bytes(built)
+        for m, ref in ((machine, built), (fst.invert(machine), fst.invert(built))):
             for text in ("लडके", "लडका<Noun><masculine><pl>", "घर"):
                 for side in ("input", "output"):
                     try:
                         result = fst.apply(m, text, side=side)
-                    except fst.FstError:
+                    except fst.FstError as exc:
+                        with pytest.raises(type(exc)):
+                            fst.apply(ref, text, side=side)
                         continue
                     assert isinstance(result, StringPairSet)
+                    assert result == fst.apply(ref, text, side=side)
 
     check()
