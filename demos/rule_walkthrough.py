@@ -19,7 +19,7 @@ print("round-trips through the renderer:",
 
 symbols = SymbolTable()
 machine = rules.compile(parsed, symbols)
-print(f"compiled: {machine.state_count} states, {len(machine.arcs)} arcs")
+print(f"compiled: {machine.state_count} states, {machine.arc_count} arcs")
 for lexical, surface in sorted(fst.enumerate_pairs(machine, 12)):
     print(f"  {lexical} -> {surface}")
 
@@ -33,7 +33,7 @@ symbols = SymbolTable()
 grammar = rules.compile_file(data_path("rules", "hindi.mrl"), symbols)
 pairs = sorted(fst.enumerate_pairs(grammar, 30))
 print(f"\nbundled grammar: {grammar.state_count} states,"
-      f" {len(grammar.arcs)} arcs, {len(pairs)} lexical/surface pairs")
+      f" {grammar.arc_count} arcs, {len(pairs)} lexical/surface pairs")
 for lexical, surface in pairs[:6]:
     print(f"  {lexical} -> {surface}")
 print("  ...")

@@ -85,7 +85,7 @@ def cmd_compile(args) -> int:
     symbols = fst.SymbolTable()
     machine = rules.compile_file(args.rules, symbols, lexdir=args.lexdir)
     _write_atomic(Path(args.output), fst.to_bytes(machine))
-    print(f"{machine.state_count} states, {len(machine.arcs)} arcs -> {args.output}")
+    print(f"{machine.state_count} states, {machine.arc_count} arcs -> {args.output}")
     return 0
 
 

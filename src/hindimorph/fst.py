@@ -200,6 +200,11 @@ class Transducer:
             self._arcs = tuple(map(Arc._make, zip(*self._cols)))
         return self._arcs
 
+    @property
+    def arc_count(self) -> int:
+        """The number of arcs, read from the columns without building `arcs`."""
+        return len(self._cols[0])
+
     def out_arcs(self, state: int) -> tuple[Arc, ...]:
         """The arcs leaving `state`, in (ilab, olab, dst) order: the
         slice of `arcs` between the state's two offsets."""
@@ -208,7 +213,7 @@ class Transducer:
         return self.arcs[self._first[state]:self._first[state + 1]]
 
     def __repr__(self) -> str:
-        return (f"Transducer({self.state_count} states, {len(self._cols[0])} arcs, "
+        return (f"Transducer({self.state_count} states, {self.arc_count} arcs, "
                 f"{len(self.finals)} final)")
 
 

@@ -102,7 +102,9 @@ def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
     """Rows of a lexicon file as (line_number, root, infl_class|None).
 
     Blank lines and ``%`` comment lines are skipped; roots are
-    NFC-normalized.
+    NFC-normalized.  A root or class holding ``<`` or ``>`` raises
+    :class:`LexiconError`, because compiling it would read them as tag
+    syntax.
     """
     path = Path(path)
     rows: list[tuple[int, str, str | None]] = []
@@ -122,6 +124,10 @@ def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
             raise LexiconError(f"{path.name}:{lineno}: empty root")
         if infl == "":
             raise LexiconError(f"{path.name}:{lineno}: empty inflection class")
+        if "<" in line or ">" in line:
+            raise LexiconError(
+                f"{path.name}:{lineno}: '<' or '>' in a root or inflection class"
+                " (tags belong in the rules)")
         rows.append((lineno, root, infl))
     return rows
 

@@ -94,12 +94,13 @@ class MorphModel:
     def __init__(self, grammar: Transducer,
                  indeclinables: dict[str, list[Analysis]] | None = None):
         self.grammar = grammar
-        self.indeclinables = {w: sorted(a, key=Analysis.render)
-                              for w, a in (indeclinables or {}).items()}
+        self.indeclinables: dict[str, list[Analysis]] = {}
         self._words_by_analysis: dict[str, list[str]] = {}
-        for word, analyses in self.indeclinables.items():
-            for analysis in analyses:
-                self._words_by_analysis.setdefault(analysis.render(), []).append(word)
+        for word, analyses in (indeclinables or {}).items():
+            rendered = sorted(((a.render(), a) for a in analyses), key=lambda ra: ra[0])
+            self.indeclinables[word] = [a for _, a in rendered]
+            for text, _ in rendered:
+                self._words_by_analysis.setdefault(text, []).append(word)
         for words in self._words_by_analysis.values():
             words.sort()
 

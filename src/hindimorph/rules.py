@@ -24,6 +24,7 @@ Definitions must precede use; redefinition is an error.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,6 +136,9 @@ class RuleFile:
 
 _SPECIAL = set("$%()[]*+?|:<>#\"=;\\")
 _WS = {" ", "\t", "\r"}
+# One-character operators; "||" (COMPOSE) is matched before "|".
+_PUNCTUATION = {"=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "OPT", "|": "PIPE",
+                "(": "LPAREN", ")": "RPAREN", ":": "COLON", ";": "SEMI"}
 
 
 @dataclass(frozen=True)
@@ -146,156 +150,119 @@ class _Token:
 
 
 def _lex(text: str) -> list[_Token]:
+    """The tokens of NFC-normalized rule text, ending with ``EOF``.
+
+    Each token and each :class:`RuleSyntaxError` carries the line and
+    column of its first character.  The column is derived from offsets,
+    ``offset - line_start + 1``, so it counts Unicode scalars: a tab or
+    a combining mark is one column.
+    """
     toks: list[_Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     depth = 0
     i = 0
     n = len(text)
 
-    def err(msg: str, l=None, c=None):
-        raise RuleSyntaxError(l or line, c or col, msg)
+    def err(msg: str, at: int):
+        raise RuleSyntaxError(line, at - line_start + 1, msg)
 
-    def emit(kind, value=None, l=None, c=None):
-        toks.append(_Token(kind, value, l or line, c or col))
+    def emit(kind: str, at: int, value=None):
+        toks.append(_Token(kind, value, line, at - line_start + 1))
+
+    def closing(opening: int, closer: str, what: str) -> int:
+        """Offset of the first `closer` after `opening` on its line."""
+        end = text.find(closer, opening + 1)
+        nl = text.find("\n", opening + 1)
+        if end < 0 or (0 <= nl < end):
+            err(f"unterminated {what}", opening)
+        return end
 
     while i < n:
         ch = text[i]
         if ch == "\n":
             if depth == 0:
-                emit("NEWLINE")
+                emit("NEWLINE", i)
             i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in _WS:
+            line, line_start = line + 1, i
+        elif ch in _WS:
             i += 1
-            col += 1
-            continue
-        if ch == "%":
+        elif ch == "%":
             while i < n and text[i] != "\n":
                 i += 1
-                col += 1
-            continue
-        start_l, start_c = line, col
-        if ch == "\\":
+        elif ch == "\\":
             if i + 1 >= n:
-                err("dangling escape at end of file")
-            esc = text[i + 1]
-            if esc == "\n":
-                err("cannot escape a newline")
-            emit("SYM", esc, start_l, start_c)
+                err("dangling escape at end of file", i)
+            if text[i + 1] == "\n":
+                err("cannot escape a newline", i)
+            emit("SYM", i, text[i + 1])
             i += 2
-            col += 2
-            continue
-        if ch == "<":
-            end = text.find(">", i + 1)
-            nl = text.find("\n", i + 1)
-            if end < 0 or (0 <= nl < end):
-                err("unterminated tag")
+        elif ch == "<":
+            end = closing(i, ">", "tag")
             body = text[i + 1 : end]
             if any(c in "<\\" for c in body):
-                err("invalid character inside tag")
+                err("invalid character inside tag", i)
             if body:
-                emit("TAG", f"<{body}>", start_l, start_c)
+                emit("TAG", i, f"<{body}>")
             else:
-                emit("EPS", EPSILON_SYMBOL, start_l, start_c)
-            col += end + 1 - i
+                emit("EPS", i, EPSILON_SYMBOL)
             i = end + 1
-            continue
-        if ch == "$":
-            end = text.find("$", i + 1)
-            nl = text.find("\n", i + 1)
-            if end < 0 or (0 <= nl < end):
-                err("unterminated variable name")
+        elif ch == "$":
+            end = closing(i, "$", "variable name")
             name = text[i + 1 : end]
             if not name or any(c in _WS or c in _SPECIAL for c in name):
-                err("invalid variable name")
-            emit("VAR", name, start_l, start_c)
-            col += end + 1 - i
+                err("invalid variable name", i)
+            emit("VAR", i, name)
             i = end + 1
-            continue
-        if ch == "[":
+        elif ch == "[":
             chars: list[str] = []
             j = i + 1
-            ccol = col + 1
-            while True:
-                if j >= n or text[j] == "\n":
-                    err("unterminated character class", start_l, start_c)
+            while j < n and text[j] not in "]\n":
                 cc = text[j]
-                if cc == "]":
-                    break
-                if cc in _WS:
-                    j += 1
-                    ccol += 1
-                    continue
                 if cc == "\\":
                     if j + 1 >= n or text[j + 1] == "\n":
-                        err("dangling escape in character class", line, ccol)
-                    chars.append(text[j + 1])
-                    j += 2
-                    ccol += 2
-                    continue
-                if cc in "<>[$":
-                    err(f"character {cc!r} not allowed in a class (escape it)",
-                        line, ccol)
-                chars.append(cc)
+                        err("dangling escape in character class", j)
+                    j += 1
+                    chars.append(text[j])
+                elif cc in "<>[$":
+                    err(f"character {cc!r} not allowed in a class (escape it)", j)
+                elif cc not in _WS:
+                    chars.append(cc)
                 j += 1
-                ccol += 1
+            if j >= n or text[j] == "\n":
+                err("unterminated character class", i)
             if not chars:
-                err("empty character class", start_l, start_c)
-            emit("CLASS", tuple(sorted(set(chars))), start_l, start_c)
-            col = ccol + 1
+                err("empty character class", i)
+            emit("CLASS", i, tuple(sorted(set(chars))))
             i = j + 1
-            continue
-        if ch == "#":
-            keyword = "#include"
-            if text[i : i + len(keyword)] != keyword:
-                err("expected #include")
-            j = i + len(keyword)
-            ccol = col + len(keyword)
+        elif ch == "#":
+            if not text.startswith("#include", i):
+                err("expected #include", i)
+            j = i + len("#include")
             while j < n and text[j] in _WS:
                 j += 1
-                ccol += 1
             if j >= n or text[j] != '"':
-                err("expected quoted path after #include", line, ccol)
-            end = text.find('"', j + 1)
-            nl = text.find("\n", j + 1)
-            if end < 0 or (0 <= nl < end):
-                err("unterminated include path", line, ccol)
-            path = text[j + 1 : end]
-            if not path:
-                err("empty include path", line, ccol)
-            emit("INCLUDE", path, start_l, start_c)
-            col = ccol + (end - j) + 1
+                err("expected quoted path after #include", j)
+            end = closing(j, '"', "include path")
+            if end == j + 1:
+                err("empty include path", j)
+            emit("INCLUDE", i, text[j + 1 : end])
             i = end + 1
-            continue
-        if ch == "|":
-            if i + 1 < n and text[i + 1] == "|":
-                emit("COMPOSE")
-                i += 2
-                col += 2
-            else:
-                emit("PIPE")
-                i += 1
-                col += 1
-            continue
-        simple = {"=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "OPT",
-                  "(": "LPAREN", ")": "RPAREN", ":": "COLON", ";": "SEMI"}
-        if ch in simple:
+        elif text.startswith("||", i):
+            emit("COMPOSE", i)
+            i += 2
+        elif ch in _PUNCTUATION:
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth = max(0, depth - 1)
-            emit(simple[ch])
+            emit(_PUNCTUATION[ch], i)
             i += 1
-            col += 1
-            continue
-        if ch in {">", "]", '"'}:
-            err(f"unexpected {ch!r}")
-        emit("SYM", ch, start_l, start_c)
-        i += 1
-        col += 1
-    toks.append(_Token("EOF", None, line, col))
+        elif ch in '>]"':
+            err(f"unexpected {ch!r}", i)
+        else:
+            emit("SYM", i, ch)
+            i += 1
+    emit("EOF", n)
     return toks
 
 
@@ -303,7 +270,11 @@ def _lex(text: str) -> list[_Token]:
 # Parser
 
 _ATOM_STARTERS = {"SYM", "TAG", "EPS", "CLASS", "LPAREN", "VAR", "INCLUDE"}
-_POSTFIX = {"STAR": Star, "PLUS": Plus, "OPT": Opt}
+# Each closure node with its operator and its fst.closure mode.
+_CLOSURES = {Star: ("*", "star"), Plus: ("+", "plus"), Opt: ("?", "optional")}
+_POSTFIX = {_PUNCTUATION[op]: node for node, (op, _) in _CLOSURES.items()}
+_TOKEN_NAMES = {"NEWLINE": "end of line", "EOF": "end of file", "COMPOSE": "'||'",
+                **{kind: f"'{ch}'" for ch, kind in _PUNCTUATION.items()}}
 # Caps open parentheses and AST height, far below Python's recursion limit.
 _MAX_NESTING = 100
 _TOO_DEEP = f"expression is nested too deeply (more than {_MAX_NESTING} levels)"
@@ -447,13 +418,8 @@ class _Parser:
 
 
 def _describe(tok: _Token) -> str:
-    names = {"NEWLINE": "end of line", "EOF": "end of file",
-             "EQUALS": "'='", "PIPE": "'|'", "COMPOSE": "'||'",
-             "STAR": "'*'", "PLUS": "'+'", "OPT": "'?'",
-             "LPAREN": "'('", "RPAREN": "')'", "COLON": "':'",
-             "SEMI": "';'"}
-    if tok.kind in names:
-        return names[tok.kind]
+    if tok.kind in _TOKEN_NAMES:
+        return _TOKEN_NAMES[tok.kind]
     return f"{tok.kind.lower()} {tok.value!r}"
 
 
@@ -481,11 +447,10 @@ _PREC_COMPOSE, _PREC_UNION, _PREC_CONCAT, _PREC_POSTFIX = 0, 1, 2, 3
 
 
 def _render_symbol(sym: str) -> str:
-    if len(sym) == 1:
-        if sym in _SPECIAL or sym in _WS or sym == "\n":
-            return "\\" + sym
-        return sym
-    return sym  # "<Tag>" or "<>"
+    # a tag ("<Tag>" or "<>") is never in these one-character sets
+    if sym in _SPECIAL or sym in _WS or sym == "\n":
+        return "\\" + sym
+    return sym
 
 
 def render_node(node, parent_prec: int = 0) -> str:
@@ -502,12 +467,8 @@ def render_node(node, parent_prec: int = 0) -> str:
         return f"${node.name}$"
     if isinstance(node, Include):
         return f'#include "{node.path}"'
-    if isinstance(node, Star):
-        return render_node(node.expr, _PREC_POSTFIX) + "*"
-    if isinstance(node, Plus):
-        return render_node(node.expr, _PREC_POSTFIX) + "+"
-    if isinstance(node, Opt):
-        return render_node(node.expr, _PREC_POSTFIX) + "?"
+    if type(node) in _CLOSURES:
+        return render_node(node.expr, _PREC_POSTFIX) + _CLOSURES[type(node)][0]
     if isinstance(node, Concat):
         text = " ".join(render_node(p, _PREC_CONCAT) for p in node.parts)
         return f"( {text} )" if parent_prec > _PREC_CONCAT else text
@@ -552,6 +513,9 @@ def _resolve_include(path: str, base_dir: Path | None,
 
 def _compile_node(node, symbols: SymbolTable, defs: dict[str, Transducer],
                   base_dir: Path | None, lexdir) -> Transducer:
+    def sub(child) -> Transducer:
+        return _compile_node(child, symbols, defs, base_dir, lexdir)
+
     if isinstance(node, Literal):
         if node.symbol == EPSILON_SYMBOL:
             return fst.epsilon(symbols)
@@ -567,37 +531,18 @@ def _compile_node(node, symbols: SymbolTable, defs: dict[str, Transducer],
             sid = symbols.intern(ch)
             arcs.append((0, sid, sid, 1))
         return fst.build(2, 0, (1,), arcs, symbols)
-    if isinstance(node, Concat):
-        machines = [_compile_node(p, symbols, defs, base_dir, lexdir)
-                    for p in node.parts]
-        result = machines[0]
-        for m in machines[1:]:
-            result = fst.concat(result, m)
-        return result
-    if isinstance(node, Union):
-        machines = [_compile_node(p, symbols, defs, base_dir, lexdir)
-                    for p in node.parts]
-        result = machines[0]
-        for m in machines[1:]:
-            result = fst.union(result, m)
-        return result
-    if isinstance(node, Star):
-        return fst.closure(_compile_node(node.expr, symbols, defs, base_dir, lexdir), "star")
-    if isinstance(node, Plus):
-        return fst.closure(_compile_node(node.expr, symbols, defs, base_dir, lexdir), "plus")
-    if isinstance(node, Opt):
-        return fst.closure(_compile_node(node.expr, symbols, defs, base_dir, lexdir), "optional")
+    if isinstance(node, (Concat, Union)):
+        return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
+                                [sub(p) for p in node.parts])
+    if type(node) in _CLOSURES:
+        return fst.closure(sub(node.expr), _CLOSURES[type(node)][1])
     if isinstance(node, Compose):
-        lhs = _compile_node(node.lhs, symbols, defs, base_dir, lexdir)
-        rhs = _compile_node(node.rhs, symbols, defs, base_dir, lexdir)
-        return fst.compose(lhs, rhs)
+        return fst.compose(sub(node.lhs), sub(node.rhs))
     if isinstance(node, VarRef):
         return defs[node.name]
     if isinstance(node, Include):
         resolved = _resolve_include(node.path, base_dir, lexdir)
         rows = [(root, infl) for _, root, infl in lexicon.read_lexicon_file(resolved)]
-        if not rows:
-            return fst.empty(symbols)
         return lexicon.compile_root_fst(rows, symbols)
     raise TypeError(f"not a rule AST node: {node!r}")
 

@@ -523,6 +523,16 @@ def test_apply_keeps_one_copy_of_the_arcs():
                          sorted(m.arcs, key=lambda a: (a.src, a.olab, a.ilab, a.dst))]
 
 
+def test_arc_count_reads_the_columns():
+    # the machine of the test above: 11 arcs
+    m = fst.from_bytes(fst.to_bytes(oracle.rand_acyclic(
+        random.Random(115), oracle.make_table(), max_states=8, out_degree=8)))
+    assert m.arc_count == 11
+    assert repr(m) == f"Transducer({m.state_count} states, 11 arcs, {len(m.finals)} final)"
+    assert m._arcs is None
+    assert len(m.arcs) == m.arc_count
+
+
 def test_apply_epsilon_cycle_policy():
     table = SymbolTable("ab")
     a, b = table.id_of("a"), table.id_of("b")

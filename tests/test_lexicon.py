@@ -108,6 +108,16 @@ def test_read_lexicon_rejects_empty_class(tmp_path):
         read_lexicon_file(p)
 
 
+@pytest.mark.parametrize("line", ["<>", "क<Noun>", "अ<ब", "क>", "जा\tirr>", "जा\t<irr>"])
+def test_read_lexicon_rejects_tag_syntax(tmp_path, line):
+    # compiled, "<>" would be an empty root and "<Noun>" a tag symbol
+    p = tmp_path / "bad.txt"
+    p.write_text(f"घर\n{line}\n", encoding="utf-8")
+    with pytest.raises(LexiconError,
+                       match=r"^bad\.txt:2: '<' or '>' in a root or inflection class"):
+        read_lexicon_file(p)
+
+
 def _write_class_files(tmp_path, mapping):
     paths = {}
     for pos_class, words in mapping.items():

@@ -192,6 +192,14 @@ def test_indeclinables_accumulate_analyses(tmp_path):
     assert len(morph.analyze(model, "तो")) == 2
 
 
+def test_repeated_indeclinable_record_loads(tmp_path):
+    f = tmp_path / "ind.tsv"
+    f.write_text("तो\tतो<Particle>\nतो\tतो<Particle>\n", encoding="utf-8")
+    model = MorphModel(fst.empty(SymbolTable()), morph.load_indeclinables(f))
+    assert {a.render() for a in morph.analyze(model, "तो")} == {"तो<Particle>"}
+    assert set(morph.generate(model, "तो<Particle>")) == {"तो"}
+
+
 def test_indeclinables_drop_a_bom(tmp_path):
     plain = tmp_path / "plain.tsv"
     plain.write_text("तो\tतो<Particle>\n", encoding="utf-8")

@@ -7,6 +7,7 @@ import pytest
 
 from hindimorph import fst, rules
 from hindimorph.fst import SymbolTable
+from hindimorph.lexicon import LexiconError
 from hindimorph.rules import (
     CharClass,
     Compose,
@@ -152,6 +153,82 @@ def test_syntax_error_carries_position():
         parse_rules("a  )")
     assert exc.value.line == 1
     assert exc.value.col > 1
+
+
+# Every lexer and parser error with its exact message and position.
+# Columns count Unicode scalars after NFC: a tab is one column, and so
+# is each combining mark (precomposed U+095D becomes two scalars).
+TOO_DEEP = "expression is nested too deeply (more than 100 levels)"
+SYNTAX_ERRORS = [
+    ("a \\", "dangling escape at end of file", 1, 3),
+    ("a \\\nb", "cannot escape a newline", 1, 3),
+    ("<Noun", "unterminated tag", 1, 1),
+    ("<No\nun>", "unterminated tag", 1, 1),
+    ("<a<b>", "invalid character inside tag", 1, 1),
+    ("<a\\b>", "invalid character inside tag", 1, 1),
+    ("$A", "unterminated variable name", 1, 1),
+    ("$A\n$", "unterminated variable name", 1, 1),
+    ("$$", "invalid variable name", 1, 1),
+    ("$A B$", "invalid variable name", 1, 1),
+    ("$A%$", "invalid variable name", 1, 1),
+    ("[ab", "unterminated character class", 1, 1),
+    ("[ab\n]", "unterminated character class", 1, 1),
+    ("[a\\", "dangling escape in character class", 1, 3),
+    ("[a\\\n]", "dangling escape in character class", 1, 3),
+    ("[a<]", "character '<' not allowed in a class (escape it)", 1, 3),
+    ("[a>]", "character '>' not allowed in a class (escape it)", 1, 3),
+    ("[a[]", "character '[' not allowed in a class (escape it)", 1, 3),
+    ("[a$]", "character '$' not allowed in a class (escape it)", 1, 3),
+    ("[ ]", "empty character class", 1, 1),
+    ("#inc", "expected #include", 1, 1),
+    ("#include", "expected quoted path after #include", 1, 9),
+    ("#include \t x", "expected quoted path after #include", 1, 12),
+    ('#include "a', "unterminated include path", 1, 10),
+    ('#include "a\n"', "unterminated include path", 1, 10),
+    ('#include ""', "empty include path", 1, 10),
+    ("a >", "unexpected '>'", 1, 3),
+    ("a ]", "unexpected ']'", 1, 3),
+    ('a "', "unexpected '\"'", 1, 3),
+    ("$A$ = x\n$A$ = y\n$A$", "variable $A$ redefined", 2, 1),
+    ("a  )", "unexpected ')' after expression", 1, 4),
+    ("a = b", "unexpected '=' after expression", 1, 3),
+    ("a ; b", "unexpected sym 'b' after expression", 1, 5),
+    ("( a | b", "expected ')'", 1, 8),
+    ("a |", "expected an expression, found end of file", 1, 4),
+    ("a || ", "expected an expression, found end of file", 1, 6),
+    ("a |\nb", "expected an expression, found end of line", 1, 4),
+    ("|| a", "expected an expression, found '||'", 1, 1),
+    ("a ;;", "unexpected ';' after expression", 1, 4),
+    (":", "expected an expression, found ':'", 1, 1),
+    ("*", "expected an expression, found '*'", 1, 1),
+    ("a:", "expected a symbol after ':'", 1, 3),
+    ("a:(", "expected a symbol after ':'", 1, 3),
+    ("<>:<>", "<>:<> is a meaningless arc", 1, 1),
+    ("(" * 101 + "a" + ")" * 101, TOO_DEEP, 1, 101),
+    ("a" + "*" * 101, TOO_DEEP, 1, 1),
+    ("$B$", "undefined variable $B$", 1, 1),
+    # after tabs, combining marks and comments
+    ("a\t% comment ) here\n\tकि\t)", "unexpected ')' after expression", 2, 5),
+    ("% header\nक्षि\t<Noun", "unterminated tag", 2, 6),
+    ("\tप\n\t\tप\u095dि [क्\\", "dangling escape in character class", 2, 11),
+    ("a\n% only a comment\n\t\tदि  #includ", "expected #include", 3, 7),
+    ("x\n\tनि\t$A$", "undefined variable $A$", 2, 5),
+    ('x\nकि\t"', "unexpected '\"'", 2, 4),
+    ("(a\n\tकि\n\t|) b", "expected an expression, found ')'", 3, 3),
+    ("(a\n\t|", "expected an expression, found end of file", 2, 3),
+    ("a\n(b", "expected ')'", 2, 3),
+    ("x\n\tक्ष <>:<>", "<>:<> is a meaningless arc", 2, 6),
+    ("x\n\t\tकि:\n", "expected a symbol after ':'", 2, 6),
+    ('$A$ = a\n\t% c\nकि #include\t""', "empty include path", 3, 13),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", SYNTAX_ERRORS)
+def test_syntax_error_message_and_position(text, message, line, col):
+    with pytest.raises((RuleSyntaxError, UndefinedVariable)) as exc:
+        parse_rules(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        f"line {line}, col {col}: {message}", line, col)
 
 
 def test_unbalanced_paren_reported():
@@ -362,6 +439,13 @@ def test_rule_file_rejects_invalid_utf8(tmp_path):
 def test_missing_include():
     with pytest.raises(IncludeNotFound):
         rel('#include "nowhere.lex"')
+
+
+def test_include_rejects_tag_syntax_in_a_root(tmp_path):
+    # "<>" would add an empty root, so the grammar would accept a bare suffix
+    (tmp_path / "roots.lex").write_text("क\n<>\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=r"^roots\.lex:2: "):
+        rel('#include "roots.lex" <Noun>:<>', base_dir=tmp_path)
 
 
 def test_empty_include_is_empty_relation(tmp_path):
