@@ -89,26 +89,22 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
+def _lookup(args, items: list[str], answer) -> int:
+    """Print each item with its answers, tab-separated, or with ``?``."""
     model = morph.MorphModel.load(args.model, args.indecl)
-    for word in _words_from(args.words):
-        analyses = morph.analyze(model, word)
-        if analyses:
-            print(word + "\t" + "\t".join(a.render() for a in analyses))
-        else:
-            print(word + "\t?")
+    for item in _words_from(items):
+        answers = answer(model, item)  # an empty surface form is an answer
+        print(item + "\t" + ("\t".join(answers) if answers else "?"))
     return 0
+
+
+def cmd_analyze(args) -> int:
+    return _lookup(args, args.words,
+                   lambda model, word: [a.render() for a in morph.analyze(model, word)])
 
 
 def cmd_generate(args) -> int:
-    model = morph.MorphModel.load(args.model, args.indecl)
-    for lexical in _words_from(args.lexical):
-        surfaces = morph.generate(model, lexical)
-        if surfaces:
-            print(lexical + "\t" + "\t".join(surfaces))
-        else:
-            print(lexical + "\t?")
-    return 0
+    return _lookup(args, args.lexical, morph.generate)
 
 
 def cmd_train(args) -> int:

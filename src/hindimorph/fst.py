@@ -21,7 +21,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from itertools import accumulate, compress, islice, repeat
 from operator import gt, itemgetter, le, not_, or_
 from pathlib import Path
@@ -366,11 +366,8 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
     start = (a.start, b.start)
     ids: dict[tuple[int, int], int] = {start: 0}
     order = [start]
-    queue = deque([start])
     arcs: list[tuple[int, int, int, int]] = []
-    while queue:
-        p, q = queue.popleft()
-        sid = ids[(p, q)]
+    for sid, (p, q) in enumerate(order):  # grows during the loop: a breadth-first search
         moves = set()
         for ilab, olab, dst in a_rows[a_first[p]:a_first[p + 1]]:
             if olab == EPSILON:
@@ -386,9 +383,8 @@ def compose(a: Transducer, b: Transducer) -> Transducer:
                 tid = len(order)
                 ids[(np, nq)] = tid
                 order.append((np, nq))
-                queue.append((np, nq))
             arcs.append((sid, ilab, olab, tid))
-    finals = [ids[(p, q)] for (p, q) in order
+    finals = [sid for sid, (p, q) in enumerate(order)
               if p in a.finals and q in b.finals]
     return build(len(order), 0, finals, arcs, a.symbols)
 
@@ -528,7 +524,9 @@ def minimize(a: Transducer) -> Transducer:
     2. the pair-alphabet subset construction of :func:`determinize`
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
-    3. states that are unreachable or on no accepting path are dropped;
+    3. arcs into states on no accepting path are dropped; states
+       unreachable from the start are left to step 5, which numbers
+       only the classes the start reaches;
     4. Moore partition refinement over the partial transition function
        merges indistinguishable states.  It starts from classes keyed
        by (final, sorted label tuple), so each round compares only the
@@ -543,19 +541,14 @@ def minimize(a: Transducer) -> Transducer:
         rows, finals = _subset(rows, finals, start)
         start = 0
 
-    # Trim: keep the states reachable from the start that reach a final.
-    reached = [False] * len(rows)
-    reached[start] = True
-    forward = [start]
+    # Trim: drop the arcs into states that reach no final.  The numbering
+    # at the end visits only the classes reached from the start.
     preds: list[list[int]] = [[] for _ in rows]
-    for s in forward:  # grows during the loop: a breadth-first search
-        for _, dst in rows[s]:
+    for s, row in enumerate(rows):
+        for _, dst in row:
             preds[dst].append(s)
-            if not reached[dst]:
-                reached[dst] = True
-                forward.append(dst)
     live = [False] * len(rows)
-    stack = [f for f in finals if reached[f]]
+    stack = list(finals)
     for f in stack:
         live[f] = True
     while stack:
@@ -565,13 +558,8 @@ def minimize(a: Transducer) -> Transducer:
                 stack.append(p)
     if not live[start]:
         return empty(a.symbols)
-    if len(forward) < len(rows) or not all(live):
-        keep = [s for s in forward if live[s]]
-        index = {s: k for k, s in enumerate(keep)}
-        rows = [[(label, index[dst]) for label, dst in rows[s] if live[dst]]
-                for s in keep]
-        finals = {index[s] for s in keep if s in finals}
-        start = 0
+    if not all(live):
+        rows = [[(label, dst) for label, dst in row if live[dst]] for row in rows]
 
     # Moore refinement; a class's label tuple is fixed by the first
     # partition, so later rounds look up only the target classes.  (For
@@ -616,7 +604,9 @@ def minimize(a: Transducer) -> Transducer:
                 tid = number[tc] = len(seq)
                 seq.append(tc)
             arcs.append((cid, *divmod(label, n_syms), tid))
-    return build(len(seq), 0, {number[cls[f]] for f in finals}, arcs, a.symbols)
+    # A final unreachable from the start may be in a class never numbered.
+    return build(len(seq), 0, {number[cls[f]] for f in finals if cls[f] in number},
+                 arcs, a.symbols)
 
 
 def _tapes(side: str) -> tuple[int, int]:
@@ -637,66 +627,59 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     outputs, so :func:`apply` refuses.  Computed from the strongly
     connected components of the subgraph of arcs that read epsilon: an
     SCC is bad when one of its internal arcs writes a symbol (an arc
-    with both ends in one SCC always lies on a cycle).  Reads the
-    machine's columns; the arcs that read epsilon are found at C speed.
+    with both ends in one SCC always lies on a cycle).  The components
+    come from Kosaraju's two searches, which need no per-state low-link
+    bookkeeping, both iterative so a long cycle cannot overflow the
+    stack.  Reads the machine's columns; the arcs that read epsilon are
+    found at C speed.
     """
     src, dst = a._cols[0], a._cols[3]
     read, write = (a._cols[k] for k in _tapes(side))
     eps_arcs = list(compress(range(len(read)), map(not_, read)))
     succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
     for k in eps_arcs:
         succ.setdefault(src[k], []).append(dst[k])
+        pred.setdefault(dst[k], []).append(src[k])
 
-    # Iterative Tarjan SCC over the epsilon subgraph.  A state with no
-    # arc that reads epsilon is an SCC of its own with no internal arc,
-    # so the search starts only from states that have such an arc.
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    scc_of: dict[int, int] = {}
-    counter = 0
-    scc_count = 0
+    # Kosaraju over the epsilon subgraph.  A state with no arc that reads
+    # epsilon is a component of its own with no internal arc, so the
+    # search starts only from states that have such an arc.  First an
+    # iterative depth-first pass lists the states in finishing order ...
+    order: list[int] = []
+    seen: set[int] = set()
     for root in succ:
-        if root in index:
+        if root in seen:
             continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
+                if child not in seen:
+                    seen.add(child)
                     work.append((child, iter(succ.get(child, ()))))
-                    advanced = True
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc_of[member] = scc_count
-                    if member == node:
-                        break
-                scc_count += 1
+            else:
+                work.pop()
+                order.append(node)
+    # ... then a flood over the reversed arcs from each state not yet
+    # placed, last finished first, fills exactly that state's component.
+    comp: dict[int, int] = {}
+    for root in reversed(order):
+        if root in comp:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for p in pred.get(stack.pop(), ()):
+                if p not in comp:
+                    comp[p] = root
+                    stack.append(p)
 
-    bad_sccs = {scc_of[src[k]] for k in eps_arcs
-                if write[k] != EPSILON and scc_of[src[k]] == scc_of[dst[k]]}
-    return frozenset(s for s, scc in scc_of.items() if scc in bad_sccs)
+    bad = {comp[src[k]] for k in eps_arcs
+           if write[k] != EPSILON and comp[src[k]] == comp[dst[k]]}
+    return frozenset(s for s, c in comp.items() if c in bad)
 
 
 def _by_output(a: Transducer) -> tuple[array, array, array]:
@@ -798,19 +781,11 @@ def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    pairs: set[tuple[str, str]] = set()
-    table = a.symbols
     first = a._first
     rows = list(zip(*a._cols[1:]))
-
-    def note(state: int, ins: tuple[int, ...], outs: tuple[int, ...]) -> None:
-        if state in a.finals:
-            pairs.add((render(ins, table), render(outs, table)))
-
     start = (a.start, (), ())
     seen = {start}
     frontier = [start]
-    note(*start)
     for _ in range(max_len):
         nxt = []
         for state, ins, outs in frontier:
@@ -821,11 +796,12 @@ def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
                 if cfg not in seen:
                     seen.add(cfg)
                     nxt.append(cfg)
-                    note(*cfg)
         if not nxt:
             break
         frontier = nxt
-    return StringPairSet(pairs)
+    table = a.symbols
+    return StringPairSet((render(ins, table), render(outs, table))
+                         for state, ins, outs in seen if state in a.finals)
 
 
 class StringPairSet:
@@ -846,11 +822,7 @@ class StringPairSet:
 
     def outputs(self) -> list[str]:
         """Output sides in iteration order (deduplicated)."""
-        seen = []
-        for _, out in self._pairs:
-            if out not in seen:
-                seen.append(out)
-        return seen
+        return list(dict.fromkeys(out for _, out in self._pairs))
 
     def __iter__(self):
         return iter(self._pairs)

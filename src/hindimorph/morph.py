@@ -87,8 +87,8 @@ class MorphModel:
 
     The grammar is the only machine: :func:`analyze` applies it on its
     output (surface) tape and :func:`generate` on its input (lexical)
-    tape.  Each word's indeclinable analyses are kept sorted by
-    rendered form, the order :func:`analyze` answers in.
+    tape.  Each word's indeclinable analyses are kept once each, sorted
+    by rendered form, the order :func:`analyze` answers in.
     """
 
     def __init__(self, grammar: Transducer,
@@ -97,9 +97,11 @@ class MorphModel:
         self.indeclinables: dict[str, list[Analysis]] = {}
         self._words_by_analysis: dict[str, list[str]] = {}
         for word, analyses in (indeclinables or {}).items():
-            rendered = sorted(((a.render(), a) for a in analyses), key=lambda ra: ra[0])
-            self.indeclinables[word] = [a for _, a in rendered]
-            for text, _ in rendered:
+            # a repeated record answers once; the keys are unique, so the
+            # sort never compares two analyses
+            rendered = dict(sorted({a.render(): a for a in analyses}.items()))
+            self.indeclinables[word] = list(rendered.values())
+            for text in rendered:
                 self._words_by_analysis.setdefault(text, []).append(word)
         for words in self._words_by_analysis.values():
             words.sort()

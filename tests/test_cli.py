@@ -1,5 +1,6 @@
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,19 @@ def test_generate_with_indeclinables_inverts_analyze(capsys, fst_file):
                                  "अरे<Particle>", "लडका<Noun><masculine><pl>"])
     assert rc == 0
     assert stdout == "अरे<Particle>\tअरे\nलडका<Noun><masculine><pl>\tलडके\n"
+
+
+@pytest.mark.parametrize("command, item, answer", [
+    ("analyze", "तो", "तो<Particle>"),
+    ("generate", "तो<Particle>", "तो"),
+])
+def test_repeated_indeclinable_record_answers_once(capsys, tmp_path, fst_file,
+                                                   command, item, answer):
+    indecl = tmp_path / "dup.tsv"
+    indecl.write_text("तो\tतो<Particle>\n" * 2, encoding="utf-8")
+    rc, stdout, _ = run(capsys, [command, "-m", str(fst_file), "--indecl", str(indecl), item])
+    assert rc == 0
+    assert stdout == f"{item}\t{answer}\n"
 
 
 def test_analyze_missing_model(capsys, tmp_path):
@@ -425,3 +439,25 @@ def test_module_invocation_matches_in_process(capsys, fst_file):
         capture_output=True, text=True, encoding="utf-8", env=env)
     assert proc.returncode == 0
     assert proc.stdout == stdout
+
+
+# --- README -------------------------------------------------------------------
+
+
+def test_readme_command_line_block(capsys, monkeypatch, tmp_path):
+    # README.md's "Command line" block is a transcript: each command line,
+    # then its exact stdout, then a blank line
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "## Command line\n\n```\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    data = data_path().as_posix() + "/"
+    chunks = block.split("\n\n")
+    assert len(chunks) >= 6
+    for chunk in chunks:
+        command, *lines = chunk.split("\n")
+        program, *argv = (arg.replace("src/hindimorph/data/", data)
+                          for arg in shlex.split(command))
+        assert program == "hindimorph"
+        rc, stdout, stderr = run(capsys, argv)
+        assert (rc, stdout, stderr) == (0, "".join(line + "\n" for line in lines), ""), command

@@ -597,6 +597,30 @@ def test_emitting_eps_cycle_states_match_oracle():
     assert found > 50
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_deep_epsilon_reading_cycles(side):
+    # A cycle of n states that reads epsilon on `side`, far deeper than
+    # the recursion limit, plus an a:a arc from state 0 to the final n.
+    n = 5000
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    other = "output" if side == "input" else "input"
+    writing = (EPSILON, b) if side == "input" else (b, EPSILON)
+    exit_arc = (0, a, a, n)
+    loud = build(n + 1, 0, (n,),
+                 [(s, *writing, (s + 1) % n) for s in range(n)] + [exit_arc], table)
+    assert fst._emitting_eps_cycle_states(loud, side) == frozenset(range(n))
+    with pytest.raises(EpsilonCycle):
+        fst.apply(loud, "a", side=side)
+    # the cycle reads b on the other tape, so that side answers
+    assert fst._emitting_eps_cycle_states(loud, other) == frozenset()
+    assert set(fst.apply(loud, "a", side=other)) == {("a", "a")}
+    quiet = build(n + 1, 0, (n,),
+                  [(s, EPSILON, EPSILON, (s + 1) % n) for s in range(n)] + [exit_arc], table)
+    assert fst._emitting_eps_cycle_states(quiet, side) == frozenset()
+    assert set(fst.apply(quiet, "a", side=side)) == {("a", "a")}
+
+
 def test_apply_tolerates_silent_epsilon_cycle():
     table = SymbolTable("a")
     a = table.id_of("a")

@@ -196,8 +196,9 @@ def test_repeated_indeclinable_record_loads(tmp_path):
     f = tmp_path / "ind.tsv"
     f.write_text("तो\tतो<Particle>\nतो\tतो<Particle>\n", encoding="utf-8")
     model = MorphModel(fst.empty(SymbolTable()), morph.load_indeclinables(f))
-    assert {a.render() for a in morph.analyze(model, "तो")} == {"तो<Particle>"}
-    assert set(morph.generate(model, "तो<Particle>")) == {"तो"}
+    # the repeat answers once in each direction
+    assert [a.render() for a in morph.analyze(model, "तो")] == ["तो<Particle>"]
+    assert morph.generate(model, "तो<Particle>") == ["तो"]
 
 
 def test_indeclinables_drop_a_bom(tmp_path):
