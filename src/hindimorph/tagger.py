@@ -38,8 +38,9 @@ PUNCT_CHARS = frozenset("।?!,")
 
 # String-payload feature templates plus the two always-on boolean flags.
 TEMPLATES = ("w", "pw", "nw", "pt", "s1", "s2", "s3", "s4", "p1", "punct", "dig")
-# Where extract_features puts the only feature that depends on the previous tag.
-_PREV_TAG_SLOT = TEMPLATES.index("pt")
+# Where extract_features puts the features of a token's neighbours: the
+# previous and next word, and the previous tag.
+_PREV_WORD_SLOT, _NEXT_WORD_SLOT, _PREV_TAG_SLOT = map(TEMPLATES.index, ("pw", "nw", "pt"))
 
 # First analysis tag -> plausible tagset candidates for unseen words.
 MORPH_TAG_MAP: dict[str, tuple[str, ...]] = {
@@ -158,6 +159,12 @@ def extract_features(tokens: Sequence[Token], i: int, prev_tag: str) -> list[str
     ]
 
 
+# What the first word of a sentence reads as its previous word, and the
+# last word as its next word.
+_START, _END = extract_features((Token("", False),), 0, BOUNDARY_TAG)[
+    _PREV_WORD_SLOT:_NEXT_WORD_SLOT + 1]
+
+
 @dataclass
 class TagModel:
     tagset: tuple[str, ...]
@@ -170,6 +177,13 @@ class TagModel:
     # by the first decode (see _feature_rows); later edits to `weights`
     # are not seen by decoding.
     _rows: dict[str, list[float]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # (surface, is_punct) -> the candidate (tag, index) pairs and the
+    # feature rows of a dictionary word or punctuation, which the model
+    # alone fixes; filled by decoding and, like `_rows`, blind to later
+    # edits of the model.
+    _entries: dict[tuple[str, bool],
+                   tuple[tuple[tuple[str, int], ...], list[list[float]]]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
 
@@ -413,18 +427,44 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 tokens: Sequence[Token], beam: int = 3) -> list[str]:
     """Beam-search decode; ties break toward earlier tagset order.
 
-    Features are extracted once per token.  At each position the
-    log-probabilities are computed once per distinct previous tag among
-    the beam entries, from the model's feature rows; they are the floats
+    Each position's rows are its token's own rows, its neighbours' rows
+    as previous and next word, and the previous tag's row, in the order
+    of :func:`extract_features`.  The log-probabilities are computed once
+    per distinct previous tag among the beam entries; they are the floats
     :func:`_log_probs` gives.
     """
     index = _feature_rows(model)
     zero = [0.0] * len(model.tagset)
-    tag_index = {t: i for i, t in enumerate(model.tagset)}
+    memo = model._entries
+    if memo is None:
+        memo = model._entries = {}
+    entries = []
+    for token in tokens:
+        word = token.surface
+        key = (word, token.is_punct)
+        entry = memo.get(key)
+        if entry is None:
+            allowed = candidate_tags(model, morph_model, word)
+            # Between two copies of itself, the token fires its own features
+            # and, as pw: and nw:, those its neighbours fire for it.
+            entry = (tuple((t, k) for k, t in enumerate(model.tagset) if t in allowed),
+                     [index.get(f, zero) for f in extract_features((token,) * 3, 1, BOUNDARY_TAG)])
+            # Kept for a punctuation character or a dictionary word, which
+            # candidate_tags answers from the model alone, so the memo stays
+            # bounded by the model.  Any other word is answered by the morph
+            # model, from an unbounded vocabulary: built at each occurrence.
+            if word in PUNCT_CHARS or (word in model.dictionary
+                                       and unicodedata.is_normalized("NFC", word)):
+                memo[key] = entry
+        entries.append(entry)
+    last = len(entries) - 1
     beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
-    for i, token in enumerate(tokens):
-        cands = [(t, tag_index[t]) for t in candidate_tags(model, morph_model, token.surface)]
-        rows = [index.get(f, zero) for f in extract_features(tokens, i, BOUNDARY_TAG)]
+    for i, (cands, own) in enumerate(entries):
+        rows = own.copy()
+        rows[_PREV_WORD_SLOT] = (entries[i - 1][1][_PREV_WORD_SLOT] if i
+                                 else index.get(_START, zero))
+        rows[_NEXT_WORD_SLOT] = (entries[i + 1][1][_NEXT_WORD_SLOT] if i < last
+                                 else index.get(_END, zero))
         by_prev: dict[str, list[float]] = {}
         expanded = []
         for score, tags, path in beams:
@@ -540,14 +580,13 @@ def model_from_bytes(data: bytes) -> TagModel:
     for _ in range(reader.u32()):
         word = reader.text("model string")
         indices = reader.array("<I")
+        if word in dictionary:
+            raise TaggerError(f"tagger model dictionary repeats the word {word!r}")
         try:
             dictionary[word] = frozenset(tagset[i] for (i,) in indices)
         except IndexError as exc:
             raise TaggerError(f"dictionary tag index out of range for {word!r}") from exc
-    weights: dict[str, float] = {}
-    for _ in range(reader.u32()):
-        key = reader.text("model string")
-        weights[key] = reader.unpack("<d")[0]
+    weights = reader.float_map("weight key")
     reader.finish()
     if templates != TEMPLATES:
         raise TaggerError(f"tagger model templates {templates} are not {TEMPLATES}")

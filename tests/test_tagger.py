@@ -2,11 +2,13 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 
 import oracle
 from hindimorph import tagger
+from hindimorph._binary import pack_str
 from hindimorph.tagger import (
     CorpusFormatError,
     EmptyCorpus,
@@ -527,6 +529,45 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
                     oracle.tag_tokens_reference(model, morph_model, tokens, beam))
 
 
+def test_decode_memo_keeps_only_model_fixed_entries(tag_model, morph_model, mini_corpus):
+    # One loaded model decodes with the grammar, without it and with it
+    # again: its memo must not carry one fallback's answers into the other.
+    model = model_from_bytes(model_to_bytes(tag_model))
+    sentences = _substituted_sentences(mini_corpus)
+    for fallback in (morph_model, None, morph_model):
+        for tokens in sentences:
+            assert tagger._tag_tokens(model, fallback, tokens, 3) == (
+                oracle.tag_tokens_reference(model, fallback, tokens, 3))
+    assert model._entries
+    assert all(surface in model.dictionary or surface in tagger.PUNCT_CHARS
+               for surface, _ in model._entries)
+    assert not any(surface in UNKNOWN_WORDS for surface, _ in model._entries)
+
+
+@pytest.mark.parametrize("tokens", [
+    [Token("?!", False)],
+    [Token("आम", False), Token("?!", False), Token("?!", True)],
+    [Token("?", False), Token("आम", True), Token("आम", False)],
+], ids=["lone", "both-flags", "flag-mismatch"])
+def test_decode_tokens_whose_flag_disagrees_with_their_surface(tag_model, morph_model, tokens):
+    model = model_from_bytes(model_to_bytes(tag_model))
+    for _ in range(2):  # the second decode reads the memo
+        assert tagger._tag_tokens(model, morph_model, tokens, 3) == (
+            oracle.tag_tokens_reference(model, morph_model, tokens, 3))
+
+
+def test_decode_memo_skips_a_dictionary_word_that_is_not_nfc(morph_model):
+    # precomposed क़ (U+0958) is not NFC, so candidate_tags looks it up
+    # decomposed, misses the dictionary and asks the morph model
+    word = "\u0958ी"
+    model = TagModel(MINI_TAGSET, {}, tagger.TEMPLATES, {word: frozenset({"RB"})}, 0.1)
+    tokens = [Token(word, False)]
+    for fallback in (morph_model, None):
+        assert tagger._tag_tokens(model, fallback, tokens, 3) == (
+            oracle.tag_tokens_reference(model, fallback, tokens, 3))
+    assert model._entries == {}
+
+
 # --- evaluation -----------------------------------------------------------
 
 
@@ -633,6 +674,74 @@ def test_reject_invalid_utf8_string():
     data += struct.pack("<I", 2) + b"\xff\xfe"  # not UTF-8
     with pytest.raises(TaggerError, match="UTF-8"):
         model_from_bytes(data)
+
+
+def _weight_block_bytes(records: list[bytes], count: int | None = None) -> bytes:
+    """A model with a one-tag tagset and no dictionary, then the given weight records."""
+    data = tagger.MAGIC + struct.pack("<Hd", 1, 0.1)
+    data += struct.pack("<I", 1) + pack_str("A")
+    data += struct.pack("<I", len(tagger.TEMPLATES)) + b"".join(map(pack_str, tagger.TEMPLATES))
+    data += struct.pack("<I", 0)
+    return data + struct.pack("<I", len(records) if count is None else count) + b"".join(records)
+
+
+def _weight(key: bytes, value: float = 1.0) -> bytes:
+    return struct.pack("<I", len(key)) + key + struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("records,count,message", [
+    ([], 0xFFFFFFFF, "truncated"),
+    ([_weight(b"w:a:A"), struct.pack("<I", 40) + b"\0" * 20], 3, "truncated"),
+    ([_weight(b"w:a:A"), struct.pack("<I", 30) + b"w:b:A" + b"\0" * 8], None, "truncated"),
+    ([_weight(b"w:a:A"), struct.pack("<I", 5) + b"w:b:A" + b"\0" * 7], None, "truncated"),
+    ([_weight(b"w:a:A"), struct.pack("<I", 0xFFFFFFF0) + b"\0" * 12], None, "truncated"),
+    ([_weight(b"w:a:A"), _weight(b"w:\xff\xfe:A")], None, "weight key is not valid UTF-8"),
+    ([_weight(b"w:a:A"), _weight(b"w:b:A"), _weight(b"w:a:A", 2.0)], None,
+     "repeats the weight key 'w:a:A'"),
+], ids=["count-max", "prefix-past-end", "key-past-end", "value-past-end",
+        "length-past-4GiB", "key-not-utf8", "repeated-key"])
+def test_reject_malformed_weight_block(records, count, message):
+    with pytest.raises(TaggerError, match=message):
+        model_from_bytes(_weight_block_bytes(records, count))
+
+
+def test_weight_count_past_the_data_is_rejected_before_the_walk():
+    # The tail holds 100,000 well-formed empty records, far fewer than the
+    # count says: the count is refused before any record is walked.
+    data = _weight_block_bytes([b"\0" * 1_200_000], 0xFFFFFFFF)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TaggerError, match="truncated"):
+            model_from_bytes(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_weight_block_loads_in_file_order():
+    records = [_weight(b"w:b:A", 2.0), _weight(b"w:a:A", -1.0), _weight(b"w::A", 0.5)]
+    model = model_from_bytes(_weight_block_bytes(records))
+    assert list(model.weights.items()) == [("w:b:A", 2.0), ("w:a:A", -1.0), ("w::A", 0.5)]
+
+
+def test_reject_repeated_dictionary_word():
+    data = _small_model_bytes(dictionary={"x1": frozenset({"A"}), "x2": frozenset({"B"})})
+    first, second = pack_str("x1"), pack_str("x2")
+    assert data.count(second) == 1
+    with pytest.raises(TaggerError, match="dictionary repeats the word 'x1'"):
+        model_from_bytes(data.replace(second, first))
+
+
+def test_round_trip_keeps_unusual_keys_and_weights_bit_for_bit():
+    weights = {"w:आम:A": -0.0, "s1:म:B": 5e-324, "p1:\u0958:A": -2.2250738585072009e-308,
+               "nw:</s>:B": 1.7976931348623157e308, "pw:<s>:A": 0.1}
+    data = _small_model_bytes(weights=weights, dictionary={"आम": frozenset({"A", "B"})})
+    loaded = model_from_bytes(data)
+    assert list(loaded.weights) == sorted(weights)
+    assert [struct.pack("<d", loaded.weights[k]) for k in weights] == [
+        struct.pack("<d", w) for w in weights.values()]
+    assert model_to_bytes(loaded) == data
 
 
 def _small_model_bytes(**fields) -> bytes:
