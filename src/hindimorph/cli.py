@@ -133,8 +133,8 @@ def cmd_eval(args) -> int:
     morph_model = morph.MorphModel.load(args.fst)
     gold = tagger.TaggedCorpus.read(args.corpus)
     result = tagger.evaluate(model, morph_model, gold)
-    known_note = "" if result.known_defined else ", undefined"
-    unknown_note = "" if result.unknown_defined else ", undefined"
+    known_note = "" if result.known_total else ", undefined"
+    unknown_note = "" if result.unknown_total else ", undefined"
     print(f"known: {result.known_acc:.4f} ({result.known_total} tokens{known_note})")
     print(f"unknown: {result.unknown_acc:.4f} ({result.unknown_total} tokens{unknown_note})")
     print(f"overall: {result.overall_acc:.4f} "

@@ -21,11 +21,12 @@ order, so they give the same weights, losses and taggings bit for bit.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _text, morph
 from ._binary import Reader, pack_str
@@ -69,33 +70,19 @@ class CorpusFormatError(TaggerError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    is_punct: bool
-
-
 def _is_punct(word: str) -> bool:
     """A non-empty token made only of punctuation characters."""
     return bool(word) and all(ch in PUNCT_CHARS for ch in word)
 
 
-def tokenize_sentence(text: str) -> list[Token]:
+_PUNCT_CLASS = re.escape("".join(sorted(PUNCT_CHARS)))
+# One punctuation character, or a run of anything but whitespace and punctuation.
+_TOKEN_RE = re.compile(f"[{_PUNCT_CLASS}]|[^\\s{_PUNCT_CLASS}]+")
+
+
+def tokenize_sentence(text: str) -> list[str]:
     """Whitespace tokenization with punctuation detached as own tokens."""
-    tokens: list[Token] = []
-    for chunk in unicodedata.normalize("NFC", text).split():
-        buf = ""
-        for ch in chunk:
-            if ch in PUNCT_CHARS:
-                if buf:
-                    tokens.append(Token(buf, False))
-                    buf = ""
-                tokens.append(Token(ch, True))
-            else:
-                buf += ch
-        if buf:
-            tokens.append(Token(buf, False))
-    return tokens
+    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text))
 
 
 @dataclass
@@ -135,15 +122,15 @@ class TaggedCorpus:
         return tuple(sorted({tag for sent in self.sentences for _, tag in sent}))
 
 
-def extract_features(tokens: Sequence[Token], i: int, prev_tag: str) -> list[str]:
+def extract_features(tokens: Sequence[str], i: int, prev_tag: str) -> list[str]:
     """Feature payloads (template:value) for position i.
 
     Every template fires at every position (boolean templates carry a
     0/1 payload), so the feature count per token is constant.
     """
-    word = tokens[i].surface
-    prev_word = tokens[i - 1].surface if i > 0 else BOUNDARY_WORD
-    next_word = tokens[i + 1].surface if i + 1 < len(tokens) else BOUNDARY_WORD_END
+    word = tokens[i]
+    prev_word = tokens[i - 1] if i > 0 else BOUNDARY_WORD
+    next_word = tokens[i + 1] if i + 1 < len(tokens) else BOUNDARY_WORD_END
     return [
         f"w:{word}",
         f"pw:{prev_word}",
@@ -154,14 +141,14 @@ def extract_features(tokens: Sequence[Token], i: int, prev_tag: str) -> list[str
         f"s3:{word[-3:]}",
         f"s4:{word[-4:]}",
         f"p1:{word[:1]}",
-        f"punct:{1 if tokens[i].is_punct else 0}",
+        f"punct:{1 if _is_punct(word) else 0}",
         f"dig:{1 if any(ch.isdigit() for ch in word) else 0}",
     ]
 
 
 # What the first word of a sentence reads as its previous word, and the
 # last word as its next word.
-_START, _END = extract_features((Token("", False),), 0, BOUNDARY_TAG)[
+_START, _END = extract_features(("",), 0, BOUNDARY_TAG)[
     _PREV_WORD_SLOT:_NEXT_WORD_SLOT + 1]
 
 
@@ -173,17 +160,15 @@ class TagModel:
     dictionary: dict[str, frozenset[str]]
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
-    # Feature -> one weight per tag, in tagset order.  Filled by train() or
-    # by the first decode (see _feature_rows); later edits to `weights`
-    # are not seen by decoding.
+    # Feature -> one weight per tag, in tagset order.  Filled by the first
+    # decode (see _feature_rows); later edits to `weights` are not seen by
+    # decoding.
     _rows: dict[str, list[float]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # (surface, is_punct) -> the candidate (tag, index) pairs and the
-    # feature rows of a dictionary word or punctuation, which the model
-    # alone fixes; filled by decoding and, like `_rows`, blind to later
-    # edits of the model.
-    _entries: dict[tuple[str, bool],
-                   tuple[tuple[tuple[str, int], ...], list[list[float]]]] | None = field(
+    # Word -> the candidate (tag, index) pairs and the feature rows of a
+    # dictionary word or punctuation, which the model alone fixes; filled
+    # by decoding and, like `_rows`, blind to later edits of the model.
+    _entries: dict[str, tuple[tuple[tuple[str, int], ...], list[list[float]]]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
 
@@ -224,7 +209,7 @@ def _positions(corpus: TaggedCorpus) -> list[tuple[list[str], str]]:
     """(features, gold tag) per token, with gold previous tags."""
     positions = []
     for sentence in corpus.sentences:
-        tokens = [Token(s, _is_punct(s)) for s, _ in sentence]
+        tokens = [s for s, _ in sentence]
         for i, (_, gold) in enumerate(sentence):
             prev_tag = sentence[i - 1][1] if i > 0 else BOUNDARY_TAG
             positions.append((extract_features(tokens, i, prev_tag), gold))
@@ -266,15 +251,6 @@ def gradient(weights: dict[str, float], positions: Sequence[tuple[list[str], str
     return grad
 
 
-def _check_config(config: TrainConfig) -> None:
-    if config.epochs < 0:
-        raise TaggerError(f"epochs must be >= 0, got {config.epochs}")
-    if not (math.isfinite(config.l2_lambda) and config.l2_lambda >= 0):
-        raise TaggerError(f"l2_lambda must be finite and >= 0, got {config.l2_lambda}")
-    if not (math.isfinite(config.step) and config.step > 0):
-        raise TaggerError(f"step must be finite and > 0, got {config.step}")
-
-
 def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     """Train a tagger by full-batch gradient ascent from zero weights.
 
@@ -295,8 +271,13 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     ``l2_lambda`` is finite and ``>= 0`` and ``step`` is finite and ``> 0``.
     """
     config = config or TrainConfig()
-    _check_config(config)
-    if not corpus.sentences or all(not s for s in corpus.sentences):
+    if config.epochs < 0:
+        raise TaggerError(f"epochs must be >= 0, got {config.epochs}")
+    if not (math.isfinite(config.l2_lambda) and config.l2_lambda >= 0):
+        raise TaggerError(f"l2_lambda must be finite and >= 0, got {config.l2_lambda}")
+    if not (math.isfinite(config.step) and config.step > 0):
+        raise TaggerError(f"step must be finite and > 0, got {config.step}")
+    if not any(corpus.sentences):
         raise EmptyCorpus("training corpus has no tokens")
     tagset = corpus.tagset()
     dictionary: dict[str, frozenset[str]] = {}
@@ -360,9 +341,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     if config.epochs:  # the reference's keys come from its first gradient step
         for f, k in key_order:
             weights[f"{names[f]}:{tagset[k]}"] = rows[f][k]
-    model = TagModel(tagset, weights, TEMPLATES, dictionary, config.l2_lambda, losses)
-    model._rows = dict(zip(names, rows))
-    return model
+    return TagModel(tagset, weights, TEMPLATES, dictionary, config.l2_lambda, losses)
 
 
 def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
@@ -424,7 +403,7 @@ def _check_beam(beam: int) -> None:
 
 
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
-                tokens: Sequence[Token], beam: int = 3) -> list[str]:
+                tokens: Sequence[str], beam: int = 3) -> list[str]:
     """Beam-search decode; ties break toward earlier tagset order.
 
     Each position's rows are its token's own rows, its neighbours' rows
@@ -439,23 +418,21 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     if memo is None:
         memo = model._entries = {}
     entries = []
-    for token in tokens:
-        word = token.surface
-        key = (word, token.is_punct)
-        entry = memo.get(key)
+    for word in tokens:
+        entry = memo.get(word)
         if entry is None:
             allowed = candidate_tags(model, morph_model, word)
             # Between two copies of itself, the token fires its own features
             # and, as pw: and nw:, those its neighbours fire for it.
             entry = (tuple((t, k) for k, t in enumerate(model.tagset) if t in allowed),
-                     [index.get(f, zero) for f in extract_features((token,) * 3, 1, BOUNDARY_TAG)])
+                     [index.get(f, zero) for f in extract_features((word,) * 3, 1, BOUNDARY_TAG)])
             # Kept for a punctuation character or a dictionary word, which
             # candidate_tags answers from the model alone, so the memo stays
             # bounded by the model.  Any other word is answered by the morph
             # model, from an unbounded vocabulary: built at each occurrence.
             if word in PUNCT_CHARS or (word in model.dictionary
                                        and unicodedata.is_normalized("NFC", word)):
-                memo[key] = entry
+                memo[word] = entry
         entries.append(entry)
     last = len(entries) - 1
     beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
@@ -485,10 +462,7 @@ def tag(model: TagModel, morph_model: morph.MorphModel | None,
     """Tokenize and tag a raw sentence; ``beam`` must be at least 1."""
     _check_beam(beam)
     tokens = tokenize_sentence(sentence)
-    if not tokens:
-        return []
-    tags = _tag_tokens(model, morph_model, tokens, beam)
-    return [(tok.surface, t) for tok, t in zip(tokens, tags)]
+    return list(zip(tokens, _tag_tokens(model, morph_model, tokens, beam)))
 
 
 @dataclass(frozen=True)
@@ -498,17 +472,14 @@ class EvalResult:
     overall_acc: float
     known_total: int
     unknown_total: int
-    known_defined: bool
-    unknown_defined: bool
 
 
 def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
              gold: TaggedCorpus, beam: int = 3) -> EvalResult:
     """Token accuracy on a gold corpus, split by dictionary membership.
 
-    An empty partition reports accuracy 1.0 with its `*_defined` flag
-    cleared.  Gold tags outside the model's tagset raise
-    :class:`TagsetMismatch`.
+    An empty partition (a zero ``*_total``) reports accuracy 1.0.  Gold
+    tags outside the model's tagset raise :class:`TagsetMismatch`.
     """
     _check_beam(beam)
     extra = sorted({t for s in gold.sentences for _, t in s} - set(model.tagset))
@@ -516,11 +487,8 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
         raise TagsetMismatch(f"gold tags outside the model tagset: {extra}")
     known_hits = known_total = unknown_hits = unknown_total = 0
     for sentence in gold.sentences:
-        if not sentence:
-            continue
         surfaces = [unicodedata.normalize("NFC", s) for s, _ in sentence]
-        tokens = [Token(s, _is_punct(s)) for s in surfaces]
-        predicted = _tag_tokens(model, morph_model, tokens, beam)
+        predicted = _tag_tokens(model, morph_model, surfaces, beam)
         for surface, (_, gold_tag), pred in zip(surfaces, sentence, predicted):
             if surface in model.dictionary:
                 known_total += 1
@@ -537,8 +505,6 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
         overall_acc=(known_hits + unknown_hits) / total,
         known_total=known_total,
         unknown_total=unknown_total,
-        known_defined=known_total > 0,
-        unknown_defined=unknown_total > 0,
     )
 
 

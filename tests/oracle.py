@@ -14,12 +14,15 @@ machine) as the byte-level reference for ``fst.minimize``.
 The tagger references train and decode on the string-keyed weight dict
 through ``tagger.objective``, ``tagger.gradient`` and
 ``tagger._log_probs``, never through the library's feature rows.
+``tokenize_reference`` tokenizes with a character loop over the
+``str.split()`` chunks, not with the library's regular expression.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+import unicodedata
 from collections import deque
 
 from hindimorph import tagger
@@ -380,6 +383,24 @@ def minimize_reference(a: Transducer) -> Transducer:
 # tagger references
 
 
+def tokenize_reference(text: str) -> list[str]:
+    """Split at whitespace, then detach each punctuation character, one by one."""
+    tokens: list[str] = []
+    for chunk in unicodedata.normalize("NFC", text).split():
+        buf = ""
+        for ch in chunk:
+            if ch in tagger.PUNCT_CHARS:
+                if buf:
+                    tokens.append(buf)
+                    buf = ""
+                tokens.append(ch)
+            else:
+                buf += ch
+        if buf:
+            tokens.append(buf)
+    return tokens
+
+
 def train_reference(corpus: tagger.TaggedCorpus,
                     config: tagger.TrainConfig) -> tuple[dict[str, float], list[float]]:
     """Gradient ascent on the string-keyed objective: (weights, loss history)."""
@@ -401,7 +422,7 @@ def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens, beam: int)
     tag_index = {t: i for i, t in enumerate(model.tagset)}
     beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
     for i, token in enumerate(tokens):
-        cands = tagger.candidate_tags(model, morph_model, token.surface)
+        cands = tagger.candidate_tags(model, morph_model, token)
         expanded = []
         for score, tags, path in beams:
             prev_tag = tags[-1] if tags else tagger.BOUNDARY_TAG

@@ -16,7 +16,6 @@ from hindimorph.tagger import (
     TaggedCorpus,
     TagsetMismatch,
     TaggerError,
-    Token,
     TrainConfig,
     candidate_tags,
     evaluate,
@@ -38,22 +37,15 @@ MINI_TAGSET = ("I", "JJ", "N_NN", "PR_PRI", "PSP", "QT_QTC", "RB", "RP", "V_AUX"
 
 
 def test_tokenize_plain_words():
-    toks = tokenize_sentence("मैं घर जा रहा हूँ")
-    assert [t.surface for t in toks] == ["मैं", "घर", "जा", "रहा", "हूँ"]
-    assert not any(t.is_punct for t in toks)
+    assert tokenize_sentence("मैं घर जा रहा हूँ") == ["मैं", "घर", "जा", "रहा", "हूँ"]
 
 
 def test_tokenize_detaches_trailing_danda():
-    toks = tokenize_sentence("खाता है।")
-    assert [(t.surface, t.is_punct) for t in toks] == [
-        ("खाता", False), ("है", False), ("।", True)]
+    assert tokenize_sentence("खाता है।") == ["खाता", "है", "।"]
 
 
 def test_tokenize_detaches_each_punct_char():
-    toks = tokenize_sentence("क्या?! हाँ,नहीं")
-    assert [(t.surface, t.is_punct) for t in toks] == [
-        ("क्या", False), ("?", True), ("!", True),
-        ("हाँ", False), (",", True), ("नहीं", False)]
+    assert tokenize_sentence("क्या?! हाँ,नहीं") == ["क्या", "?", "!", "हाँ", ",", "नहीं"]
 
 
 def test_tokenize_empty_and_whitespace():
@@ -67,7 +59,28 @@ def test_tokenize_normalizes_to_nfc():
     composed = "क़ी"
     decomposed = "क़ी"
     assert tokenize_sentence(composed) == tokenize_sentence(decomposed)
-    assert tokenize_sentence(composed)[0].surface == decomposed
+    assert tokenize_sentence(composed) == [decomposed]
+
+
+def test_tokenize_splits_at_every_whitespace_character():
+    # the regex's \s and str.split() must agree on every code point
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        for text in (ch, f"आम{ch}है", f"?{ch}!", f"a{ch}{ch},b"):
+            assert tokenize_sentence(text) == oracle.tokenize_reference(text), repr(text)
+
+
+def test_tokenize_equals_reference_on_random_text():
+    # Devanagari with signs, nukta and virama, a precomposed nukta letter,
+    # Latin with a combining accent, digits, punctuation and whitespace
+    alphabet = ("कखगजड़ढ़मरलसह" "अआइ" "\u093e\u093f\u0940\u0947\u094b\u0902\u0901\u093c\u094d"
+                "\u0958\u0921\u0922" "abzE\u0301" "09\u0966\u096f"
+                + "".join(tagger.PUNCT_CHARS) + " \t\n\r\u00a0\u2003\u3000\x1c\u0085.")
+    rng = random.Random(1414)
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(25)))
+        assert tokenize_sentence(text) == oracle.tokenize_reference(text), repr(text)
 
 
 # --- corpus parsing -------------------------------------------------------
@@ -169,7 +182,7 @@ def test_extract_features_at_sentence_end():
 
 def test_extract_features_suffixes_of_long_word():
     word = "लडकियाँ"
-    feats = extract_features([Token(word, False)], 0, "<s>")
+    feats = extract_features([word], 0, "<s>")
     assert feats[4] == "s1:" + word[-1:]
     assert feats[5] == "s2:" + word[-2:]
     assert feats[6] == "s3:" + word[-3:]
@@ -177,9 +190,9 @@ def test_extract_features_suffixes_of_long_word():
 
 
 def test_extract_features_digit_flag():
-    feats = extract_features([Token("२०२४", False)], 0, "<s>")
+    feats = extract_features(["२०२४"], 0, "<s>")
     assert "dig:1" in feats
-    feats = extract_features([Token("a1b", False)], 0, "<s>")
+    feats = extract_features(["a1b"], 0, "<s>")
     assert "dig:1" in feats
 
 
@@ -350,6 +363,11 @@ def test_train_equals_reference_ascent(config):
     assert list(model.weights) == list(weights)
     assert _bits(model.weights.values()) == _bits(weights.values())
     assert _bits(model.loss_history) == _bits(losses)
+    # the trained model decodes from rows built from its weights
+    for sentence in toy_corpus().sentences:
+        tokens = [s for s, _ in sentence]
+        assert tagger._tag_tokens(model, None, tokens, 3) == (
+            oracle.tag_tokens_reference(model, None, tokens, 3))
 
 
 def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
@@ -509,7 +527,7 @@ def _substituted_sentences(corpus):
         words = [j for j, s in enumerate(surfaces) if s not in tagger.PUNCT_CHARS]
         for n, j in enumerate(words[i % len(words)::3][:2]):
             surfaces[j] = UNKNOWN_WORDS[(i + n) % len(UNKNOWN_WORDS)]
-        out.append([Token(s, s in tagger.PUNCT_CHARS) for s in surfaces])
+        out.append(surfaces)
     return out
 
 
@@ -521,7 +539,7 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
                      tagger.TEMPLATES, tag_model.dictionary, tag_model.l2_lambda)
     loaded = model_from_bytes(model_to_bytes(stray))
     sentences = _substituted_sentences(mini_corpus)
-    assert sum(t.surface in UNKNOWN_WORDS for s in sentences for t in s) >= 100
+    assert sum(t in UNKNOWN_WORDS for s in sentences for t in s) >= 100
     for model in (tag_model, loaded):
         for beam in (1, 3, 5):
             for tokens in sentences:
@@ -539,17 +557,19 @@ def test_decode_memo_keeps_only_model_fixed_entries(tag_model, morph_model, mini
             assert tagger._tag_tokens(model, fallback, tokens, 3) == (
                 oracle.tag_tokens_reference(model, fallback, tokens, 3))
     assert model._entries
-    assert all(surface in model.dictionary or surface in tagger.PUNCT_CHARS
-               for surface, _ in model._entries)
-    assert not any(surface in UNKNOWN_WORDS for surface, _ in model._entries)
+    assert all(word in model.dictionary or word in tagger.PUNCT_CHARS
+               for word in model._entries)
+    assert not any(word in UNKNOWN_WORDS for word in model._entries)
 
 
 @pytest.mark.parametrize("tokens", [
-    [Token("?!", False)],
-    [Token("आम", False), Token("?!", False), Token("?!", True)],
-    [Token("?", False), Token("आम", True), Token("आम", False)],
+    ["?!"],
+    ["आम", "?!", "?!"],
+    ["?", "आम", "आम"],
 ], ids=["lone", "both-flags", "flag-mismatch"])
 def test_decode_tokens_whose_flag_disagrees_with_their_surface(tag_model, morph_model, tokens):
+    # A gold corpus can hold "?!": its punct: flag is set, but it is not
+    # one of PUNCT_CHARS, so the memo must not keep it.
     model = model_from_bytes(model_to_bytes(tag_model))
     for _ in range(2):  # the second decode reads the memo
         assert tagger._tag_tokens(model, morph_model, tokens, 3) == (
@@ -561,7 +581,7 @@ def test_decode_memo_skips_a_dictionary_word_that_is_not_nfc(morph_model):
     # decomposed, misses the dictionary and asks the morph model
     word = "\u0958ी"
     model = TagModel(MINI_TAGSET, {}, tagger.TEMPLATES, {word: frozenset({"RB"})}, 0.1)
-    tokens = [Token(word, False)]
+    tokens = [word]
     for fallback in (morph_model, None):
         assert tagger._tag_tokens(model, fallback, tokens, 3) == (
             oracle.tag_tokens_reference(model, fallback, tokens, 3))
@@ -575,8 +595,6 @@ def test_retag_training_corpus(tag_model, morph_model, mini_corpus):
     result = evaluate(tag_model, morph_model, mini_corpus)
     assert result.known_total == 501
     assert result.unknown_total == 0
-    assert result.known_defined
-    assert not result.unknown_defined
     assert result.unknown_acc == 1.0  # empty partition convention
     assert result.known_acc >= 0.95
     assert result.overall_acc == result.known_acc
@@ -587,9 +605,13 @@ def test_evaluate_unknown_partition(tag_model, morph_model):
     result = evaluate(tag_model, morph_model, gold)
     assert result.known_total == 0
     assert result.unknown_total == 1
-    assert not result.known_defined
-    assert result.unknown_defined
     assert result.unknown_acc == 1.0  # singleton morph candidate
+
+
+def test_evaluate_skips_an_empty_sentence(tag_model, morph_model, mini_corpus):
+    with_empty = TaggedCorpus([[], *mini_corpus.sentences])
+    assert evaluate(tag_model, morph_model, with_empty) == (
+        evaluate(tag_model, morph_model, mini_corpus))
 
 
 def test_evaluate_rejects_foreign_tags(tag_model, morph_model):
@@ -723,6 +745,27 @@ def test_weight_block_loads_in_file_order():
     records = [_weight(b"w:b:A", 2.0), _weight(b"w:a:A", -1.0), _weight(b"w::A", 0.5)]
     model = model_from_bytes(_weight_block_bytes(records))
     assert list(model.weights.items()) == [("w:b:A", 2.0), ("w:a:A", -1.0), ("w::A", 0.5)]
+
+
+def test_shuffled_model_file_loads_as_the_sorted_one():
+    # Load -> save reproduces every file save wrote; a file with its
+    # dictionary words and weight records out of order loads as the same
+    # model and saves in canonical order.
+    words = [("x1", (0,)), ("x2", (1,)), ("आम", (0, 1))]
+    weights = [("nw:</s>:A", 0.5), ("s1:म:B", 0.25), ("w:a:A", 1.0), ("w:b:B", -2.0)]
+
+    def model_file(words, weights):
+        data = tagger.MAGIC + struct.pack("<HdI", 1, 0.1, 2) + pack_str("A") + pack_str("B")
+        data += struct.pack("<I", len(tagger.TEMPLATES)) + b"".join(map(pack_str, tagger.TEMPLATES))
+        data += struct.pack("<I", len(words)) + b"".join(
+            pack_str(w) + struct.pack(f"<{1 + len(ix)}I", len(ix), *ix) for w, ix in words)
+        return data + struct.pack("<I", len(weights)) + b"".join(
+            _weight(k.encode(), v) for k, v in weights)
+
+    canonical = model_file(words, weights)
+    loaded = model_from_bytes(model_file(words[::-1], weights[::-1]))
+    assert loaded == model_from_bytes(canonical)
+    assert model_to_bytes(loaded) == canonical
 
 
 def test_reject_repeated_dictionary_word():
