@@ -1,6 +1,13 @@
-"""The one reader of the package's UTF-8 text inputs: rule files, root
-lists, indeclinable dictionaries, tagged and raw corpora."""
+"""The package's one reader and one writer of files.
 
+`read_text` reads every UTF-8 text input: rule files, root lists,
+indeclinable dictionaries, tagged and raw corpora.  `records` walks the
+line records of a root list or an indeclinable dictionary.
+`write_atomic` writes every output file: models and word lists.
+"""
+
+import os
+import unicodedata
 from pathlib import Path
 
 
@@ -17,3 +24,29 @@ def read_text(path, error: type[Exception]) -> str:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def records(path, error: type[Exception]):
+    """(line number, NFC line) for each line of a UTF-8 file that is
+    neither blank nor a ``%`` comment; the line is not stripped."""
+    for lineno, raw in enumerate(read_text(path, error).split("\n"), start=1):
+        line = unicodedata.normalize("NFC", raw)
+        stripped = line.strip()
+        if stripped and not stripped.startswith("%"):
+            yield lineno, line
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a new sibling of `path`, then rename it into place,
+    so a failure never leaves a partial file.  The file gets the mode
+    ``open(path, "wb")`` gives a new file: 0o666 less the umask."""
+    path = Path(path)
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")  # a name already taken raises, and is left alone
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

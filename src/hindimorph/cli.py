@@ -21,35 +21,21 @@ color, so NO_COLOR needs no special handling.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterable
 
 from . import _text, fst, lexicon, morph, rules, tagger
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
-                                    prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def _words_from(args_words: list[str]) -> Iterable[str]:
-    if not args_words or args_words == ["-"]:
-        return (word for word in map(str.strip, sys.stdin) if word)
-    return args_words
+    if args_words and args_words != ["-"]:
+        yield from args_words
+        return
+    try:
+        yield from (word for word in map(str.strip, sys.stdin) if word)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"stdin: invalid UTF-8 ({exc.reason})") from exc
 
 
 class CliError(Exception):
@@ -59,7 +45,7 @@ class CliError(Exception):
 def cmd_lexicon_extract(args) -> int:
     words = lexicon.extract_unique_sorted(_text.read_text(args.corpus, CliError))
     payload = "".join(w + "\n" for w in words).encode("utf-8")
-    _write_atomic(Path(args.output), payload)
+    _text.write_atomic(args.output, payload)
     print(f"{len(words)} unique words -> {args.output}")
     return 0
 
@@ -73,7 +59,7 @@ def cmd_lexicon_stats(args) -> int:
              if (lexdir / name).is_file()}
     if not paths:
         raise CliError(f"no lexicon files found in {lexdir}")
-    _, stats = lexicon.load_classified(paths)
+    stats = lexicon.load_classified(paths)
     for cls in lexicon.PosClass:
         label = lexicon.STANDARD_FILES[cls].removesuffix(".txt")
         print(f"{label}: {stats.counts.get(cls, 0)}")
@@ -84,7 +70,7 @@ def cmd_lexicon_stats(args) -> int:
 def cmd_compile(args) -> int:
     symbols = fst.SymbolTable()
     machine = rules.compile_file(args.rules, symbols, lexdir=args.lexdir)
-    _write_atomic(Path(args.output), fst.to_bytes(machine))
+    fst.save(machine, args.output)
     print(f"{machine.state_count} states, {machine.arc_count} arcs -> {args.output}")
     return 0
 
@@ -112,7 +98,7 @@ def cmd_train(args) -> int:
     config = tagger.TrainConfig(l2_lambda=args.l2_lambda, epochs=args.epochs,
                                 step=args.step)
     model = tagger.train(corpus, config)
-    _write_atomic(Path(args.output), tagger.model_to_bytes(model))
+    tagger.save_model(model, args.output)
     tokens = sum(len(s) for s in corpus.sentences)
     print(f"trained on {len(corpus.sentences)} sentences, {tokens} tokens; "
           f"{len(model.tagset)} tags, {len(model.weights)} weights -> {args.output}")
@@ -210,9 +196,11 @@ _DOMAIN_ERRORS = (CliError, OSError, fst.FstError, rules.RuleError,
 
 
 def main(argv: list[str] | None = None) -> int:
-    for stream in (sys.stdout, sys.stderr):
+    # strict UTF-8 whatever the locale; a leading BOM on stdin is dropped
+    for stream, encoding in ((sys.stdin, "utf-8-sig"), (sys.stdout, "utf-8"),
+                             (sys.stderr, "utf-8")):
         if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding="utf-8")
+            stream.reconfigure(encoding=encoding)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

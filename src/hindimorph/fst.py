@@ -27,6 +27,7 @@ from operator import gt, itemgetter, le, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _text
 from ._binary import Reader, pack_str
 
 EPSILON = 0
@@ -915,7 +916,7 @@ def from_bytes(data: bytes) -> Transducer:
 
 
 def save(a: Transducer, path) -> None:
-    Path(path).write_bytes(to_bytes(a))
+    _text.write_atomic(path, to_bytes(a))
 
 
 def load(path) -> Transducer:

@@ -65,15 +65,8 @@ _PUNCT_TRANS = str.maketrans({c: " " for c in PUNCTUATION})
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    root: str
-    pos_class: PosClass
-    infl_class: str | None = None
-
-
-@dataclass(frozen=True)
 class LexiconStats:
-    """Per-class entry counts plus the number of distinct roots overall.
+    """Per-class root counts plus the number of distinct roots overall.
 
     A root listed under several classes (adjective-noun duals, say)
     counts once in `total`.
@@ -108,12 +101,7 @@ def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
     """
     path = Path(path)
     rows: list[tuple[int, str, str | None]] = []
-    text = _text.read_text(path, LexiconError)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = unicodedata.normalize("NFC", raw)
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for lineno, line in _text.records(path, LexiconError):
         fields = [f.strip() for f in line.split("\t")]
         if len(fields) > 2:
             raise LexiconError(
@@ -132,31 +120,26 @@ def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
     return rows
 
 
-def load_classified(paths: Mapping[PosClass, str | Path]) -> tuple[list[LexiconEntry], LexiconStats]:
-    """Load one lexicon file per word class.
+def load_classified(paths: Mapping[PosClass, str | Path]) -> LexiconStats:
+    """Count the roots of one lexicon file per word class.
 
-    Returns the entries (file order, classes in enum order) and the
-    stats.  A root repeated inside one class raises
-    :class:`DuplicateRoot`; the same root in different classes is a
-    legitimate dual-category word and counts once in the total.
+    A root repeated inside one class raises :class:`DuplicateRoot`; the
+    same root in different classes is a legitimate dual-category word
+    and counts once in the total.
     """
-    entries: list[LexiconEntry] = []
     counts: dict[PosClass, int] = {}
     roots: set[str] = set()
     for pos_class in PosClass:
         if pos_class not in paths:
             continue
         seen: set[str] = set()
-        count = 0
-        for lineno, root, infl in read_lexicon_file(paths[pos_class]):
+        for lineno, root, _ in read_lexicon_file(paths[pos_class]):
             if root in seen:
                 raise DuplicateRoot(pos_class, root, lineno)
             seen.add(root)
-            entries.append(LexiconEntry(root, pos_class, infl))
-            roots.add(root)
-            count += 1
-        counts[pos_class] = count
-    return entries, LexiconStats(counts, len(roots))
+        counts[pos_class] = len(seen)
+        roots |= seen
+    return LexiconStats(counts, len(roots))
 
 
 def compile_root_fst(rows: Iterable[tuple[str, str | None]],
@@ -188,12 +171,3 @@ def compile_root_fst(rows: Iterable[tuple[str, str | None]],
             for sid, dst in kids.items()]
     trie = fst.build(len(children), 0, finals, arcs, symbols)
     return fst.minimize(trie)
-
-
-def compile_lexicon_fst(entries: Iterable[LexiconEntry],
-                        symbols: SymbolTable) -> Transducer:
-    """Compile classified lexicon entries into one identity transducer."""
-    rows = [(e.root, e.infl_class) for e in entries]
-    if not rows:
-        raise LexiconError("cannot compile an empty lexicon")
-    return compile_root_fst(rows, symbols)

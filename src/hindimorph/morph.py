@@ -62,13 +62,8 @@ def load_indeclinables(path) -> dict[str, list[Analysis]]:
     """
     result: dict[str, list[Analysis]] = {}
     path = Path(path)
-    text = _text.read_text(path, MorphError)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = unicodedata.normalize("NFC", raw)
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        word, sep, analysis = stripped.partition("\t")
+    for lineno, line in _text.records(path, MorphError):
+        word, sep, analysis = line.strip().partition("\t")
         word = word.strip()
         analysis = analysis.strip()
         if not sep or not word or not analysis:

@@ -494,17 +494,8 @@ def render_rules(rule_file: RuleFile) -> str:
 
 def _resolve_include(path: str, base_dir: Path | None,
                      lexdir: Path | str | None) -> Path:
-    candidates = []
-    p = Path(path)
-    if p.is_absolute():
-        candidates.append(p)
-    else:
-        if base_dir is not None:
-            candidates.append(Path(base_dir) / p)
-        if lexdir is not None:
-            candidates.append(Path(lexdir) / p)
-        if base_dir is None and lexdir is None:
-            candidates.append(p)
+    # an absolute path joined to a directory is that path again
+    candidates = [Path(d) / path for d in (base_dir, lexdir) if d is not None] or [Path(path)]
     for cand in candidates:
         if cand.is_file():
             return cand

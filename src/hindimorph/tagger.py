@@ -93,9 +93,13 @@ class TaggedCorpus:
 
     @classmethod
     def parse(cls, text: str, source: str = "<corpus>") -> "TaggedCorpus":
-        """One sentence per line, tokens as surface/TAG (last slash splits)."""
+        """One sentence per line, tokens as surface/TAG (last slash splits).
+
+        Lines break only at a newline: :meth:`read` has turned CR and
+        CRLF line ends into one, and a form feed or U+2028 is whitespace.
+        """
         sentences = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = unicodedata.normalize("NFC", raw).strip()
             if not line:
                 continue
@@ -572,7 +576,7 @@ def model_from_bytes(data: bytes) -> TagModel:
 
 
 def save_model(model: TagModel, path) -> None:
-    Path(path).write_bytes(model_to_bytes(model))
+    _text.write_atomic(path, model_to_bytes(model))
 
 
 def load_model(path) -> TagModel:

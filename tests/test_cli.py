@@ -1,6 +1,7 @@
 import io
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,38 @@ def test_analyze_streams_stdin(capsys, monkeypatch, fst_file):
     assert stderr == "hindimorph analyze: error: stdin read failed\n"
 
 
+def _latin1_stdin(data: bytes) -> io.TextIOWrapper:
+    """Standard input as a locale that is not UTF-8 would open it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+
+
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+def test_stdin_is_utf8_whatever_the_locale(capsys, monkeypatch, fst_file, prefix):
+    monkeypatch.setattr("sys.stdin", _latin1_stdin(prefix + "लडके\nxyzzy\n".encode("utf-8")))
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(fst_file)])
+    assert (rc, stderr) == (0, "")
+    assert stdout == run(capsys, ["analyze", "-m", str(fst_file), "लडके", "xyzzy"])[1]
+    assert stdout.startswith("लडके\tलडका<Noun>")
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate", "tag"])
+def test_invalid_utf8_stdin_is_a_domain_error(capsys, monkeypatch, fst_file, tag_file,
+                                               command):
+    item = {"analyze": "लडके", "generate": "लडका<Noun><masculine><pl>",
+            "tag": "लडके"}[command]
+    # more lines than one decoded chunk, so some answers print before the bad byte
+    data = (item + "\n").encode("utf-8") * 1000 + b"ab\xff\n"
+    monkeypatch.setattr("sys.stdin", _latin1_stdin(data))
+    model = ["-m", str(tag_file), "-f", str(fst_file)] if command == "tag" else [
+        "-m", str(fst_file)]
+    rc, stdout, stderr = run(capsys, [command, *model])
+    assert rc == 1
+    assert stderr == f"hindimorph {command}: error: stdin: invalid UTF-8 (invalid start byte)\n"
+    lines = stdout.splitlines()
+    assert 0 < len(lines) < 1000
+    assert len(set(lines)) == 1 and lines[0].startswith(item)
+
+
 # --- train -------------------------------------------------------------------
 
 
@@ -359,6 +392,28 @@ def test_lexicon_extract(capsys, tmp_path):
     assert stdout == f"{len(expected)} unique words -> {out}\n"
     assert out.read_text(encoding="utf-8") == "".join(w + "\n" for w in expected)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027], ids=oct)
+def test_output_files_get_the_umask_mode(capsys, tmp_path, grammar, tag_model, mask):
+    corpus = tmp_path / "raw.txt"
+    corpus.write_text("आम आदमी\n", encoding="utf-8")
+    commands = {"compile": ["-r", str(data_path("rules", "hindi.mrl"))],
+                "train": ["-c", str(data_path("tagged_mini.txt")), "--epochs", "1"],
+                "lexicon-extract": [str(corpus)]}
+    saved = os.umask(mask)
+    try:
+        open(tmp_path / "plain", "wb").close()
+        for command, args in commands.items():
+            assert run(capsys, [command, *args, "-o", str(tmp_path / command)])[0] == 0
+        fst.save(grammar, tmp_path / "fst.save")
+        tagger.save_model(tag_model, tmp_path / "tagger.save_model")
+    finally:
+        os.umask(saved)
+    mode = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    del mode["raw.txt"]
+    assert mode == dict.fromkeys(mode, 0o666 & ~mask)
+    assert len(mode) == 6
 
 
 @pytest.mark.parametrize("command", ["compile", "analyze", "generate", "train",

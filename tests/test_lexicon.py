@@ -4,11 +4,9 @@ from hindimorph import fst, lexicon
 from hindimorph.fst import SymbolTable
 from hindimorph.lexicon import (
     DuplicateRoot,
-    LexiconEntry,
     LexiconError,
     PosClass,
     STANDARD_FILES,
-    compile_lexicon_fst,
     compile_root_fst,
     extract_unique_sorted,
     load_classified,
@@ -133,14 +131,12 @@ def test_load_classified_counts_and_total(tmp_path):
         PosClass.ADJECTIVE: ["बड़ा"],
         PosClass.ADJECTIVE_NOUN: ["आम"],
     })
-    entries, stats = load_classified(paths)
+    stats = load_classified(paths)
     assert stats.counts[PosClass.NOUN] == 2
     assert stats.counts[PosClass.ADJECTIVE] == 1
     assert stats.counts[PosClass.ADJECTIVE_NOUN] == 1
     # the dual-category root counts once
     assert stats.total == 3
-    assert [e.pos_class for e in entries] == [
-        PosClass.NOUN, PosClass.NOUN, PosClass.ADJECTIVE, PosClass.ADJECTIVE_NOUN]
 
 
 def test_load_classified_detects_duplicates_within_class(tmp_path):
@@ -154,10 +150,9 @@ def test_load_classified_detects_duplicates_within_class(tmp_path):
 def test_load_classified_on_bundled_demo():
     from hindimorph import data_path
     paths = {pc: data_path("lex", name) for pc, name in STANDARD_FILES.items()}
-    entries, stats = load_classified(paths)
+    stats = load_classified(paths)
     assert stats.counts[PosClass.ADJECTIVE_NOUN] == 1
     assert sum(stats.counts.values()) == stats.total + 1  # आम listed twice
-    assert any(e.infl_class == "irr" for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +208,3 @@ def test_duplicate_rows_collapse():
     t2 = compile_root_fst([("घर", None)], syms)
     assert fst.to_bytes(t1) == fst.to_bytes(t2)
 
-
-def test_compile_lexicon_fst_requires_entries():
-    with pytest.raises(LexiconError):
-        compile_lexicon_fst([], SymbolTable())
-
-
-def test_compile_lexicon_fst_from_entries():
-    entries = [LexiconEntry("आम", PosClass.NOUN),
-               LexiconEntry("आम", PosClass.ADJECTIVE_NOUN)]
-    t = compile_lexicon_fst(entries, SymbolTable())
-    assert oracle.full_relation(t) == {("आम", "आम")}

@@ -416,6 +416,41 @@ def test_include_resolution_prefers_rule_dir(tmp_path):
     assert rel('#include "r.lex"', base_dir=tmp_path, lexdir=far) == {("b", "b")}
 
 
+# (include path, rule directory, lexdir) -> the root it reads; "ABS" is
+# the absolute path of abs/r.lex, and every case runs in the cwd directory
+INCLUDE_RESOLUTION = [
+    ("r.lex", "rule", "lex", "a"),    # the rule directory comes first
+    ("x.lex", "rule", "lex", "x"),    # then the lexdir
+    ("r.lex", "rule", None, "a"),
+    ("r.lex", None, "lex", "b"),      # only a lexdir
+    ("r.lex", None, None, "c"),       # neither: the working directory
+    ("r.lex", "empty", None, None),   # a rule directory hides the working one
+    ("ABS", None, None, "d"),
+    ("ABS", "rule", None, "d"),
+    ("ABS", "rule", "lex", "d"),
+]
+
+
+@pytest.mark.parametrize("include, base, lexdir, root", INCLUDE_RESOLUTION)
+def test_include_resolution(tmp_path, monkeypatch, include, base, lexdir, root):
+    for name, roots in (("rule", {"r": "a"}), ("lex", {"r": "b", "x": "x"}),
+                        ("cwd", {"r": "c"}), ("abs", {"r": "d"}), ("empty", {})):
+        (tmp_path / name).mkdir()
+        for stem, word in roots.items():
+            (tmp_path / name / f"{stem}.lex").write_text(word + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "cwd")
+    if include == "ABS":
+        include = str(tmp_path / "abs" / "r.lex")
+    text = f'#include "{include}"'
+    base_dir = tmp_path / base if base else None
+    lexdir = tmp_path / lexdir if lexdir else None
+    if root is None:
+        with pytest.raises(IncludeNotFound):
+            rel(text, lexdir=lexdir, base_dir=base_dir)
+    else:
+        assert rel(text, lexdir=lexdir, base_dir=base_dir) == {(root, root)}
+
+
 def test_rule_and_root_files_drop_a_bom(tmp_path):
     def compiled(prefix):
         d = tmp_path / ("marked" if prefix else "plain")

@@ -123,6 +123,16 @@ def test_parse_error_names_source_and_line():
         TaggedCorpus.parse("a/X\nb/Y\nc\n", source="mini.txt")
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_parse_breaks_lines_only_at_newline(sep):
+    # str.splitlines() would also break at these; every reader breaks at "\n"
+    text = f"a/N{sep}b/V\nc/N\n"
+    assert TaggedCorpus.parse(text).sentences == [[("a", "N"), ("b", "V")], [("c", "N")]]
+    with pytest.raises(CorpusFormatError, match=r"^x\.txt:3: token 'bad'"):
+        TaggedCorpus.parse(text + "bad\n", source="x.txt")
+
+
 def test_read_drops_a_bom(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("a/X b/Y\nc/X\n", encoding="utf-8")
