@@ -21,6 +21,7 @@ color, so NO_COLOR needs no special handling.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +33,11 @@ def _words_from(args_words: list[str]) -> Iterable[str]:
     if args_words and args_words != ["-"]:
         yield from args_words
         return
+    if hasattr(sys.stdin, "reconfigure"):  # strict UTF-8 whatever the locale, no BOM
+        try:
+            sys.stdin.reconfigure(encoding="utf-8-sig")
+        except io.UnsupportedOperation as exc:  # text already read can't be re-decoded
+            raise CliError(f"stdin: {exc}") from exc
     try:
         yield from (word for word in map(str.strip, sys.stdin) if word)
     except UnicodeDecodeError as exc:
@@ -196,11 +202,9 @@ _DOMAIN_ERRORS = (CliError, OSError, fst.FstError, rules.RuleError,
 
 
 def main(argv: list[str] | None = None) -> int:
-    # strict UTF-8 whatever the locale; a leading BOM on stdin is dropped
-    for stream, encoding in ((sys.stdin, "utf-8-sig"), (sys.stdout, "utf-8"),
-                             (sys.stderr, "utf-8")):
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 whatever the locale
         if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding=encoding)
+            stream.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

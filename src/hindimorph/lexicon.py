@@ -1,17 +1,16 @@
-"""Root-word lexicons: corpus extraction, classified files, trie compilation.
+"""Root-word lexicons: corpus extraction, root lists, trie compilation.
 
-Lexicon files are UTF-8 text, one entry per line::
+A root list is a UTF-8 text file with one root per line::
 
     root
-    root<TAB>inflection_class
     % comment
 
-The inflection class is a bare label; when present it compiles into a
-trailing identity arc over the tag symbol ``<label>`` so grammars can
-dispatch on it.  A directory of classified lexicons uses one file per
-word class (nouns.txt, pronouns.txt, adjectives.txt, verbs.txt,
-adverbs.txt, particles.txt, adj_noun.txt); adj_noun.txt lists words
-that function as both adjective and noun.
+A root list has no class column: a paradigm class is a root list of
+its own, which a grammar includes with ``#include``.  A directory of
+classified lexicons uses one file per word class (nouns.txt,
+pronouns.txt, adjectives.txt, verbs.txt, adverbs.txt, particles.txt,
+adj_noun.txt); adj_noun.txt lists words that function as both adjective
+and noun.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ class LexiconError(Exception):
 
 
 class DuplicateRoot(LexiconError):
-    def __init__(self, pos_class: "PosClass", root: str, line: int):
-        super().__init__(
-            f"duplicate root {root!r} in {pos_class.value} lexicon (line {line})")
-        self.pos_class = pos_class
+    def __init__(self, name: str, root: str, line: int, first: int):
+        super().__init__(f"{name}:{line}: duplicate root {root!r} (first on line {first})")
         self.root = root
         self.line = line
 
@@ -91,74 +88,53 @@ def extract_unique_sorted(corpus: str | Iterable[str]) -> list[str]:
     return sorted(words)
 
 
-def read_lexicon_file(path) -> list[tuple[int, str, str | None]]:
-    """Rows of a lexicon file as (line_number, root, infl_class|None).
+def read_lexicon_file(path) -> list[str]:
+    """The roots of a root list, in file order.
 
-    Blank lines and ``%`` comment lines are skipped; roots are
-    NFC-normalized.  A root or class holding ``<`` or ``>`` raises
-    :class:`LexiconError`, because compiling it would read them as tag
-    syntax.
+    Blank lines and ``%`` comment lines are skipped; each root is
+    NFC-normalized and stripped.  :class:`LexiconError` names
+    ``FILE:LINE`` for a line holding a TAB anywhere (a root list has no
+    second column), for a root holding ``<`` or ``>`` (compiled, they
+    would read as tag syntax), and, as :class:`DuplicateRoot`, for a
+    root listed twice.
     """
     path = Path(path)
-    rows: list[tuple[int, str, str | None]] = []
+    first: dict[str, int] = {}
     for lineno, line in _text.records(path, LexiconError):
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) > 2:
+        root = line.strip()
+        if "\t" in line:
+            raise LexiconError(f"{path.name}:{lineno}: TAB in a root (one root per line)")
+        if "<" in root or ">" in root:
             raise LexiconError(
-                f"{path.name}:{lineno}: too many fields (expected root or root<TAB>class)")
-        root = fields[0]
-        infl = fields[1] if len(fields) == 2 else None
-        if not root:
-            raise LexiconError(f"{path.name}:{lineno}: empty root")
-        if infl == "":
-            raise LexiconError(f"{path.name}:{lineno}: empty inflection class")
-        if "<" in line or ">" in line:
-            raise LexiconError(
-                f"{path.name}:{lineno}: '<' or '>' in a root or inflection class"
-                " (tags belong in the rules)")
-        rows.append((lineno, root, infl))
-    return rows
+                f"{path.name}:{lineno}: '<' or '>' in a root (tags belong in the rules)")
+        if root in first:
+            raise DuplicateRoot(path.name, root, lineno, first[root])
+        first[root] = lineno
+    return list(first)
 
 
 def load_classified(paths: Mapping[PosClass, str | Path]) -> LexiconStats:
     """Count the roots of one lexicon file per word class.
 
-    A root repeated inside one class raises :class:`DuplicateRoot`; the
-    same root in different classes is a legitimate dual-category word
-    and counts once in the total.
+    The same root in different classes is a legitimate dual-category
+    word and counts once in the total.
     """
-    counts: dict[PosClass, int] = {}
-    roots: set[str] = set()
-    for pos_class in PosClass:
-        if pos_class not in paths:
-            continue
-        seen: set[str] = set()
-        for lineno, root, _ in read_lexicon_file(paths[pos_class]):
-            if root in seen:
-                raise DuplicateRoot(pos_class, root, lineno)
-            seen.add(root)
-        counts[pos_class] = len(seen)
-        roots |= seen
-    return LexiconStats(counts, len(roots))
+    roots = {c: read_lexicon_file(paths[c]) for c in PosClass if c in paths}
+    return LexiconStats({c: len(r) for c, r in roots.items()},
+                        len(set().union(*roots.values())))
 
 
-def compile_root_fst(rows: Iterable[tuple[str, str | None]],
-                     symbols: SymbolTable) -> Transducer:
+def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
     """Identity trie over root strings, minimized.
 
-    Each row is (root, infl_class|None); a class label appends one
-    identity arc over the ``<label>`` tag symbol before acceptance.
-    Duplicate rows collapse.  Minimization shares common suffixes, so
+    Duplicate roots collapse.  Minimization shares common suffixes, so
     the result is the smallest deterministic machine for the set.
     """
     children: list[dict[int, int]] = [{}]
     finals: set[int] = set()
-    for root, infl in sorted(set(rows), key=lambda r: (r[0], r[1] or "")):
-        ids = fst.scan(root, symbols, intern=True)
-        if infl is not None:
-            ids = ids + [symbols.intern(f"<{infl}>")]
+    for root in sorted(roots):
         node = 0
-        for sid in ids:
+        for sid in fst.scan(root, symbols, intern=True):
             nxt = children[node].get(sid)
             if nxt is None:
                 nxt = len(children)

@@ -57,16 +57,16 @@ def load_indeclinables(path) -> dict[str, list[Analysis]]:
     """Read a word<TAB>analysis file; repeated words accumulate analyses.
 
     Blank lines and ``%`` comments are skipped.  Both columns are
-    NFC-normalized; a record whose analysis has no root or no tags
-    raises :class:`MalformedAnalysis` naming the line.
+    NFC-normalized; a record with a second TAB, or whose analysis has
+    no root or no tags, raises :class:`MalformedAnalysis` naming the
+    line.
     """
     result: dict[str, list[Analysis]] = {}
     path = Path(path)
     for lineno, line in _text.records(path, MorphError):
-        word, sep, analysis = line.strip().partition("\t")
-        word = word.strip()
-        analysis = analysis.strip()
-        if not sep or not word or not analysis:
+        word, sep, rest = line.partition("\t")
+        word, analysis = word.strip(), rest.strip()
+        if not sep or "\t" in rest or not word or not analysis:
             raise MalformedAnalysis(
                 f"{path.name}:{lineno}: expected word<TAB>analysis")
         try:

@@ -532,9 +532,8 @@ def _compile_node(node, symbols: SymbolTable, defs: dict[str, Transducer],
     if isinstance(node, VarRef):
         return defs[node.name]
     if isinstance(node, Include):
-        resolved = _resolve_include(node.path, base_dir, lexdir)
-        rows = [(root, infl) for _, root, infl in lexicon.read_lexicon_file(resolved)]
-        return lexicon.compile_root_fst(rows, symbols)
+        roots = lexicon.read_lexicon_file(_resolve_include(node.path, base_dir, lexdir))
+        return lexicon.compile_root_fst(roots, symbols)
     raise TypeError(f"not a rule AST node: {node!r}")
 
 

@@ -139,6 +139,15 @@ def test_repeated_indeclinable_record_answers_once(capsys, tmp_path, fst_file,
     assert stdout == f"{item}\t{answer}\n"
 
 
+def test_indeclinable_record_with_a_second_tab_is_an_error(capsys, tmp_path, fst_file):
+    # split at the first TAB only, it answered "w<TAB>अ<TAB>रे<Particle>"
+    indecl = tmp_path / "bad.tsv"
+    indecl.write_text("w\tअ\tरे<Particle>\n", encoding="utf-8")
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(fst_file), "--indecl", str(indecl), "w"])
+    assert (rc, stdout) == (1, "")
+    assert stderr == "hindimorph analyze: error: bad.tsv:1: expected word<TAB>analysis\n"
+
+
 def test_analyze_missing_model(capsys, tmp_path):
     rc, stdout, stderr = run(capsys, [
         "analyze", "-m", str(tmp_path / "nope.fst"), "घर"])
@@ -228,6 +237,24 @@ def test_invalid_utf8_stdin_is_a_domain_error(capsys, monkeypatch, fst_file, tag
     lines = stdout.splitlines()
     assert 0 < len(lines) < 1000
     assert len(set(lines)) == 1 and lines[0].startswith(item)
+
+
+def test_partly_read_stdin(capsys, monkeypatch, tmp_path):
+    # a program read one line of its stdin, then runs the CLI in the same
+    # process: the text the wrapper has buffered can no longer be re-decoded
+    stdin = io.TextIOWrapper(io.BytesIO("पहला\nलडके\n".encode("utf-8")), encoding="utf-8")
+    stdin.readline()
+    monkeypatch.setattr("sys.stdin", stdin)
+    out = tmp_path / "hindi.fst"
+    rc, _, stderr = run(capsys, ["compile", "-r", str(data_path("rules", "hindi.mrl")),
+                                 "-o", str(out)])
+    assert (rc, stderr) == (0, "")
+    rc, stdout, _ = run(capsys, ["analyze", "-m", str(out), "लडके"])
+    assert rc == 0 and stdout.startswith("लडके\tलडका<Noun>")
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(out), "-"])
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith("hindimorph analyze: error: stdin: ")
+    assert stderr.count("\n") == 1
 
 
 # --- train -------------------------------------------------------------------
@@ -445,6 +472,32 @@ def test_lexicon_stats_on_bundled_data(capsys):
         "particles: 3\n"
         "adj_noun: 1\n"
         "total: 41\n")
+
+
+# (bad second line of a root list, the reader's message); the first line is घर
+ROOT_LIST_ERRORS = {
+    "tab-middle": ("जा\tirr", "verbs.txt:2: TAB in a root (one root per line)"),
+    "tab-leading": ("\tirr", "verbs.txt:2: TAB in a root (one root per line)"),
+    "tab-trailing": ("जा\t", "verbs.txt:2: TAB in a root (one root per line)"),
+    "lt": ("क<", "verbs.txt:2: '<' or '>' in a root (tags belong in the rules)"),
+    "gt": ("क>", "verbs.txt:2: '<' or '>' in a root (tags belong in the rules)"),
+    "repeat": ("घर", "verbs.txt:2: duplicate root 'घर' (first on line 1)"),
+}
+
+
+@pytest.mark.parametrize("command", ["compile", "lexicon-stats"])
+@pytest.mark.parametrize("line, message", ROOT_LIST_ERRORS.values(), ids=ROOT_LIST_ERRORS)
+def test_root_list_errors(capsys, tmp_path, command, line, message):
+    # one reader checks a root list, whether a rule file includes it or a
+    # lexicon directory holds it
+    (tmp_path / "verbs.txt").write_text(f"घर\n{line}\n", encoding="utf-8")
+    (tmp_path / "r.mrl").write_text('#include "verbs.txt" <Verb>:<>\n', encoding="utf-8")
+    out = tmp_path / "out.fst"
+    argv = {"compile": ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)],
+            "lexicon-stats": ["lexicon-stats", "--lexdir", str(tmp_path)]}[command]
+    rc, stdout, stderr = run(capsys, argv)
+    assert (rc, stdout, stderr) == (1, "", f"hindimorph {command}: error: {message}\n")
+    assert not out.exists()
 
 
 def test_lexicon_stats_empty_directory(capsys, tmp_path):

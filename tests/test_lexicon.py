@@ -65,17 +65,16 @@ def test_extract_no_duplicates_strictly_increasing():
 
 def test_read_lexicon_file(tmp_path):
     p = tmp_path / "roots.txt"
-    p.write_text("% demo\nघर\nजा\tirr\n\n", encoding="utf-8")
-    assert read_lexicon_file(p) == [(2, "घर", None), (3, "जा", "irr")]
+    p.write_text("% demo\nजा\n  घर \n\n", encoding="utf-8")
+    assert read_lexicon_file(p) == ["जा", "घर"]  # file order, not sorted
 
 
 def test_read_lexicon_drops_a_bom(tmp_path):
     plain = tmp_path / "plain.txt"
-    plain.write_text("ab\r\nघर\tcls\n", encoding="utf-8")
+    plain.write_text("ab\r\nघर\n", encoding="utf-8")
     marked = tmp_path / "marked.txt"
     marked.write_bytes(BOM + plain.read_bytes())
-    assert read_lexicon_file(marked) == read_lexicon_file(plain) == [
-        (1, "ab", None), (2, "घर", "cls")]
+    assert read_lexicon_file(marked) == read_lexicon_file(plain) == ["ab", "घर"]
 
 
 def test_read_lexicon_rejects_invalid_utf8(tmp_path):
@@ -99,21 +98,24 @@ def test_read_lexicon_rejects_empty_root(tmp_path):
         read_lexicon_file(p)
 
 
-def test_read_lexicon_rejects_empty_class(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("root\t\n", encoding="utf-8")
-    with pytest.raises(LexiconError):
-        read_lexicon_file(p)
-
-
-@pytest.mark.parametrize("line", ["<>", "क<Noun>", "अ<ब", "क>", "जा\tirr>", "जा\t<irr>"])
+@pytest.mark.parametrize("line", ["<>", "क<Noun>", "अ<ब", "क>"])
 def test_read_lexicon_rejects_tag_syntax(tmp_path, line):
     # compiled, "<>" would be an empty root and "<Noun>" a tag symbol
     p = tmp_path / "bad.txt"
     p.write_text(f"घर\n{line}\n", encoding="utf-8")
-    with pytest.raises(LexiconError,
-                       match=r"^bad\.txt:2: '<' or '>' in a root or inflection class"):
+    with pytest.raises(LexiconError, match=r"^bad\.txt:2: '<' or '>' in a root"):
         read_lexicon_file(p)
+
+
+def test_read_lexicon_rejects_a_repeated_root(tmp_path):
+    # NFC first: the precomposed U+095B repeats the decomposed root
+    decomposed, precomposed = "मे\u091c\u093c", "मे\u095b"
+    p = tmp_path / "verbs.txt"
+    p.write_text(f"जा\n{decomposed}\n% x\n\n{precomposed}\n", encoding="utf-8")
+    with pytest.raises(DuplicateRoot) as exc:
+        read_lexicon_file(p)
+    assert str(exc.value) == f"verbs.txt:5: duplicate root {decomposed!r} (first on line 2)"
+    assert (exc.value.root, exc.value.line) == (decomposed, 5)
 
 
 def _write_class_files(tmp_path, mapping):
@@ -143,7 +145,7 @@ def test_load_classified_detects_duplicates_within_class(tmp_path):
     paths = _write_class_files(tmp_path, {PosClass.VERB: ["जा", "जा"]})
     with pytest.raises(DuplicateRoot) as exc:
         load_classified(paths)
-    assert exc.value.pos_class is PosClass.VERB
+    assert str(exc.value) == "verbs.txt:2: duplicate root 'जा' (first on line 1)"
     assert exc.value.root == "जा"
 
 
@@ -160,14 +162,14 @@ def test_load_classified_on_bundled_demo():
 
 
 def test_single_root_machine():
-    t = compile_root_fst([("a", None)], SymbolTable())
+    t = compile_root_fst(["a"], SymbolTable())
     assert oracle.full_relation(t) == {("a", "a")}
 
 
 def test_trie_language_is_exact():
     roots = ["कहा", "कहानी", "कहानियाँ", "घर"]
     syms = SymbolTable()
-    t = compile_root_fst([(r, None) for r in roots], syms)
+    t = compile_root_fst(roots, syms)
     max_len = max(len(fst.scan(r, syms)) for r in roots) + 1
     got = set(fst.enumerate_pairs(t, max_len))
     assert got == {(r, r) for r in roots}
@@ -176,7 +178,7 @@ def test_trie_language_is_exact():
 def test_trie_shares_prefixes():
     roots = ["कहान", "कहानी"]
     syms = SymbolTable()
-    t = compile_root_fst([(r, None) for r in roots], syms)
+    t = compile_root_fst(roots, syms)
     assert t.state_count < sum(len(r) for r in roots) + 1
 
 
@@ -185,26 +187,14 @@ def test_minimization_shares_suffixes():
     # strictly smaller than the raw trie
     roots = ["ab", "cb", "db", "eb"]
     syms = SymbolTable()
-    t = compile_root_fst([(r, None) for r in roots], syms)
+    t = compile_root_fst(roots, syms)
     assert oracle.full_relation(t) == {(r, r) for r in roots}
     assert t.state_count == 3
 
 
-def test_inflection_class_appends_tag_arc():
-    syms = SymbolTable()
-    t = compile_root_fst([("जा", "irr"), ("कर", None)], syms)
-    assert oracle.full_relation(t) == {("जा<irr>", "जा<irr>"), ("कर", "कर")}
-
-
-def test_same_root_with_and_without_class():
-    syms = SymbolTable()
-    t = compile_root_fst([("जा", None), ("जा", "irr")], syms)
-    assert oracle.full_relation(t) == {("जा", "जा"), ("जा<irr>", "जा<irr>")}
-
-
 def test_duplicate_rows_collapse():
     syms = SymbolTable()
-    t1 = compile_root_fst([("घर", None), ("घर", None)], syms)
-    t2 = compile_root_fst([("घर", None)], syms)
+    t1 = compile_root_fst(["घर", "घर"], syms)
+    t2 = compile_root_fst(["घर"], syms)
     assert fst.to_bytes(t1) == fst.to_bytes(t2)
 

@@ -217,6 +217,16 @@ def test_indeclinables_reject_invalid_utf8(tmp_path):
         morph.load_indeclinables(f)
 
 
+@pytest.mark.parametrize("record", ["w\tअ\tरे<Particle>", "w\t\tअरे<Particle>",
+                                    "w\tअरे<Particle>\t"])
+def test_indeclinable_record_with_a_second_tab(tmp_path, record):
+    # split at the first TAB only, the first record loaded with a TAB in its root
+    f = tmp_path / "bad.tsv"
+    f.write_text(f"तो\tतो<Particle>\n{record}\n", encoding="utf-8")
+    with pytest.raises(MalformedAnalysis, match=r"^bad\.tsv:2: expected word<TAB>analysis$"):
+        morph.load_indeclinables(f)
+
+
 def test_indeclinable_file_errors(tmp_path):
     for body in ("अरे\n", "अरे\t\n", "अरे\tअरे\n", "\tअरे<P>\n"):
         f = tmp_path / "bad.tsv"

@@ -399,12 +399,6 @@ def test_include_compiles_identity_trie(tmp_path):
     assert got == {("कहा", "कहा"), ("कहानी", "कहानी")}
 
 
-def test_include_with_class_column(tmp_path):
-    (tmp_path / "roots.lex").write_text("जा\tirr\n", encoding="utf-8")
-    got = rel('#include "roots.lex"', base_dir=tmp_path)
-    assert got == {("जा<irr>", "जा<irr>")}
-
-
 def test_include_resolution_prefers_rule_dir(tmp_path):
     near = tmp_path / "near"
     far = tmp_path / "far"
