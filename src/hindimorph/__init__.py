@@ -23,7 +23,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .fst import StringPairSet, SymbolTable, Transducer
-from .lexicon import LexiconStats, PosClass
 from .morph import Analysis, MorphModel
 from .rules import RuleFile
 from .tagger import TaggedCorpus, TagModel
@@ -32,9 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Analysis",
-    "LexiconStats",
     "MorphModel",
-    "PosClass",
     "RuleFile",
     "StringPairSet",
     "SymbolTable",

@@ -27,12 +27,12 @@ def read_text(path, error: type[Exception]) -> str:
 
 
 def records(path, error: type[Exception]):
-    """(line number, NFC line) for each line of a UTF-8 file that is
-    neither blank nor a ``%`` comment; the line is not stripped."""
+    """(line number, NFC line) for each line of a UTF-8 file that is not
+    blank once cut at its first ``%``, which starts a comment; the line
+    is cut there but not stripped."""
     for lineno, raw in enumerate(read_text(path, error).split("\n"), start=1):
-        line = unicodedata.normalize("NFC", raw)
-        stripped = line.strip()
-        if stripped and not stripped.startswith("%"):
+        line = unicodedata.normalize("NFC", raw.partition("%")[0])
+        if line.strip():
             yield lineno, line
 
 

@@ -60,16 +60,13 @@ def cmd_lexicon_stats(args) -> int:
     lexdir = Path(args.lexdir)
     if not lexdir.is_dir():
         raise CliError(f"not a directory: {lexdir}")
-    paths = {cls: lexdir / name
-             for cls, name in lexicon.STANDARD_FILES.items()
-             if (lexdir / name).is_file()}
-    if not paths:
+    roots = {cls: lexicon.read_lexicon_file(lexdir / f"{cls}.txt")
+             for cls in lexicon.WORD_CLASSES if (lexdir / f"{cls}.txt").is_file()}
+    if not roots:
         raise CliError(f"no lexicon files found in {lexdir}")
-    stats = lexicon.load_classified(paths)
-    for cls in lexicon.PosClass:
-        label = lexicon.STANDARD_FILES[cls].removesuffix(".txt")
-        print(f"{label}: {stats.counts.get(cls, 0)}")
-    print(f"total: {stats.total}")
+    for cls in lexicon.WORD_CLASSES:
+        print(f"{cls}: {len(roots.get(cls, ()))}")
+    print(f"total: {len(set().union(*roots.values()))}")  # a root in two classes counts once
     return 0
 
 

@@ -5,21 +5,18 @@ A root list is a UTF-8 text file with one root per line::
     root
     % comment
 
-A root list has no class column: a paradigm class is a root list of
-its own, which a grammar includes with ``#include``.  A directory of
-classified lexicons uses one file per word class (nouns.txt,
-pronouns.txt, adjectives.txt, verbs.txt, adverbs.txt, particles.txt,
-adj_noun.txt); adj_noun.txt lists words that function as both adjective
-and noun.
+``%`` starts a comment anywhere in a line.  A root list has no class
+column: a paradigm class is a root list of its own, which a grammar
+includes with ``#include``.  A lexicon directory holds one root list
+per word class, named by :data:`WORD_CLASSES`; ``adj_noun`` lists words
+that function as both adjective and noun.
 """
 
 from __future__ import annotations
 
-import enum
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import _text, fst
 from .fst import SymbolTable, Transducer
@@ -36,67 +33,35 @@ class DuplicateRoot(LexiconError):
         self.line = line
 
 
-class PosClass(enum.Enum):
-    NOUN = "Noun"
-    PRONOUN = "Pronoun"
-    ADJECTIVE = "Adjective"
-    VERB = "Verb"
-    ADVERB = "Adverb"
-    PARTICLE = "Particle"
-    ADJECTIVE_NOUN = "AdjectiveNoun"
-
-
-STANDARD_FILES: dict[PosClass, str] = {
-    PosClass.NOUN: "nouns.txt",
-    PosClass.PRONOUN: "pronouns.txt",
-    PosClass.ADJECTIVE: "adjectives.txt",
-    PosClass.VERB: "verbs.txt",
-    PosClass.ADVERB: "adverbs.txt",
-    PosClass.PARTICLE: "particles.txt",
-    PosClass.ADJECTIVE_NOUN: "adj_noun.txt",
-}
+# The word classes of a lexicon directory: file stems, in print order.
+WORD_CLASSES = ("nouns", "pronouns", "adjectives", "verbs", "adverbs", "particles",
+                "adj_noun")
 
 # Punctuation treated as token boundaries when harvesting corpus text.
 PUNCTUATION = "।?!,\"'()"
 _PUNCT_TRANS = str.maketrans({c: " " for c in PUNCTUATION})
 
 
-@dataclass(frozen=True)
-class LexiconStats:
-    """Per-class root counts plus the number of distinct roots overall.
-
-    A root listed under several classes (adjective-noun duals, say)
-    counts once in `total`.
-    """
-    counts: Mapping[PosClass, int]
-    total: int
-
-
-def extract_unique_sorted(corpus: str | Iterable[str]) -> list[str]:
-    """Unique word types of a raw corpus, sorted by Unicode scalar values.
+def extract_unique_sorted(corpus: str) -> list[str]:
+    """Unique word types of a raw corpus text, sorted by Unicode scalar values.
 
     Tokens split on whitespace and on punctuation characters (danda,
     question/exclamation marks, commas, quotes, parentheses are
-    dropped).  Every token is NFC-normalized before deduplication.
+    dropped).  The text is NFC-normalized before deduplication.
     """
-    if isinstance(corpus, str):
-        corpus = [corpus]
-    words: set[str] = set()
-    for chunk in corpus:
-        normalized = unicodedata.normalize("NFC", chunk)
-        words.update(normalized.translate(_PUNCT_TRANS).split())
-    return sorted(words)
+    normalized = unicodedata.normalize("NFC", corpus)
+    return sorted(set(normalized.translate(_PUNCT_TRANS).split()))
 
 
 def read_lexicon_file(path) -> list[str]:
     """The roots of a root list, in file order.
 
-    Blank lines and ``%`` comment lines are skipped; each root is
-    NFC-normalized and stripped.  :class:`LexiconError` names
-    ``FILE:LINE`` for a line holding a TAB anywhere (a root list has no
-    second column), for a root holding ``<`` or ``>`` (compiled, they
-    would read as tag syntax), and, as :class:`DuplicateRoot`, for a
-    root listed twice.
+    Each line ends at its first ``%``; blank lines are skipped, and each
+    root is NFC-normalized and stripped.  :class:`LexiconError` names
+    ``FILE:LINE`` for a line holding a TAB before any ``%`` (a root list
+    has no second column), for a root holding ``<`` or ``>`` (compiled,
+    they would read as tag syntax), and, as :class:`DuplicateRoot`, for
+    a root listed twice.
     """
     path = Path(path)
     first: dict[str, int] = {}
@@ -111,17 +76,6 @@ def read_lexicon_file(path) -> list[str]:
             raise DuplicateRoot(path.name, root, lineno, first[root])
         first[root] = lineno
     return list(first)
-
-
-def load_classified(paths: Mapping[PosClass, str | Path]) -> LexiconStats:
-    """Count the roots of one lexicon file per word class.
-
-    The same root in different classes is a legitimate dual-category
-    word and counts once in the total.
-    """
-    roots = {c: read_lexicon_file(paths[c]) for c in PosClass if c in paths}
-    return LexiconStats({c: len(r) for c, r in roots.items()},
-                        len(set().union(*roots.values())))
 
 
 def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:

@@ -56,10 +56,10 @@ class Analysis:
 def load_indeclinables(path) -> dict[str, list[Analysis]]:
     """Read a word<TAB>analysis file; repeated words accumulate analyses.
 
-    Blank lines and ``%`` comments are skipped.  Both columns are
-    NFC-normalized; a record with a second TAB, or whose analysis has
-    no root or no tags, raises :class:`MalformedAnalysis` naming the
-    line.
+    Each line ends at its first ``%``; blank lines are skipped.  Both
+    columns are NFC-normalized; a record with a second TAB, or whose
+    analysis has no root or no tags, raises :class:`MalformedAnalysis`
+    naming the line.
     """
     result: dict[str, list[Analysis]] = {}
     path = Path(path)

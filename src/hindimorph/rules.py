@@ -412,9 +412,8 @@ class _Parser:
             if tok.value not in self.defined:
                 raise UndefinedVariable(tok.value, tok.line, tok.col)
             return VarRef(tok.value)
-        if tok.kind == "INCLUDE":
-            return Include(tok.value)
-        self.error(tok, f"unexpected {_describe(tok)}")
+        # INCLUDE, the last of _ATOM_STARTERS: parse_seq starts no other atom
+        return Include(tok.value)
 
 
 def _describe(tok: _Token) -> str:

@@ -48,6 +48,17 @@ def test_compile_writes_loadable_model(capsys, tmp_path, grammar):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_compile_onto_a_directory_leaves_no_temporary_file(capsys, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc, stdout, stderr = run(capsys, [
+        "compile", "-r", str(data_path("rules", "hindi.mrl")), "-o", str(out)])
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith("hindimorph compile: error: ") and stderr.count("\n") == 1
+    assert out.is_dir() and not list(out.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_compile_missing_rules_file(capsys, tmp_path):
     out = tmp_path / "out.fst"
     rc, stdout, stderr = run(capsys, [
@@ -137,6 +148,13 @@ def test_repeated_indeclinable_record_answers_once(capsys, tmp_path, fst_file,
     rc, stdout, _ = run(capsys, [command, "-m", str(fst_file), "--indecl", str(indecl), item])
     assert rc == 0
     assert stdout == f"{item}\t{answer}\n"
+
+
+def test_indeclinable_record_ends_at_percent(capsys, tmp_path, fst_file):
+    indecl = tmp_path / "indecl.tsv"
+    indecl.write_text("तो\tतो<Particle>  % emphatic\n", encoding="utf-8")
+    rc, stdout, _ = run(capsys, ["analyze", "-m", str(fst_file), "--indecl", str(indecl), "तो"])
+    assert (rc, stdout) == (0, "तो\tतो<Particle>\n")
 
 
 def test_indeclinable_record_with_a_second_tab_is_an_error(capsys, tmp_path, fst_file):
@@ -482,6 +500,7 @@ ROOT_LIST_ERRORS = {
     "lt": ("क<", "verbs.txt:2: '<' or '>' in a root (tags belong in the rules)"),
     "gt": ("क>", "verbs.txt:2: '<' or '>' in a root (tags belong in the rules)"),
     "repeat": ("घर", "verbs.txt:2: duplicate root 'घर' (first on line 1)"),
+    "tab-before-comment": ("जा\t% x", "verbs.txt:2: TAB in a root (one root per line)"),
 }
 
 
@@ -498,6 +517,28 @@ def test_root_list_errors(capsys, tmp_path, command, line, message):
     rc, stdout, stderr = run(capsys, argv)
     assert (rc, stdout, stderr) == (1, "", f"hindimorph {command}: error: {message}\n")
     assert not out.exists()
+
+
+def test_lexicon_stats_counts_a_shared_root_once(capsys, tmp_path):
+    for cls, roots in {"nouns": "घर\nआम\n", "adjectives": "बड़ा\n", "adj_noun": "आम\n"}.items():
+        (tmp_path / f"{cls}.txt").write_text(roots, encoding="utf-8")
+    rc, stdout, stderr = run(capsys, ["lexicon-stats", "--lexdir", str(tmp_path)])
+    assert (rc, stderr) == (0, "")
+    assert stdout == ("nouns: 2\npronouns: 0\nadjectives: 1\nverbs: 0\n"
+                      "adverbs: 0\nparticles: 0\nadj_noun: 1\ntotal: 3\n")
+
+
+def test_root_comment_starts_at_percent(capsys, tmp_path):
+    # "घर   % a noun" is the root घर, as a rule line would read it
+    (tmp_path / "nouns.txt").write_text("घर   % a noun\n", encoding="utf-8")
+    (tmp_path / "adj_noun.txt").write_text("घर\n", encoding="utf-8")
+    (tmp_path / "r.mrl").write_text('#include "nouns.txt" <N>:<>\n', encoding="utf-8")
+    out = tmp_path / "out.fst"
+    assert run(capsys, ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)])[0] == 0
+    rc, stdout, _ = run(capsys, ["analyze", "-m", str(out), "घर"])
+    assert (rc, stdout) == (0, "घर\tघर<N>\n")
+    rc, stdout, _ = run(capsys, ["lexicon-stats", "--lexdir", str(tmp_path)])
+    assert (rc, stdout.splitlines()[0], stdout.splitlines()[-1]) == (0, "nouns: 1", "total: 1")
 
 
 def test_lexicon_stats_empty_directory(capsys, tmp_path):

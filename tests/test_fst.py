@@ -711,6 +711,9 @@ def test_from_bytes_rejects_garbage():
         fst.from_bytes(blob[:-1])
     with pytest.raises(fst.FstError):
         fst.from_bytes(blob + b"\x00")
+    assert blob[6:10] == struct.pack("<I", 1)  # the symbol count
+    with pytest.raises(fst.FstError, match="^symbol table must contain the epsilon entry$"):
+        fst.from_bytes(blob[:6] + struct.pack("<I", 0) + blob[10:])
 
 
 def test_state_count_is_bounded_by_file_size():

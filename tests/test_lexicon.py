@@ -5,11 +5,8 @@ from hindimorph.fst import SymbolTable
 from hindimorph.lexicon import (
     DuplicateRoot,
     LexiconError,
-    PosClass,
-    STANDARD_FILES,
     compile_root_fst,
     extract_unique_sorted,
-    load_classified,
     read_lexicon_file,
 )
 
@@ -36,11 +33,6 @@ def test_extract_sorts_by_codepoint():
 def test_extract_strips_punctuation():
     got = extract_unique_sorted('क्या? "हाँ", (ठीक) है!')
     assert got == sorted(["क्या", "हाँ", "ठीक", "है"])
-
-
-def test_extract_accepts_line_iterables():
-    lines = ["एक दो\n", "दो तीन\n"]
-    assert extract_unique_sorted(lines) == sorted({"एक", "दो", "तीन"})
 
 
 def test_extract_normalizes_nfc():
@@ -116,45 +108,6 @@ def test_read_lexicon_rejects_a_repeated_root(tmp_path):
         read_lexicon_file(p)
     assert str(exc.value) == f"verbs.txt:5: duplicate root {decomposed!r} (first on line 2)"
     assert (exc.value.root, exc.value.line) == (decomposed, 5)
-
-
-def _write_class_files(tmp_path, mapping):
-    paths = {}
-    for pos_class, words in mapping.items():
-        p = tmp_path / STANDARD_FILES[pos_class]
-        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
-        paths[pos_class] = p
-    return paths
-
-
-def test_load_classified_counts_and_total(tmp_path):
-    paths = _write_class_files(tmp_path, {
-        PosClass.NOUN: ["घर", "आम"],
-        PosClass.ADJECTIVE: ["बड़ा"],
-        PosClass.ADJECTIVE_NOUN: ["आम"],
-    })
-    stats = load_classified(paths)
-    assert stats.counts[PosClass.NOUN] == 2
-    assert stats.counts[PosClass.ADJECTIVE] == 1
-    assert stats.counts[PosClass.ADJECTIVE_NOUN] == 1
-    # the dual-category root counts once
-    assert stats.total == 3
-
-
-def test_load_classified_detects_duplicates_within_class(tmp_path):
-    paths = _write_class_files(tmp_path, {PosClass.VERB: ["जा", "जा"]})
-    with pytest.raises(DuplicateRoot) as exc:
-        load_classified(paths)
-    assert str(exc.value) == "verbs.txt:2: duplicate root 'जा' (first on line 1)"
-    assert exc.value.root == "जा"
-
-
-def test_load_classified_on_bundled_demo():
-    from hindimorph import data_path
-    paths = {pc: data_path("lex", name) for pc, name in STANDARD_FILES.items()}
-    stats = load_classified(paths)
-    assert stats.counts[PosClass.ADJECTIVE_NOUN] == 1
-    assert sum(stats.counts.values()) == stats.total + 1  # आम listed twice
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_char_class_sorted_and_deduplicated():
     assert parse_rules("[cba]").result == parse_rules("[abcb]").result
 
 
+def test_escaped_char_class_members():
+    text = r"[\]\ a\<]"
+    assert parse_rules(text).result == CharClass((" ", "<", "]", "a"))
+    assert rel(text) == {(c, c) for c in " <]a"}
+
+
 def test_escaped_space_is_a_symbol():
     rf = parse_rules(r"<>:\ ")
     assert rf.result == Pair("<>", " ")
@@ -269,6 +275,7 @@ SAMPLES = [
     "( a | b ) ?",
     "x+ y? ( z | w )*",
     "[abc] [xy]*",
+    r"[\]\ a\<]",
     "$V$ = a | i\n$C$ = k\n$C$ $V$+ || $V$",
     '#include "roots.lex" <Noun>:<>',
     "<Verb>:<> <>:र <>:\\  a:e",
