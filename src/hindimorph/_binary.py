@@ -22,6 +22,15 @@ class Reader:
     def __init__(self, data: bytes, error: type[Exception], kind: str):
         self._data, self._pos, self._error, self._kind = bytes(data), 0, error, kind
 
+    def header(self, magic: bytes, version: int) -> None:
+        """Check the 4-byte magic and the u16 format version that open
+        the file."""
+        if self.take(4) != magic:
+            raise self._error(f"not a {self._kind} file (bad magic)")
+        (found,) = self.unpack("<H")
+        if found != version:
+            raise self._error(f"unsupported {self._kind} format version {found}")
+
     def take(self, n: int) -> bytes:
         start, self._pos = self._pos, self._pos + n
         if self._pos > len(self._data):

@@ -39,14 +39,18 @@ def records(path, error: type[Exception]):
 def write_atomic(path, data: bytes) -> None:
     """Write `data` to a new sibling of `path`, then rename it into place,
     so a failure never leaves a partial file.  The file gets the mode
-    ``open(path, "wb")`` gives a new file: 0o666 less the umask."""
+    ``open(path, "wb")`` gives a new file: 0o666 less the umask.  An
+    `OSError` names `path`, never the temporary file."""
     path = Path(path)
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "xb")  # a name already taken raises, and is left alone
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")  # a name already taken raises, and is left alone
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # OSError(errno, ...) is the errno's subclass again
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

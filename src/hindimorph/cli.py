@@ -4,7 +4,7 @@ Subcommands::
 
     lexicon-extract <corpus> -o <out>        unique sorted word types
     lexicon-stats --lexdir <dir>             per-class root counts
-    compile -r <rules.mrl> [--lexdir <dir>] -o <model.fst>
+    compile -r <rules.mrl> -o <model.fst>
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
     generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
     train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N --step F]
@@ -72,7 +72,7 @@ def cmd_lexicon_stats(args) -> int:
 
 def cmd_compile(args) -> int:
     symbols = fst.SymbolTable()
-    machine = rules.compile_file(args.rules, symbols, lexdir=args.lexdir)
+    machine = rules.compile_file(args.rules, symbols)
     fst.save(machine, args.output)
     print(f"{machine.state_count} states, {machine.arc_count} arcs -> {args.output}")
     return 0
@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a rule file into a transducer model")
     p.add_argument("-r", "--rules", required=True)
-    p.add_argument("--lexdir", default=None,
-                   help="extra directory for resolving #include paths")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compile)
 

@@ -886,11 +886,7 @@ def from_bytes(data: bytes) -> Transducer:
     arcs are out of order loads as the same sorted machine.
     """
     reader = Reader(data, FstError, "transducer")
-    if reader.take(4) != MAGIC:
-        raise FstError("not a transducer file (bad magic)")
-    (version,) = reader.unpack("<H")
-    if version != FORMAT_VERSION:
-        raise FstError(f"unsupported transducer format version {version}")
+    reader.header(MAGIC, FORMAT_VERSION)
     sym_count = reader.u32()
     if sym_count < 1:
         raise FstError("symbol table must contain the epsilon entry")

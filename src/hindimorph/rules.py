@@ -46,8 +46,12 @@ class RuleSyntaxError(RuleError):
 
 
 class UndefinedVariable(RuleError):
-    def __init__(self, name: str, line: int = 0, col: int = 0):
-        super().__init__(f"line {line}, col {col}: undefined variable ${name}$")
+    """A ``$Name$`` with no earlier definition; the parser gives its
+    position, the compiler of a hand-built RuleFile has none to give."""
+
+    def __init__(self, name: str, line: int | None = None, col: int | None = None):
+        where = "" if line is None else f"line {line}, col {col}: "
+        super().__init__(f"{where}undefined variable ${name}$")
         self.name = name
         self.line = line
         self.col = col
@@ -491,53 +495,7 @@ def render_rules(rule_file: RuleFile) -> str:
 # ---------------------------------------------------------------------------
 # Compiler
 
-def _resolve_include(path: str, base_dir: Path | None,
-                     lexdir: Path | str | None) -> Path:
-    # an absolute path joined to a directory is that path again
-    candidates = [Path(d) / path for d in (base_dir, lexdir) if d is not None] or [Path(path)]
-    for cand in candidates:
-        if cand.is_file():
-            return cand
-    raise IncludeNotFound(path)
-
-
-def _compile_node(node, symbols: SymbolTable, defs: dict[str, Transducer],
-                  base_dir: Path | None, lexdir) -> Transducer:
-    def sub(child) -> Transducer:
-        return _compile_node(child, symbols, defs, base_dir, lexdir)
-
-    if isinstance(node, Literal):
-        if node.symbol == EPSILON_SYMBOL:
-            return fst.epsilon(symbols)
-        sid = symbols.intern(node.symbol)
-        return fst.single_arc(symbols, sid, sid)
-    if isinstance(node, Pair):
-        ilab = 0 if node.lhs == EPSILON_SYMBOL else symbols.intern(node.lhs)
-        olab = 0 if node.rhs == EPSILON_SYMBOL else symbols.intern(node.rhs)
-        return fst.single_arc(symbols, ilab, olab)
-    if isinstance(node, CharClass):
-        arcs = []
-        for ch in node.chars:
-            sid = symbols.intern(ch)
-            arcs.append((0, sid, sid, 1))
-        return fst.build(2, 0, (1,), arcs, symbols)
-    if isinstance(node, (Concat, Union)):
-        return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
-                                [sub(p) for p in node.parts])
-    if type(node) in _CLOSURES:
-        return fst.closure(sub(node.expr), _CLOSURES[type(node)][1])
-    if isinstance(node, Compose):
-        return fst.compose(sub(node.lhs), sub(node.rhs))
-    if isinstance(node, VarRef):
-        return defs[node.name]
-    if isinstance(node, Include):
-        roots = lexicon.read_lexicon_file(_resolve_include(node.path, base_dir, lexdir))
-        return lexicon.compile_root_fst(roots, symbols)
-    raise TypeError(f"not a rule AST node: {node!r}")
-
-
-def compile(rule_file: RuleFile, symbols: SymbolTable,
-            lexdir: Path | str | None = None) -> Transducer:
+def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """Compile a parsed rule file into a normalized transducer.
 
     Every definition is compiled and minimized once, when it is defined,
@@ -545,17 +503,52 @@ def compile(rule_file: RuleFile, symbols: SymbolTable,
     and of the final :func:`fst.minimize` are minimal machines.  The
     result is epsilon-free, deterministic over the pair alphabet, and
     minimal.
+
+    ``#include "p"`` reads ``p`` in ``rule_file.base_dir``, or in the
+    working directory when the text was parsed without one; an absolute
+    ``p`` reads as itself.  A missing file raises :class:`IncludeNotFound`,
+    and a ``$Name$`` that no earlier definition binds (possible only in a
+    hand-built :class:`RuleFile`) :class:`UndefinedVariable`.
     """
     defs: dict[str, Transducer] = {}
+
+    def machine(node) -> Transducer:
+        if isinstance(node, Literal):
+            if node.symbol == EPSILON_SYMBOL:
+                return fst.epsilon(symbols)
+            sid = symbols.intern(node.symbol)
+            return fst.single_arc(symbols, sid, sid)
+        if isinstance(node, Pair):
+            ilab = 0 if node.lhs == EPSILON_SYMBOL else symbols.intern(node.lhs)
+            olab = 0 if node.rhs == EPSILON_SYMBOL else symbols.intern(node.rhs)
+            return fst.single_arc(symbols, ilab, olab)
+        if isinstance(node, CharClass):
+            arcs = [(0, sid, sid, 1) for sid in map(symbols.intern, node.chars)]
+            return fst.build(2, 0, (1,), arcs, symbols)
+        if isinstance(node, (Concat, Union)):
+            return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
+                                    [machine(p) for p in node.parts])
+        if type(node) in _CLOSURES:
+            return fst.closure(machine(node.expr), _CLOSURES[type(node)][1])
+        if isinstance(node, Compose):
+            return fst.compose(machine(node.lhs), machine(node.rhs))
+        if isinstance(node, VarRef):
+            if node.name not in defs:
+                raise UndefinedVariable(node.name)
+            return defs[node.name]
+        if isinstance(node, Include):
+            # an absolute path joined to a directory is that path again
+            path = Path(rule_file.base_dir or "", node.path)
+            if not path.is_file():
+                raise IncludeNotFound(node.path)
+            return lexicon.compile_root_fst(lexicon.read_lexicon_file(path), symbols)
+        raise TypeError(f"not a rule AST node: {node!r}")
+
     for name, expr in rule_file.definitions:
-        defs[name] = fst.minimize(
-            _compile_node(expr, symbols, defs, rule_file.base_dir, lexdir))
-    result = _compile_node(rule_file.result, symbols, defs,
-                           rule_file.base_dir, lexdir)
-    return fst.minimize(result)
+        defs[name] = fst.minimize(machine(expr))
+    return fst.minimize(machine(rule_file.result))
 
 
-def compile_file(path, symbols: SymbolTable,
-                 lexdir: Path | str | None = None) -> Transducer:
+def compile_file(path, symbols: SymbolTable) -> Transducer:
     """Parse and compile a rule file from disk."""
-    return compile(parse_rules_file(path), symbols, lexdir)
+    return compile(parse_rules_file(path), symbols)

@@ -160,7 +160,6 @@ _START, _END = extract_features(("",), 0, BOUNDARY_TAG)[
 class TagModel:
     tagset: tuple[str, ...]
     weights: dict[str, float]
-    templates: tuple[str, ...]
     dictionary: dict[str, frozenset[str]]
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
@@ -345,7 +344,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     if config.epochs:  # the reference's keys come from its first gradient step
         for f, k in key_order:
             weights[f"{names[f]}:{tagset[k]}"] = rows[f][k]
-    return TagModel(tagset, weights, TEMPLATES, dictionary, config.l2_lambda, losses)
+    return TagModel(tagset, weights, dictionary, config.l2_lambda, losses)
 
 
 def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
@@ -524,8 +523,8 @@ def model_to_bytes(model: TagModel) -> bytes:
     tag_index = {t: i for i, t in enumerate(model.tagset)}
     out = [MAGIC, struct.pack("<HdI", FORMAT_VERSION, model.l2_lambda, len(model.tagset))]
     out += map(pack_str, model.tagset)
-    out.append(struct.pack("<I", len(model.templates)))
-    out += map(pack_str, model.templates)
+    out.append(struct.pack("<I", len(TEMPLATES)))
+    out += map(pack_str, TEMPLATES)
     out.append(struct.pack("<I", len(model.dictionary)))
     for word in sorted(model.dictionary):
         indices = sorted(tag_index[t] for t in model.dictionary[word])
@@ -538,11 +537,7 @@ def model_to_bytes(model: TagModel) -> bytes:
 
 def model_from_bytes(data: bytes) -> TagModel:
     reader = Reader(data, TaggerError, "tagger model")
-    if reader.take(4) != MAGIC:
-        raise TaggerError("not a tagger model file (bad magic)")
-    (version,) = reader.unpack("<H")
-    if version != FORMAT_VERSION:
-        raise TaggerError(f"unsupported tagger model version {version}")
+    reader.header(MAGIC, FORMAT_VERSION)
     (l2_lambda,) = reader.unpack("<d")
     tagset = tuple(reader.text("model string") for _ in range(reader.u32()))
     templates = tuple(reader.text("model string") for _ in range(reader.u32()))
@@ -572,7 +567,7 @@ def model_from_bytes(data: bytes) -> TagModel:
     if not all(map(math.isfinite, weights.values())):
         bad = [key for key, w in weights.items() if not math.isfinite(w)]
         raise TaggerError(f"tagger model weights are not finite: {bad[:3]}")
-    return TagModel(tagset, weights, templates, dictionary, l2_lambda)
+    return TagModel(tagset, weights, dictionary, l2_lambda)
 
 
 def save_model(model: TagModel, path) -> None:

@@ -49,14 +49,24 @@ def test_compile_writes_loadable_model(capsys, tmp_path, grammar):
 
 
 def test_compile_onto_a_directory_leaves_no_temporary_file(capsys, tmp_path):
+    # Every writing command, onto a directory and into a missing one: the
+    # error names the output path, and no temporary file is left behind.
+    corpus = tmp_path / "raw.txt"
+    corpus.write_text("आम आदमी\n", encoding="utf-8")
+    commands = {"compile": ["-r", str(data_path("rules", "hindi.mrl"))],
+                "train": ["-c", str(data_path("tagged_mini.txt")), "--epochs", "1"],
+                "lexicon-extract": [str(corpus)]}
     out = tmp_path / "out"
     out.mkdir()
-    rc, stdout, stderr = run(capsys, [
-        "compile", "-r", str(data_path("rules", "hindi.mrl")), "-o", str(out)])
-    assert (rc, stdout) == (1, "")
-    assert stderr.startswith("hindimorph compile: error: ") and stderr.count("\n") == 1
+    for command, args in commands.items():
+        for target in (out, tmp_path / "nodir" / "x.fst"):
+            rc, stdout, stderr = run(capsys, [command, *args, "-o", str(target)])
+            assert (rc, stdout) == (1, "")
+            assert stderr.startswith(f"hindimorph {command}: error: ")
+            assert stderr.endswith(f": {str(target)!r}\n") and stderr.count("\n") == 1
+            assert ".tmp" not in stderr
     assert out.is_dir() and not list(out.iterdir())
-    assert not list(tmp_path.glob("*.tmp"))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "raw.txt"]
 
 
 def test_compile_missing_rules_file(capsys, tmp_path):
@@ -588,6 +598,12 @@ def test_module_invocation_matches_in_process(capsys, fst_file):
         capture_output=True, text=True, encoding="utf-8", env=env)
     assert proc.returncode == 0
     assert proc.stdout == stdout
+
+
+def test_every_public_name_imports_from_the_package_root():
+    namespace: dict = {}
+    exec("from hindimorph import *", namespace)  # a listed name that is missing raises
+    assert set(hindimorph.__all__) <= namespace.keys()
 
 
 # --- README -------------------------------------------------------------------

@@ -716,6 +716,16 @@ def test_from_bytes_rejects_garbage():
         fst.from_bytes(blob[:6] + struct.pack("<I", 0) + blob[10:])
 
 
+@pytest.mark.parametrize("head, message", [
+    (b"NOPE" + struct.pack("<H", 1), r"^not a transducer file \(bad magic\)$"),
+    (fst.MAGIC + struct.pack("<H", 99), "^unsupported transducer format version 99$"),
+], ids=["magic", "version"])
+def test_from_bytes_checks_the_header(head, message):
+    blob = fst.to_bytes(fst.epsilon(SymbolTable()))
+    with pytest.raises(fst.FstError, match=message):
+        fst.from_bytes(head + blob[6:])
+
+
 def test_state_count_is_bounded_by_file_size():
     table = SymbolTable()
     blob = fst.to_bytes(fst.epsilon(table))

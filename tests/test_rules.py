@@ -19,6 +19,7 @@ from hindimorph.rules import (
     Opt,
     Pair,
     Plus,
+    RuleFile,
     RuleSyntaxError,
     Star,
     UndefinedVariable,
@@ -31,9 +32,9 @@ from hindimorph.rules import (
 import oracle
 
 
-def rel(text, lexdir=None, base_dir=None):
+def rel(text, base_dir=None):
     """Compile rule text and return its full relation as a set."""
-    t = rules.compile(parse_rules(text, base_dir=base_dir), SymbolTable(), lexdir=lexdir)
+    t = rules.compile(parse_rules(text, base_dir=base_dir), SymbolTable())
     return oracle.full_relation(t)
 
 
@@ -141,6 +142,16 @@ def test_undefined_variable():
 def test_no_forward_references():
     with pytest.raises(UndefinedVariable):
         parse_rules("$A$ = $B$\n$B$ = x\n$A$")
+
+
+@pytest.mark.parametrize("rule_file", [
+    RuleFile((), VarRef("X")),
+    RuleFile((("X", VarRef("X")),), VarRef("X")),
+], ids=["unbound", "self-reference"])
+def test_compile_rejects_unbound_variable_of_a_built_rule_file(rule_file):
+    with pytest.raises(UndefinedVariable, match=r"^undefined variable \$X\$$") as exc:
+        rules.compile(rule_file, SymbolTable())
+    assert exc.value.name == "X"
 
 
 def test_redefinition_is_an_error():
@@ -406,36 +417,21 @@ def test_include_compiles_identity_trie(tmp_path):
     assert got == {("कहा", "कहा"), ("कहानी", "कहानी")}
 
 
-def test_include_resolution_prefers_rule_dir(tmp_path):
-    near = tmp_path / "near"
-    far = tmp_path / "far"
-    near.mkdir()
-    far.mkdir()
-    (near / "r.lex").write_text("a\n", encoding="utf-8")
-    (far / "r.lex").write_text("b\n", encoding="utf-8")
-    assert rel('#include "r.lex"', base_dir=near, lexdir=far) == {("a", "a")}
-    assert rel('#include "r.lex"', base_dir=tmp_path, lexdir=far) == {("b", "b")}
-
-
-# (include path, rule directory, lexdir) -> the root it reads; "ABS" is
-# the absolute path of abs/r.lex, and every case runs in the cwd directory
+# (include path, rule directory) -> the root it reads; "ABS" is the
+# absolute path of abs/r.lex, and every case runs in the cwd directory
 INCLUDE_RESOLUTION = [
-    ("r.lex", "rule", "lex", "a"),    # the rule directory comes first
-    ("x.lex", "rule", "lex", "x"),    # then the lexdir
-    ("r.lex", "rule", None, "a"),
-    ("r.lex", None, "lex", "b"),      # only a lexdir
-    ("r.lex", None, None, "c"),       # neither: the working directory
-    ("r.lex", "empty", None, None),   # a rule directory hides the working one
-    ("ABS", None, None, "d"),
-    ("ABS", "rule", None, "d"),
-    ("ABS", "rule", "lex", "d"),
+    ("r.lex", "rule", "a"),
+    ("r.lex", None, "c"),       # no rule directory: the working directory
+    ("r.lex", "empty", None),   # a rule directory hides the working one
+    ("ABS", None, "d"),
+    ("ABS", "rule", "d"),
 ]
 
 
-@pytest.mark.parametrize("include, base, lexdir, root", INCLUDE_RESOLUTION)
-def test_include_resolution(tmp_path, monkeypatch, include, base, lexdir, root):
-    for name, roots in (("rule", {"r": "a"}), ("lex", {"r": "b", "x": "x"}),
-                        ("cwd", {"r": "c"}), ("abs", {"r": "d"}), ("empty", {})):
+@pytest.mark.parametrize("include, base, root", INCLUDE_RESOLUTION)
+def test_include_resolution(tmp_path, monkeypatch, include, base, root):
+    for name, roots in (("rule", {"r": "a"}), ("cwd", {"r": "c"}), ("abs", {"r": "d"}),
+                        ("empty", {})):
         (tmp_path / name).mkdir()
         for stem, word in roots.items():
             (tmp_path / name / f"{stem}.lex").write_text(word + "\n", encoding="utf-8")
@@ -444,12 +440,11 @@ def test_include_resolution(tmp_path, monkeypatch, include, base, lexdir, root):
         include = str(tmp_path / "abs" / "r.lex")
     text = f'#include "{include}"'
     base_dir = tmp_path / base if base else None
-    lexdir = tmp_path / lexdir if lexdir else None
     if root is None:
         with pytest.raises(IncludeNotFound):
-            rel(text, lexdir=lexdir, base_dir=base_dir)
+            rel(text, base_dir=base_dir)
     else:
-        assert rel(text, lexdir=lexdir, base_dir=base_dir) == {(root, root)}
+        assert rel(text, base_dir=base_dir) == {(root, root)}
 
 
 def test_rule_and_root_files_drop_a_bom(tmp_path):

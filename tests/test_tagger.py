@@ -218,7 +218,7 @@ def test_feature_payloads_follow_templates():
 
 
 def test_zero_weights_give_uniform_probs():
-    model = TagModel(("A", "B", "C"), {}, tagger.TEMPLATES, {}, 0.1)
+    model = TagModel(("A", "B", "C"), {}, {}, 0.1)
     probs = tag_probs(model, ["w:x", "pt:<s>"])
     for p in probs.values():
         assert p == pytest.approx(1 / 3)
@@ -230,13 +230,13 @@ def test_probs_sum_to_one_for_random_weights():
     feats = ["w:x", "pw:y", "s1:z", "punct:0"]
     for _ in range(50):
         weights = {f"{f}:{t}": rng.uniform(-3, 3) for f in feats for t in tagset}
-        probs = tag_probs(TagModel(tagset, weights, tagger.TEMPLATES, {}, 0.1), feats)
+        probs = tag_probs(TagModel(tagset, weights, {}, 0.1), feats)
         assert abs(sum(probs.values()) - 1.0) <= 1e-9
         assert all(p >= 0.0 for p in probs.values())
 
 
 def test_single_weight_shifts_probability():
-    model = TagModel(("A", "B"), {"w:foo:A": 1.0}, tagger.TEMPLATES, {}, 0.1)
+    model = TagModel(("A", "B"), {"w:foo:A": 1.0}, {}, 0.1)
     probs = tag_probs(model, ["w:foo"])
     assert probs["A"] == pytest.approx(1 / (1 + math.exp(-1)))
     assert probs["A"] > probs["B"]
@@ -244,7 +244,7 @@ def test_single_weight_shifts_probability():
 
 def test_probs_are_stable_under_huge_scores():
     weights = {"w:foo:A": 1000.0, "w:foo:B": 999.0}
-    model = TagModel(("A", "B"), weights, tagger.TEMPLATES, {}, 0.1)
+    model = TagModel(("A", "B"), weights, {}, 0.1)
     probs = tag_probs(model, ["w:foo"])
     assert probs["A"] == pytest.approx(1 / (1 + math.exp(-1)))
     assert abs(sum(probs.values()) - 1.0) <= 1e-9
@@ -413,7 +413,6 @@ def test_trained_model_records_dictionary(tag_model):
 
 def test_trained_model_metadata(tag_model):
     assert tag_model.tagset == MINI_TAGSET
-    assert tag_model.templates == tagger.TEMPLATES
     assert tag_model.l2_lambda == pytest.approx(0.1)
 
 
@@ -457,7 +456,7 @@ def test_candidates_without_morph_model(tag_model):
 def test_candidates_clamped_to_model_tagset(morph_model):
     # a model whose tagset lacks N_NN: the mapped candidate is discarded
     # and the full (tiny) tagset opens up instead
-    model = TagModel(("X", "Y"), {}, tagger.TEMPLATES, {}, 0.1)
+    model = TagModel(("X", "Y"), {}, {}, 0.1)
     assert candidate_tags(model, morph_model, "मालन") == ("X", "Y")
 
 
@@ -504,7 +503,7 @@ def test_tag_attached_punctuation_is_split_and_tagged(tag_model, morph_model):
 
 
 def test_tag_ties_break_toward_earlier_tagset_order():
-    model = TagModel(("A", "B"), {}, tagger.TEMPLATES, {}, 0.1)
+    model = TagModel(("A", "B"), {}, {}, 0.1)
     assert tag(model, None, "foo bar baz") == [
         ("foo", "A"), ("bar", "A"), ("baz", "A")]
 
@@ -546,7 +545,7 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
     # builds its rows from the file and must skip the key w:x:ZZ, whose
     # tag is outside the tagset.
     stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
-                     tagger.TEMPLATES, tag_model.dictionary, tag_model.l2_lambda)
+                     tag_model.dictionary, tag_model.l2_lambda)
     loaded = model_from_bytes(model_to_bytes(stray))
     sentences = _substituted_sentences(mini_corpus)
     assert sum(t in UNKNOWN_WORDS for s in sentences for t in s) >= 100
@@ -590,7 +589,7 @@ def test_decode_memo_skips_a_dictionary_word_that_is_not_nfc(morph_model):
     # precomposed क़ (U+0958) is not NFC, so candidate_tags looks it up
     # decomposed, misses the dictionary and asks the morph model
     word = "\u0958ी"
-    model = TagModel(MINI_TAGSET, {}, tagger.TEMPLATES, {word: frozenset({"RB"})}, 0.1)
+    model = TagModel(MINI_TAGSET, {}, {word: frozenset({"RB"})}, 0.1)
     tokens = [word]
     for fallback in (morph_model, None):
         assert tagger._tag_tokens(model, fallback, tokens, 3) == (
@@ -644,7 +643,6 @@ def test_model_round_trip_preserves_everything(tag_model):
     data = model_to_bytes(tag_model)
     loaded = model_from_bytes(data)
     assert loaded.tagset == tag_model.tagset
-    assert loaded.templates == tag_model.templates
     assert loaded.dictionary == tag_model.dictionary
     assert loaded.l2_lambda == tag_model.l2_lambda
     assert loaded.weights == tag_model.weights  # exact float equality
@@ -708,11 +706,16 @@ def test_reject_invalid_utf8_string():
         model_from_bytes(data)
 
 
+def _template_list(templates) -> bytes:
+    """The template list of a model file: a u32 count, then the strings."""
+    return struct.pack("<I", len(templates)) + b"".join(map(pack_str, templates))
+
+
 def _weight_block_bytes(records: list[bytes], count: int | None = None) -> bytes:
     """A model with a one-tag tagset and no dictionary, then the given weight records."""
     data = tagger.MAGIC + struct.pack("<Hd", 1, 0.1)
     data += struct.pack("<I", 1) + pack_str("A")
-    data += struct.pack("<I", len(tagger.TEMPLATES)) + b"".join(map(pack_str, tagger.TEMPLATES))
+    data += _template_list(tagger.TEMPLATES)
     data += struct.pack("<I", 0)
     return data + struct.pack("<I", len(records) if count is None else count) + b"".join(records)
 
@@ -766,7 +769,7 @@ def test_shuffled_model_file_loads_as_the_sorted_one():
 
     def model_file(words, weights):
         data = tagger.MAGIC + struct.pack("<HdI", 1, 0.1, 2) + pack_str("A") + pack_str("B")
-        data += struct.pack("<I", len(tagger.TEMPLATES)) + b"".join(map(pack_str, tagger.TEMPLATES))
+        data += _template_list(tagger.TEMPLATES)
         data += struct.pack("<I", len(words)) + b"".join(
             pack_str(w) + struct.pack(f"<{1 + len(ix)}I", len(ix), *ix) for w, ix in words)
         return data + struct.pack("<I", len(weights)) + b"".join(
@@ -797,12 +800,13 @@ def test_round_trip_keeps_unusual_keys_and_weights_bit_for_bit():
     assert model_to_bytes(loaded) == data
 
 
-def _small_model_bytes(**fields) -> bytes:
-    """The bytes of a small valid model, with the given fields replaced."""
-    model = dict(tagset=("A", "B"), weights={"w:a:A": 1.0}, templates=tagger.TEMPLATES,
-                 dictionary={}, l2_lambda=0.1)
+def _small_model_bytes(templates=tagger.TEMPLATES, **fields) -> bytes:
+    """The bytes of a small valid model, with the given fields replaced;
+    `templates` replaces the file's template list, which no model holds."""
+    model = dict(tagset=("A", "B"), weights={"w:a:A": 1.0}, dictionary={}, l2_lambda=0.1)
     model.update(fields)
-    return model_to_bytes(TagModel(**model))
+    data = model_to_bytes(TagModel(**model))
+    return data.replace(_template_list(tagger.TEMPLATES), _template_list(templates), 1)
 
 
 def test_small_valid_model_loads():
