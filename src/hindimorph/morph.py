@@ -27,7 +27,11 @@ class MalformedAnalysis(MorphError):
     pass
 
 
-_ANALYSIS_RE = re.compile(r"^([^<>]+)((?:<[^<>]+>)+)$")
+# A model keeps the analyses of at most this many distinct surface words
+# (about 370 bytes each); a miss on a full memo clears it first.
+_MEMO_WORDS = 4096
+
+_ANALYSIS_RE = re.compile(r"([^<>]+)((?:<[^<>]+>)+)")
 _TAG_RE = re.compile(r"<([^<>]+)>")
 
 
@@ -47,7 +51,7 @@ class Analysis:
     @classmethod
     def parse(cls, text: str) -> "Analysis":
         """Parse ``root<Tag1><Tag2>...``; anything else is malformed."""
-        m = _ANALYSIS_RE.match(text)
+        m = _ANALYSIS_RE.fullmatch(text)
         if not m:
             raise MalformedAnalysis(f"not a root<Tag>... analysis: {text!r}")
         return cls(m.group(1), tuple(_TAG_RE.findall(m.group(2))))
@@ -83,7 +87,10 @@ class MorphModel:
     The grammar is the only machine: :func:`analyze` applies it on its
     output (surface) tape and :func:`generate` on its input (lexical)
     tape.  Each word's indeclinable analyses are kept once each, sorted
-    by rendered form, the order :func:`analyze` answers in.
+    by rendered form, the order :func:`analyze` answers in.  The model
+    also keeps the grammar's analyses of up to 4,096 distinct surface
+    words, about 370 bytes each (see :func:`analyze`), so a later
+    replacement of ``grammar`` is not seen.
     """
 
     def __init__(self, grammar: Transducer,
@@ -91,6 +98,7 @@ class MorphModel:
         self.grammar = grammar
         self.indeclinables: dict[str, list[Analysis]] = {}
         self._words_by_analysis: dict[str, list[str]] = {}
+        self._analyses: dict[str, tuple[Analysis, ...]] = {}
         for word, analyses in (indeclinables or {}).items():
             # a repeated record answers once; the keys are unique, so the
             # sort never compares two analyses
@@ -118,6 +126,11 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     grammar's alphabet.  A surface word is plain text, so one that holds
     a ``<`` is a soft miss too: the grammar's tag syntax (``<>``,
     ``<Tag>``) belongs to the lexical tape.
+
+    The grammar's answers, soft misses included, are kept on the model
+    for up to 4,096 distinct words, so a repeated word is read once; a
+    later replacement of ``model.grammar`` is not seen.  A miss on a
+    full memo clears it first.  Each call returns a new list.
     """
     surface = unicodedata.normalize("NFC", surface)
     stored = model.indeclinables.get(surface)
@@ -125,12 +138,19 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
         return list(stored)
     if "<" in surface:
         return []
-    try:
-        pairs = fst.apply(model.grammar, surface, side="output")
-    except fst.UnknownSymbol:
-        return []
-    # the read string is fixed, so the pairs are already in lexical order
-    return [Analysis.parse(out) for _, out in pairs]
+    memo = model._analyses
+    found = memo.get(surface)
+    if found is None:
+        try:
+            pairs = fst.apply(model.grammar, surface, side="output")
+        except fst.UnknownSymbol:
+            pairs = []
+        # the read string is fixed, so the pairs are already in lexical order
+        found = tuple(Analysis.parse(out) for _, out in pairs)
+        if len(memo) >= _MEMO_WORDS:
+            memo.clear()
+        memo[surface] = found
+    return list(found)
 
 
 def generate(model: MorphModel, lexical: str) -> list[str]:

@@ -58,8 +58,10 @@ def test_vocative_among_plural_analyses(morph_model):
 
 
 def test_unknown_word_is_soft_miss(morph_model):
-    assert morph.analyze(morph_model, "घरों") == []
-    assert morph.analyze(morph_model, "xyz") == []
+    # a rejected and an out-of-alphabet word; the second call reads the memo
+    for _ in range(2):
+        assert morph.analyze(morph_model, "घरों") == []
+        assert morph.analyze(morph_model, "xyz") == []
     # an unclosed "<" cannot be scanned; it is a miss, not an error
     for word in ("लड<", "<", "लड<Noun"):
         assert morph.analyze(morph_model, word) == []
@@ -76,20 +78,53 @@ def test_analysis_objects_carry_structure(morph_model):
     assert str(a) == "माली<Noun><feminine><sg>"
 
 
-def test_analyze_is_nfc_insensitive(morph_model):
+def test_analyze_is_nfc_insensitive(grammar):
     decomposed = "\u092a\u0922\u093c\u0940"   # प + ढ + nukta + ी
     composed = "\u092a\u095d\u0940"           # प + precomposed ढ़ + ी
     assert decomposed != composed
-    results = {tuple(a.render() for a in morph.analyze(morph_model, w))
-               for w in (decomposed, composed)}
-    assert len(results) == 1
-    assert results != {()}
+    # on a fresh model, whichever spelling comes first fills the memo
+    for words in ((decomposed, composed), (composed, decomposed)):
+        model = MorphModel(grammar)
+        results = {tuple(a.render() for a in morph.analyze(model, w))
+                   for w in words + words}
+        assert len(results) == 1
+        assert results != {()}
+        assert len(model._analyses) == 1
 
 
 def test_repeated_calls_are_deterministic(morph_model):
     first = morph.analyze(morph_model, "जाते")
     second = morph.analyze(morph_model, "जाते")
     assert first == second
+    # each call returns a list of its own, so a caller's edit stays its own
+    assert first is not second
+    expected = list(first)
+    first.clear()
+    assert morph.analyze(morph_model, "जाते") == expected
+
+
+def test_epsilon_cycle_raises_on_every_call():
+    # an output-epsilon cycle that writes "a" after the surface "b"
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    grammar = fst.build(3, 0, (0, 2),
+                        [(0, b, b, 1), (1, a, fst.EPSILON, 2), (2, a, fst.EPSILON, 1)],
+                        table)
+    model = MorphModel(grammar)
+    for _ in range(2):
+        with pytest.raises(fst.EpsilonCycle):
+            morph.analyze(model, "b")
+    assert model._analyses == {}
+
+
+def test_memo_is_cleared_at_its_bound(grammar, monkeypatch):
+    words = ["लडका", "लडकी", "मालन", "जाते", "करता", "घरों", "xyz", "पढ़ी", "जा", "शेरनी"]
+    want = [morph.analyze(MorphModel(grammar), w) for w in words]
+    monkeypatch.setattr(morph, "_MEMO_WORDS", 3)
+    model = MorphModel(grammar)
+    for _ in range(2):
+        assert [morph.analyze(model, w) for w in words] == want
+        assert len(model._analyses) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +147,8 @@ def test_generate_rejects_malformed(morph_model):
         morph.generate(morph_model, "<Noun>")
     with pytest.raises(MalformedAnalysis):
         morph.generate(morph_model, "लडका")
+    with pytest.raises(MalformedAnalysis):
+        morph.generate(morph_model, "कहानी<Noun><masculine><pl>\n")
 
 
 def test_duality_exhaustive(morph_model):
@@ -245,7 +282,7 @@ def test_analysis_parse_round_trip():
     assert Analysis.parse(a.render()) == a
 
 
-@pytest.mark.parametrize("bad", ["", "जा", "<Verb>", "जा<>", "जा<a><", "जा<a>x"])
+@pytest.mark.parametrize("bad", ["", "जा", "<Verb>", "जा<>", "जा<a><", "जा<a>x", "जा<a>\n"])
 def test_analysis_parse_rejects(bad):
     with pytest.raises(MalformedAnalysis):
         Analysis.parse(bad)
