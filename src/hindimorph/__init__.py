@@ -24,8 +24,6 @@ from pathlib import Path
 
 from .fst import StringPairSet, SymbolTable, Transducer
 from .morph import Analysis, MorphModel
-from .rules import RuleFile
-from .tagger import TaggedCorpus, TagModel
 
 __version__ = "0.1.0"
 
@@ -46,3 +44,20 @@ __all__ = [
 def data_path(*parts: str) -> Path:
     """Path of a bundled data file (demo grammar, lexicon, corpus)."""
     return Path(__file__).resolve().parent.joinpath("data", *parts)
+
+
+# Names whose modules are imported on first use, so that ``analyze``
+# loads neither the rule compiler nor the tagger (PEP 562).
+_LAZY = {"RuleFile": "rules", "TaggedCorpus": "tagger", "TagModel": "tagger"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -11,6 +11,10 @@ Subcommands::
     tag -m <model.tag> -f <model.fst> [--beam N] [sentence|-]
     eval -m <model.tag> -f <model.fst> -c <gold.txt>
 
+Each subcommand imports the modules it uses when it runs, so
+``analyze`` and ``generate`` load neither the rule compiler nor the
+tagger.
+
 Exit status: 0 on success (an unanalyzable word is not an error), 1 on
 domain errors (bad files, malformed input), 2 on usage errors.  Output
 files are written to a temporary sibling and renamed into place, so a
@@ -26,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import _text, fst, lexicon, morph, rules, tagger
+from . import _text, fst, morph
 
 
 def _words_from(args_words: list[str]) -> Iterable[str]:
@@ -49,6 +53,7 @@ class CliError(Exception):
 
 
 def cmd_lexicon_extract(args) -> int:
+    from . import lexicon
     words = lexicon.extract_unique_sorted(_text.read_text(args.corpus, CliError))
     payload = "".join(w + "\n" for w in words).encode("utf-8")
     _text.write_atomic(args.output, payload)
@@ -57,6 +62,7 @@ def cmd_lexicon_extract(args) -> int:
 
 
 def cmd_lexicon_stats(args) -> int:
+    from . import lexicon
     lexdir = Path(args.lexdir)
     if not lexdir.is_dir():
         raise CliError(f"not a directory: {lexdir}")
@@ -71,6 +77,7 @@ def cmd_lexicon_stats(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from . import rules
     symbols = fst.SymbolTable()
     machine = rules.compile_file(args.rules, symbols)
     fst.save(machine, args.output)
@@ -97,6 +104,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import tagger
     corpus = tagger.TaggedCorpus.read(args.corpus)
     config = tagger.TrainConfig(l2_lambda=args.l2_lambda, epochs=args.epochs,
                                 step=args.step)
@@ -109,6 +117,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
+    from . import tagger
+    tagger._check_beam(args.beam)  # before any load, so a bad beam costs none
     model = tagger.load_model(args.model)
     morph_model = morph.MorphModel.load(args.fst)
     for sentence in _words_from(args.sentence):
@@ -118,6 +128,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import tagger
     model = tagger.load_model(args.model)
     morph_model = morph.MorphModel.load(args.fst)
     gold = tagger.TaggedCorpus.read(args.corpus)
@@ -192,8 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (CliError, OSError, fst.FstError, rules.RuleError,
-                  lexicon.LexiconError, morph.MorphError, tagger.TaggerError)
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors reported as exit 1: those of the modules imported so
+    far, as a module that was never imported raised none."""
+    found = [CliError, OSError, fst.FstError, morph.MorphError]
+    for name, base in (("rules", "RuleError"), ("lexicon", "LexiconError"),
+                       ("tagger", "TaggerError")):
+        if (module := sys.modules.get(f"{__package__}.{name}")) is not None:
+            found.append(getattr(module, base))
+    return tuple(found)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:  # evaluated once the command has raised
         print(f"hindimorph {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

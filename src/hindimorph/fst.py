@@ -121,7 +121,12 @@ def scan(text: str, table: SymbolTable, *, intern: bool = False) -> list[int]:
     table raises :class:`UnknownSymbol`; with ``intern=True`` it is
     added.  An unclosed ``<`` raises :class:`UnterminatedTag`.
     """
-    ids: list[int] = []
+    if not intern and "<" not in text:  # one symbol per character
+        ids = list(map(table._ids.get, text))
+        if None in ids:
+            raise UnknownSymbol(f"symbol {text[ids.index(None)]!r} not in table")
+        return ids
+    ids = []
     i = 0
     n = len(text)
     while i < n:

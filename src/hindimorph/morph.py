@@ -10,9 +10,7 @@ file that shadows the transducer in both directions.
 
 from __future__ import annotations
 
-import re
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _text, fst
@@ -28,33 +26,71 @@ class MalformedAnalysis(MorphError):
 
 
 # A model keeps the analyses of at most this many distinct surface words
-# (about 370 bytes each); a miss on a full memo clears it first.
+# (about 450 bytes each); a miss on a full memo clears it first.
 _MEMO_WORDS = 4096
 
-_ANALYSIS_RE = re.compile(r"([^<>]+)((?:<[^<>]+>)+)")
-_TAG_RE = re.compile(r"<([^<>]+)>")
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class Analysis:
-    """A root with its ordered tag sequence, e.g. लडका + (Noun, masculine, sg)."""
+    """A root with its ordered tag sequence, e.g. लडका + (Noun, masculine, sg).
 
-    root: str
-    tags: tuple[str, ...]
+    Immutable; equal and hashed by ``(root, tags)``.  It keeps the text
+    it renders to, so :meth:`render` builds no string.
+    """
+
+    __slots__ = ("root", "tags", "_text")
+
+    def __init__(self, root: str, tags: tuple[str, ...]):
+        tags = tuple(tags)
+        _set(self, "root", root)
+        _set(self, "tags", tags)
+        _set(self, "_text", root + "".join(f"<{t}>" for t in tags))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.root == other.root and self.tags == other.tags
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.tags))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(root={self.root!r}, tags={self.tags!r})"
+
+    def __reduce__(self):
+        return type(self), (self.root, self.tags)
 
     def render(self) -> str:
-        return self.root + "".join(f"<{t}>" for t in self.tags)
+        return self._text
 
     def __str__(self) -> str:
-        return self.render()
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "Analysis":
-        """Parse ``root<Tag1><Tag2>...``; anything else is malformed."""
-        m = _ANALYSIS_RE.fullmatch(text)
-        if not m:
+        """Parse ``root<Tag1><Tag2>...``; anything else is malformed.
+
+        The root and each tag are non-empty and hold no ``<`` or ``>``;
+        nothing follows the last tag.
+        """
+        root, sep, rest = text.partition("<")
+        tags = rest[:-1].split("><")
+        n = len(tags) - 1
+        if (not root or not sep or ">" in root or rest[-1:] != ">"
+                or "" in tags or rest.count("<") != n or rest.count(">") != n + 1):
             raise MalformedAnalysis(f"not a root<Tag>... analysis: {text!r}")
-        return cls(m.group(1), tuple(_TAG_RE.findall(m.group(2))))
+        analysis = object.__new__(cls)
+        _set(analysis, "root", root)
+        _set(analysis, "tags", tuple(tags))
+        _set(analysis, "_text", text)
+        return analysis
 
 
 def load_indeclinables(path) -> dict[str, list[Analysis]]:
@@ -89,7 +125,7 @@ class MorphModel:
     tape.  Each word's indeclinable analyses are kept once each, sorted
     by rendered form, the order :func:`analyze` answers in.  The model
     also keeps the grammar's analyses of up to 4,096 distinct surface
-    words, about 370 bytes each (see :func:`analyze`), so a later
+    words, about 450 bytes each (see :func:`analyze`), so a later
     replacement of ``grammar`` is not seen.
     """
 
@@ -99,15 +135,14 @@ class MorphModel:
         self.indeclinables: dict[str, list[Analysis]] = {}
         self._words_by_analysis: dict[str, list[str]] = {}
         self._analyses: dict[str, tuple[Analysis, ...]] = {}
-        for word, analyses in (indeclinables or {}).items():
-            # a repeated record answers once; the keys are unique, so the
-            # sort never compares two analyses
-            rendered = dict(sorted({a.render(): a for a in analyses}.items()))
-            self.indeclinables[word] = list(rendered.values())
-            for text in rendered:
+        indeclinables = indeclinables or {}
+        # words in sorted order, so each list of words comes out sorted
+        for word in sorted(indeclinables):
+            # a repeated record answers once
+            kept = {a._text: a for a in indeclinables[word]}
+            self.indeclinables[word] = [kept[text] for text in sorted(kept)]
+            for text in kept:
                 self._words_by_analysis.setdefault(text, []).append(word)
-        for words in self._words_by_analysis.values():
-            words.sort()
 
     @classmethod
     def load(cls, grammar_path, indeclinables_path=None) -> "MorphModel":

@@ -16,11 +16,14 @@ through ``tagger.objective``, ``tagger.gradient`` and
 ``tagger._log_probs``, never through the library's feature rows.
 ``tokenize_reference`` tokenizes with a character loop over the
 ``str.split()`` chunks, not with the library's regular expression.
+``parse_analysis_reference`` reads ``root<Tag>...`` with regular
+expressions, where ``morph.Analysis.parse`` uses string operations.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import struct
 import unicodedata
 from collections import deque
@@ -377,6 +380,23 @@ def minimize_reference(a: Transducer) -> Transducer:
             arcs.append((cid, arc.ilab, arc.olab, tid))
     finals = {order[cls[f]] for f in d.finals}
     return build(len(seq), 0, finals, arcs, a.symbols)
+
+
+# ---------------------------------------------------------------------------
+# analyses
+
+
+_ANALYSIS_RE = re.compile(r"([^<>]+)((?:<[^<>]+>)+)")
+_TAG_RE = re.compile(r"<([^<>]+)>")
+
+
+def parse_analysis_reference(text: str) -> tuple[str, tuple[str, ...]] | None:
+    """(root, tags) of a ``root<Tag1><Tag2>...`` text, read with regular
+    expressions, or None if the text is not one."""
+    m = _ANALYSIS_RE.fullmatch(text)
+    if not m:
+        return None
+    return m.group(1), tuple(_TAG_RE.findall(m.group(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,22 @@ def test_tag_rejects_beam_below_one(capsys, tag_file, fst_file, beam):
     assert stderr == f"hindimorph tag: error: beam must be >= 1, got {beam}\n"
 
 
+def test_tag_rejects_beam_below_one_on_empty_stdin(capsys, monkeypatch, tag_file, fst_file):
+    # no sentence to tag: the beam is still checked
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    rc, stdout, stderr = run(capsys, [
+        "tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", "0"])
+    assert (rc, stdout, stderr) == (1, "", "hindimorph tag: error: beam must be >= 1, got 0\n")
+
+
+def test_tag_rejects_beam_below_one_before_loading(capsys, tmp_path):
+    # the models are missing, and the beam error comes first
+    rc, stdout, stderr = run(capsys, [
+        "tag", "-m", str(tmp_path / "missing.tag"), "-f", str(tmp_path / "missing.fst"),
+        "--beam", "0", "आम"])
+    assert (rc, stdout, stderr) == (1, "", "hindimorph tag: error: beam must be >= 1, got 0\n")
+
+
 def test_tag_corrupt_model(capsys, tmp_path, fst_file):
     bad = tmp_path / "bad.tag"
     bad.write_bytes(b"garbage")
@@ -589,13 +605,7 @@ def test_missing_required_option_is_a_usage_error(capsys):
 def test_module_invocation_matches_in_process(capsys, fst_file):
     rc, stdout, _ = run(capsys, ["analyze", "-m", str(fst_file), "लडके"])
     assert rc == 0
-    # the child finds the package where this process imported it from
-    src = str(Path(hindimorph.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hindimorph", "analyze", "-m", str(fst_file), "लडके"],
-        capture_output=True, text=True, encoding="utf-8", env=env)
+    proc = _run_child(["-m", "hindimorph", "analyze", "-m", str(fst_file), "लडके"])
     assert proc.returncode == 0
     assert proc.stdout == stdout
 
@@ -604,6 +614,68 @@ def test_every_public_name_imports_from_the_package_root():
     namespace: dict = {}
     exec("from hindimorph import *", namespace)  # a listed name that is missing raises
     assert set(hindimorph.__all__) <= namespace.keys()
+    from hindimorph import RuleFile, TaggedCorpus, TagModel
+    from hindimorph.rules import RuleFile as rule_file
+    from hindimorph.tagger import TaggedCorpus as tagged_corpus, TagModel as tag_model
+    assert (RuleFile, TaggedCorpus, TagModel) == (rule_file, tagged_corpus, tag_model)
+    assert set(hindimorph.__all__) <= set(dir(hindimorph))
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        hindimorph.nothing
+
+
+def _run_child(args):
+    """Run ``python ARGS`` in a fresh process that imports the package
+    from where this one did."""
+    src = str(Path(hindimorph.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          encoding="utf-8", env=env)
+
+
+IMPORT_PROBE = """
+import sys
+from hindimorph import cli
+
+fst_path, tag_path = sys.argv[1:]
+probed = ("dataclasses", "hindimorph.lexicon", "hindimorph.rules", "hindimorph.tagger")
+assert cli.main(["analyze", "-m", fst_path, "लडके"]) == 0
+assert cli.main(["generate", "-m", fst_path, "कहानी<Noun><masculine><pl>"]) == 0
+print(*[m for m in probed if m in sys.modules])
+assert cli.main(["tag", "-m", tag_path, "-f", fst_path, "आम आदमी आम खाता है ।"]) == 0
+print(*[m for m in probed if m in sys.modules])
+"""
+
+
+def test_analyze_imports_neither_compiler_nor_tagger(fst_file, tag_file):
+    proc = _run_child(["-c", IMPORT_PROBE, str(fst_file), str(tag_file)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "लडके\tलडका<Noun><Vocative>\tलडका<Noun><masculine><pl>",
+        "कहानी<Noun><masculine><pl>\tकहानियाँ",
+        "",  # analyze and generate: none of them
+        "आम/JJ आदमी/N_NN आम/N_NN खाता/V_VM है/V_AUX ।/I",
+        "dataclasses hindimorph.tagger",  # tag: the tagger, not the compiler
+    ]
+
+
+def test_domain_errors_of_modules_imported_on_demand(tmp_path, fst_file):
+    # each in a fresh process, where only the subcommand imports its module
+    (tmp_path / "bad.mrl").write_text("a b |\n", encoding="utf-8")
+    (tmp_path / "verbs.txt").write_text("घर\nक<\n", encoding="utf-8")
+    (tmp_path / "r.mrl").write_text('#include "verbs.txt" <Verb>:<>\n', encoding="utf-8")
+    (tmp_path / "bad.tag").write_bytes(b"garbage")
+    cases = {
+        ("compile", "-r", str(tmp_path / "bad.mrl"), "-o", str(tmp_path / "out.fst")):
+            "hindimorph compile: error: line 1, col 6: expected an expression, found end of line\n",
+        ("compile", "-r", str(tmp_path / "r.mrl"), "-o", str(tmp_path / "out.fst")):
+            "hindimorph compile: error: verbs.txt:2: '<' or '>' in a root (tags belong in the rules)\n",
+        ("tag", "-m", str(tmp_path / "bad.tag"), "-f", str(fst_file), "आम"):
+            "hindimorph tag: error: not a tagger model file (bad magic)\n",
+    }
+    for argv, message in cases.items():
+        proc = _run_child(["-m", "hindimorph", *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message), argv
 
 
 # --- README -------------------------------------------------------------------

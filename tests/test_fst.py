@@ -93,8 +93,26 @@ def test_scan_unterminated_tag():
 
 def test_scan_unknown_symbol_without_intern():
     table = SymbolTable("a")
-    with pytest.raises(UnknownSymbol):
-        scan("ab", table)
+    for text in ("ab", "ab<>", "<>ab"):  # with no "<", and through the tag loop
+        with pytest.raises(UnknownSymbol, match=r"^symbol 'b' not in table$"):
+            scan(text, table)
+
+
+def test_scan_of_plain_text_matches_the_tag_aware_loop():
+    # a text with no "<" is looked up one character at a time in one pass;
+    # with "<>" (an epsilon) appended, the same text goes through the loop
+    # that reads tags, and must give the same ids or the same error
+    rng = random.Random(20)
+    table = SymbolTable(["a", "b", "क", "ा", ">", " ", "<Noun>"])
+    for _ in range(2000):
+        text = "".join(rng.choice("abकाx> य") for _ in range(rng.randrange(9)))
+        results = []
+        for probe in (text, text + "<>"):
+            try:
+                results.append(scan(probe, table))
+            except UnknownSymbol as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
 
 
 def test_render_round_trip():

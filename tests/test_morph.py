@@ -1,4 +1,7 @@
+import copy
 import importlib
+import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -286,6 +289,44 @@ def test_analysis_parse_round_trip():
 def test_analysis_parse_rejects(bad):
     with pytest.raises(MalformedAnalysis):
         Analysis.parse(bad)
+
+
+def test_analysis_parse_accepts_what_the_reference_accepts():
+    # every string of up to 7 symbols over these four: 21,845 texts
+    accepted = 0
+    for n in range(8):
+        for chars in itertools.product(("a", "<", ">", "\n"), repeat=n):
+            text = "".join(chars)
+            want = oracle.parse_analysis_reference(text)
+            try:
+                got = Analysis.parse(text)
+            except MalformedAnalysis as exc:
+                assert want is None, text
+                assert str(exc) == f"not a root<Tag>... analysis: {text!r}"
+                continue
+            assert (got.root, got.tags) == want, text
+            assert got == Analysis(*want) and got.render() == text
+            accepted += 1
+    assert accepted == 204  # a root, then tags, over {"a", "\n"} in up to 7 symbols
+
+
+def test_analysis_is_an_immutable_value():
+    a = Analysis.parse("जा<Verb><present>")
+    b = Analysis("जा", ["Verb", "present"])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert b.tags == ("Verb", "present") and b.render() == str(b) == "जा<Verb><present>"
+    assert a != Analysis("जा", ("Verb",)) and a != Analysis("जाना", ("Verb", "present"))
+    # a value of its own kind: neither its fields as a tuple nor its text
+    assert a != ("जा", ("Verb", "present")) and a != "जा<Verb><present>"
+    assert repr(a) == "Analysis(root='जा', tags=('Verb', 'present'))"
+    for name in ("root", "tags", "_text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.render() == "जा<Verb><present>"
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin.render() == a.render()
 
 
 def test_model_load_from_files(tmp_path, grammar):
