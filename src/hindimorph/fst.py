@@ -173,13 +173,13 @@ class Transducer:
     ``(src[k], ilab[k], olab[k], dst[k])``.  The arcs leaving state
     ``s`` are those from ``_first[s]`` up to ``_first[s + 1]``, where
     `_first` is an ``array("I")`` of ``state_count + 1`` offsets.  The
-    first :func:`apply` on a side fills ``_sides[side]``: the states of
-    :func:`_emitting_eps_cycle_states`, then the columns of the label
-    read, the label written and the target, in (src, read label,
-    written label, dst) order.  They are the machine's own columns for
-    "input", and one re-sorted copy for "output"; each state's arcs
-    keep their offsets in both orders.  No :class:`Arc` is made until
-    `arcs` or :meth:`out_arcs` is read.
+    first :func:`lookup` on a side fills ``_sides[side]``: the side's
+    epsilon-closure table (see :func:`lookup`), then the columns of
+    the label read, the label written and the target, in (src, read
+    label, written label, dst) order.  They are the machine's own
+    columns for "input", and one re-sorted copy for "output"; each
+    state's arcs keep their offsets in both orders.  No :class:`Arc` is
+    made until `arcs` or :meth:`out_arcs` is read.
     """
 
     __slots__ = ("state_count", "start", "finals", "symbols", "_cols", "_first",
@@ -196,7 +196,7 @@ class Transducer:
         self._first = array("I", accumulate(map(counts.get, range(state_count), repeat(0)),
                                             initial=0))
         self._arcs: tuple[Arc, ...] | None = None
-        self._sides: dict[str, tuple[frozenset[int], array, array, array]] = {}
+        self._sides: dict[str, tuple[_Closures, array, array, array]] = {}
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -630,7 +630,7 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     the other tape.
 
     Reaching such a state during application means infinitely many
-    outputs, so :func:`apply` refuses.  Computed from the strongly
+    outputs, so :func:`lookup` refuses.  Computed from the strongly
     connected components of the subgraph of arcs that read epsilon: an
     SCC is bad when one of its internal arcs writes a symbol (an arc
     with both ends in one SCC always lies on a cycle).  The components
@@ -703,9 +703,153 @@ def _by_output(a: Transducer) -> tuple[array, array, array]:
     return cols
 
 
+class _Closures(dict):
+    """A side's epsilon-closure table, keyed by every state that has an
+    arc reading epsilon on that side; see :func:`lookup`.  `room` is how
+    many more (state, written) entries it may keep."""
+
+    __slots__ = ("room",)
+
+
+def _side(a: Transducer, side: str) -> tuple[_Closures, array, array, array]:
+    """The slot of `side`, filled on the first call (see :class:`Transducer`)."""
+    slot = a._sides.get(side)
+    if slot is None:
+        read = a._cols[_tapes(side)[0]]
+        # not yet walked: None; on or into an emitting epsilon cycle: False
+        closures = _Closures.fromkeys(compress(a._cols[0], map(not_, read)))
+        closures.update(dict.fromkeys(_emitting_eps_cycle_states(a, side), False))
+        closures.room = a.arc_count
+        by_read = a._cols[1:] if side == "input" else _by_output(a)
+        slot = a._sides[side] = (closures, *by_read)
+    return slot
+
+
+def _closure(a: Transducer, side: str, ids: list[int], slot: tuple, state: int, pos: int,
+             out: tuple[int, ...], seen: set, queue: list) -> tuple:
+    """The (state, written) entries that :func:`lookup` queues for
+    `state`, found depth-first over the arcs that read epsilon.  While
+    the table has room, the first visit walks them from an empty output
+    and keeps them; once it is full, a visit walks them straight into
+    the search's `seen` and `queue` and returns ()."""
+    closures, reads, writes, dsts = slot
+    closure = closures[state]
+    if closure is None:
+        keep = closures.room > 0
+        if keep:
+            pos, out, seen, queue = 0, (), set(), []
+        first, finals = a._first, a.finals
+        stack = [] if (state, pos, out) in seen else [(state, pos, out)]
+        seen.update(stack)
+        while stack:
+            cfg = stack.pop()
+            s, _, written_so_far = cfg
+            if closures.get(s) is False:  # an emitting epsilon cycle is reachable
+                closure = False
+                break
+            k, end = first[s], first[s + 1]
+            if s in finals or k < end and reads[end - 1]:
+                queue.append(cfg)
+            while k < end and not reads[k]:
+                written = writes[k]
+                cfg = (dsts[k], pos, written_so_far + (written,) if written else written_so_far)
+                k += 1
+                if cfg not in seen:
+                    seen.add(cfg)
+                    stack.append(cfg)
+        if closure is None:
+            if not keep:
+                return ()
+            closure = tuple((t, written) for t, _, written in queue)
+            if len(closure) > closures.room:  # the table is full: keep no more
+                closures.room = 0
+                return closure
+            closures.room -= len(closure)
+        if keep:
+            closures[state] = closure
+    if closure is False:
+        rendered = "".join(map(a.symbols._entries.__getitem__, ids))
+        raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {rendered!r}")
+    return closure
+
+
+def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int, ...]]:
+    """The label-id tuples written along the paths of `a` that read
+    `ids` on `side` (see :func:`apply`); epsilon is never written.
+
+    The search is breadth-first over (state, symbols read, written)
+    configurations, and it follows only arcs that read a symbol.  A
+    state's arcs are sorted by the label they read, so a bisection
+    jumps to the run that reads the next symbol.  Arcs that read
+    epsilon are folded away (Mohri 2002, generic epsilon removal): a
+    configuration that reaches a state of the side's closure table
+    queues that state's epsilon closure instead.  The table holds,
+    filled lazily, each state's closure as (state, written) entries,
+    only for states that are final or have an arc reading a symbol, so
+    pass-through states (such as chains of tags written on no surface
+    symbol) are never queued.  A state that reaches an emitting
+    epsilon cycle (:func:`_emitting_eps_cycle_states`) is marked False
+    and raises.  The table keeps at most as many entries as the
+    machine has arcs; past that, a closure is walked within the search
+    and not kept.
+
+    Raises :class:`EpsilonCycle` when a cycle that reads epsilon and
+    writes a symbol is reachable on `ids`.
+    """
+    slot = _side(a, side)
+    closures, reads, writes, dsts = slot
+    first, finals = a._first, a.finals
+    n = len(ids)
+    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    queue: list[tuple[int, int, tuple[int, ...]]] = []
+    if a.start in closures:
+        closure = _closure(a, side, ids, slot, a.start, 0, (), seen, queue)
+    else:
+        closure = ((a.start, ()),)
+    for t, written in closure:
+        seen.add((t, 0, written))
+        queue.append((t, 0, written))
+    outputs: set[tuple[int, ...]] = set()
+    for state, pos, out in queue:  # grows during the loop: a breadth-first search
+        if pos == n:
+            if state in finals:
+                outputs.add(out)
+            continue
+        sym = ids[pos]
+        pos += 1
+        k, end = first[state], first[state + 1]
+        while k < end:
+            label = reads[k]
+            if label == sym:
+                written = writes[k]
+                dst = dsts[k]
+                k += 1
+                nout = out + (written,) if written else out
+                if dst not in closures:
+                    cfg = (dst, pos, nout)
+                    if cfg not in seen:
+                        seen.add(cfg)
+                        queue.append(cfg)
+                    continue
+                closure = closures[dst]
+                if not closure:  # not kept yet, or marked False
+                    closure = _closure(a, side, ids, slot, dst, pos, nout, seen, queue)
+                for t, written in closure:
+                    cfg = (t, pos, nout + written if written else nout)
+                    if cfg not in seen:
+                        seen.add(cfg)
+                        queue.append(cfg)
+            elif label < sym:  # jump over the arcs that read epsilon or a smaller label
+                k = bisect_left(reads, sym, k, end)
+            else:
+                break
+    return outputs
+
+
 def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     """All pairs (string read, string written) of the paths of `a` that
-    read `text` on one tape.
+    read `text` on one tape: :func:`scan`, then :func:`lookup`, then
+    each written id tuple rendered.
 
     With ``side="input"`` arcs match on their input label and write
     their output label, which gives the (input, output) pairs whose
@@ -714,15 +858,8 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     pairs whose output is `text`: the result of applying
     :func:`invert` of `a` to `text`, without building that machine.  A
     generation-direction grammar analyzes with ``side="output"``.  Any
-    other `side` raises :class:`ValueError`.
-
-    The search is breadth-first over (state, symbols read, output)
-    configurations.  A state's arcs, sorted by the label they read,
-    start with those that read epsilon, which are traversed freely; a
-    bisection of the read column then jumps to the run of arcs that
-    read the next symbol, so no other arc is visited.  The first call
-    on a side fills that side's slot (see :class:`Transducer`); lookup
-    reads only integer columns and makes no :class:`Arc`.
+    other `side` raises :class:`ValueError`.  Lookup reads only integer
+    columns and makes no :class:`Arc`.
 
     Raises :class:`UnknownSymbol` when `text` contains a symbol outside
     the machine's table (distinct from an in-alphabet string that is
@@ -732,46 +869,11 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     """
     _tapes(side)  # an unknown side raises ValueError before any other check
     ids = scan(text, a.symbols)
-    slot = a._sides.get(side)
-    if slot is None:  # the first call on this side; see Transducer
-        by_read = a._cols[1:] if side == "input" else _by_output(a)
-        slot = a._sides[side] = (_emitting_eps_cycle_states(a, side), *by_read)
-    bad, reads, writes, dsts = slot
-    first = a._first
-    finals = a.finals
-    n = len(ids)
-    start = (a.start, 0, ())
-    seen = {start}
-    queue = [start]
-    outputs: set[tuple[int, ...]] = set()
-    for state, pos, out in queue:  # grows during the loop: a breadth-first search
-        if state in bad:
-            raise EpsilonCycle(
-                f"symbol-writing {side}-epsilon cycle reachable on {text!r}")
-        if pos < n:
-            sym = ids[pos]
-        else:  # the text is read: only arcs that read epsilon go on
-            sym = EPSILON
-            if state in finals:
-                outputs.add(out)
-        k, end = first[state], first[state + 1]
-        while k < end:
-            label = reads[k]
-            if label == EPSILON:
-                npos = pos
-            elif label == sym:
-                npos = pos + 1
-            elif label < sym:  # jump to the run of arcs that read `sym`
-                k = bisect_left(reads, sym, k, end)
-                continue
-            else:
-                break
-            written = writes[k]
-            cfg = (dsts[k], npos, out if written == EPSILON else out + (written,))
-            k += 1
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
+    try:
+        outputs = lookup(a, ids, side)
+    except EpsilonCycle:  # name `text` as given, a literal <> included
+        raise EpsilonCycle(
+            f"symbol-writing {side}-epsilon cycle reachable on {text!r}") from None
     entries = a.symbols._entries
     rendered_in = "".join(map(entries.__getitem__, ids))
     return StringPairSet(

@@ -3,9 +3,12 @@
 A grammar maps lexical forms (root plus ``<Tag>`` symbols) to surface
 forms.  The one machine serves both directions: generation reads the
 lexical form on its input tape, and analysis reads the surface word on
-its output tape (``fst.apply(grammar, word, side="output")``).
-Indeclinable words that no rule should touch live in a plain dictionary
-file that shadows the transducer in both directions.
+its output tape.  Both go to :func:`fst.lookup` with label ids (the
+surface word's from :func:`fst.scan`, the lexical form's from its parsed
+:class:`Analysis`) and render each written id tuple once, with no
+:class:`fst.StringPairSet` in between.  Indeclinable words that no rule
+should touch live in a plain dictionary file that shadows the
+transducer in both directions.
 """
 
 from __future__ import annotations
@@ -36,13 +39,19 @@ class Analysis:
     """A root with its ordered tag sequence, e.g. लडका + (Noun, masculine, sg).
 
     Immutable; equal and hashed by ``(root, tags)``.  It keeps the text
-    it renders to, so :meth:`render` builds no string.
+    it renders to, so :meth:`render` builds no string.  The fields obey
+    the rule of :meth:`parse`, so two analyses never render alike: a
+    root and at least one tag, none of them empty or holding ``<`` or
+    ``>``; anything else raises :class:`MalformedAnalysis`.
     """
 
     __slots__ = ("root", "tags", "_text")
 
     def __init__(self, root: str, tags: tuple[str, ...]):
         tags = tuple(tags)
+        fields = "".join((root, *tags))
+        if not root or not tags or not all(tags) or "<" in fields or ">" in fields:
+            raise MalformedAnalysis(f"not a root and tags: {root!r}, {tags!r}")
         _set(self, "root", root)
         _set(self, "tags", tags)
         _set(self, "_text", root + "".join(f"<{t}>" for t in tags))
@@ -120,13 +129,15 @@ def load_indeclinables(path) -> dict[str, list[Analysis]]:
 class MorphModel:
     """A generation-direction grammar plus the indeclinable dictionary.
 
-    The grammar is the only machine: :func:`analyze` applies it on its
-    output (surface) tape and :func:`generate` on its input (lexical)
-    tape.  Each word's indeclinable analyses are kept once each, sorted
-    by rendered form, the order :func:`analyze` answers in.  The model
-    also keeps the grammar's analyses of up to 4,096 distinct surface
-    words, about 450 bytes each (see :func:`analyze`), so a later
-    replacement of ``grammar`` is not seen.
+    The grammar is the only machine: :func:`analyze` looks words up on
+    its output (surface) tape and :func:`generate` on its input
+    (lexical) tape, each through :func:`fst.lookup`, which keeps each
+    side's epsilon closures on the grammar.  Each word's indeclinable
+    analyses are kept once each, sorted by rendered form, the order
+    :func:`analyze` answers in.  The model also keeps the grammar's
+    analyses of up to 4,096 distinct surface words, about 450 bytes
+    each (see :func:`analyze`), so a later replacement of ``grammar``
+    is not seen.
     """
 
     def __init__(self, grammar: Transducer,
@@ -152,6 +163,15 @@ class MorphModel:
         return cls(grammar, indecl)
 
 
+def _texts(grammar: Transducer, outputs: set[tuple[int, ...]]) -> list[str]:
+    """The texts of written label-id tuples, each once, sorted.  Two
+    tuples can render alike when a symbol spells several characters."""
+    entries = grammar.symbols._entries
+    if len(outputs) == 1:
+        return ["".join(map(entries.__getitem__, *outputs))]
+    return sorted({"".join(map(entries.__getitem__, out)) for out in outputs})
+
+
 def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     """All analyses of a surface word, ordered by rendered form.
 
@@ -160,7 +180,8 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     soft miss, not an error); so does a word with a symbol outside the
     grammar's alphabet.  A surface word is plain text, so one that holds
     a ``<`` is a soft miss too: the grammar's tag syntax (``<>``,
-    ``<Tag>``) belongs to the lexical tape.
+    ``<Tag>``) belongs to the lexical tape.  Each id tuple the grammar
+    writes is rendered once; tuples that render alike give one analysis.
 
     The grammar's answers, soft misses included, are kept on the model
     for up to 4,096 distinct words, so a repeated word is read once; a
@@ -176,12 +197,13 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     memo = model._analyses
     found = memo.get(surface)
     if found is None:
+        grammar = model.grammar
         try:
-            pairs = fst.apply(model.grammar, surface, side="output")
+            ids = fst.scan(surface, grammar.symbols)
         except fst.UnknownSymbol:
-            pairs = []
-        # the read string is fixed, so the pairs are already in lexical order
-        found = tuple(Analysis.parse(out) for _, out in pairs)
+            found = ()
+        else:
+            found = tuple(map(Analysis.parse, _texts(grammar, fst.lookup(grammar, ids, "output"))))
         if len(memo) >= _MEMO_WORDS:
             memo.clear()
         memo[surface] = found
@@ -197,12 +219,13 @@ def generate(model: MorphModel, lexical: str) -> list[str]:
     lexical form yields an empty list.
     """
     lexical = unicodedata.normalize("NFC", lexical)
-    Analysis.parse(lexical)
+    analysis = Analysis.parse(lexical)
     stored = model._words_by_analysis.get(lexical)
     if stored is not None:
         return list(stored)
-    try:
-        pairs = fst.apply(model.grammar, lexical)
-    except fst.UnknownSymbol:
+    grammar = model.grammar
+    id_of = grammar.symbols._ids.get
+    ids = [*map(id_of, analysis.root), *[id_of(f"<{tag}>") for tag in analysis.tags]]
+    if None in ids:  # a symbol outside the grammar's alphabet
         return []
-    return [out for _, out in pairs]
+    return _texts(grammar, fst.lookup(grammar, ids))

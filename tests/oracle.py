@@ -29,7 +29,7 @@ import unicodedata
 from collections import deque
 
 from hindimorph import tagger
-from hindimorph.fst import EPSILON, SymbolTable, Transducer, build, remove_epsilons
+from hindimorph.fst import EPSILON, EpsilonCycle, SymbolTable, Transducer, build, remove_epsilons
 
 ALPHABET = ("a", "b", "c")
 
@@ -122,6 +122,38 @@ def emitting_eps_cycle_states(t: Transducer, side: str) -> set[int]:
             if arc[write] != EPSILON
             and {arc.src, arc.dst} <= reach[s]
             and s in reach[arc.src] and s in reach[arc.dst]}
+
+
+def lookup_reference(t: Transducer, ids: list[int], side: str) -> set[tuple[int, ...]]:
+    """The label-id tuples written along the paths that read `ids` on
+    `side`: a breadth-first walk over (state, symbols read, written)
+    that takes every arc on its own, epsilon-reading ones included.
+    Reaching a state of :func:`emitting_eps_cycle_states` raises
+    ``EpsilonCycle``."""
+    read, write = (1, 2) if side == "input" else (2, 1)
+    bad = emitting_eps_cycle_states(t, side)
+    start = (t.start, 0, ())
+    seen = {start}
+    queue = deque([start])
+    outputs = set()
+    while queue:
+        state, pos, out = queue.popleft()
+        if state in bad:
+            raise EpsilonCycle(f"state {state} lies on an emitting {side}-epsilon cycle")
+        if pos == len(ids) and state in t.finals:
+            outputs.add(out)
+        for arc in t.out_arcs(state):
+            if arc[read] == EPSILON:
+                npos = pos
+            elif pos < len(ids) and arc[read] == ids[pos]:
+                npos = pos + 1
+            else:
+                continue
+            cfg = (arc.dst, npos, out + (arc[write],) if arc[write] != EPSILON else out)
+            if cfg not in seen:
+                seen.add(cfg)
+                queue.append(cfg)
+    return outputs
 
 
 def _render(ids: tuple[int, ...], table: SymbolTable) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 
@@ -647,6 +648,166 @@ def test_apply_tolerates_silent_epsilon_cycle():
               [(0, EPSILON, EPSILON, 0), (0, a, a, 1)],
               table)
     assert set(fst.apply(t, "a")) == {("a", "a")}
+
+
+# ---------------------------------------------------------------------------
+# lookup: the search under apply, on label ids
+
+
+def lookup_outcome(m, text, side):
+    """What lookup and apply give for `text`: the written id tuples,
+    after checking that apply renders them, or the exception type."""
+    try:
+        ids = scan(text, m.symbols)
+        got = fst.lookup(m, ids, side)
+    except (UnknownSymbol, EpsilonCycle) as exc:
+        with pytest.raises(type(exc)):
+            fst.apply(m, text, side=side)
+        return type(exc)
+    assert fst.apply(m, text, side=side) == StringPairSet(
+        (render(ids, m.symbols), render(out, m.symbols)) for out in got)
+    return got
+
+
+def reference_outcome(m, text, side):
+    try:
+        return oracle.lookup_reference(m, scan(text, m.symbols), side)
+    except (UnknownSymbol, EpsilonCycle) as exc:
+        return type(exc)
+
+
+def closure_table(m, side):
+    return m._sides[side][0]
+
+
+@pytest.mark.parametrize("make", [oracle.rand_acyclic, oracle.rand_machine])
+def test_lookup_equals_reference(make):
+    # random machines are full of epsilon-reading arcs: chains from the
+    # start, silent cycles and cycles that write
+    rng = random.Random(f"lookup-{make.__name__}")
+    table = oracle.make_table()
+    texts = ["", "a", "b", "c", "ab", "ba", "cc", "abc", "z"]
+    shapes = set()
+    for trial in range(300):
+        m = make(rng, table, max_states=2 + trial % 7, out_degree=1 + trial % 4)
+        reloaded = fst.from_bytes(fst.to_bytes(m))
+        if any(arc.ilab == arc.olab == EPSILON and arc.src == arc.dst for arc in m.arcs):
+            shapes.add("silent epsilon loop")
+        for side in ("input", "output"):
+            read = 1 if side == "input" else 2
+            if any(arc[read] == EPSILON for arc in m.out_arcs(m.start)):
+                shapes.add("epsilon arcs at the start")
+            for text in texts:
+                want = reference_outcome(m, text, side)
+                # the second call reads the closures the first one kept
+                for machine in (m, m, reloaded):
+                    assert lookup_outcome(machine, text, side) == want, (trial, side, text)
+                if want is EpsilonCycle:
+                    shapes.add("raises")
+                elif want not in (set(), UnknownSymbol):
+                    shapes.add("answers")
+    want_shapes = {"epsilon arcs at the start", "answers"}
+    if make is oracle.rand_machine:
+        want_shapes |= {"silent epsilon loop", "raises"}
+    assert shapes == want_shapes
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_lookup_folds_epsilon_chains_at_the_start(side):
+    # 0 -x-> 1 -y-> 2 and 0 -z-> 3 read epsilon and write a tag each;
+    # 2 is final and reads "a", 3 reads "b"; 1 is a pass-through state
+    table = SymbolTable(["a", "b", "<x>", "<y>", "<z>"])
+    a, b, x, y, z = (table.id_of(s) for s in ("a", "b", "<x>", "<y>", "<z>"))
+    rows = [(0, EPSILON, x, 1), (1, EPSILON, y, 2), (0, EPSILON, z, 3),
+            (2, a, a, 4), (3, b, b, 4)]
+    if side == "output":
+        rows = [(src, olab, ilab, dst) for src, ilab, olab, dst in rows]
+    m = build(5, 0, (2, 4), rows, table)
+    for text, want in (("", {(x, y)}), ("a", {(x, y, a)}), ("b", {(z, b)}), ("ab", set())):
+        assert lookup_outcome(m, text, side) == want == reference_outcome(m, text, side)
+    # the start's closure keeps 2 and 3, not the pass-through state 1
+    closures = closure_table(m, side)
+    assert set(closures) == {0, 1}
+    assert sorted(closures[0]) == [(2, (x, y)), (3, (z,))]
+    assert closures[1] is None
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_lookup_through_silent_epsilon_cycles(side):
+    # 0 <-> 1 <-> 2 is a silent epsilon cycle through the start; 1 writes
+    # "b" on its way out of the cycle into the final 3, and 2 reads "a"
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    rows = [(0, EPSILON, EPSILON, 1), (1, EPSILON, EPSILON, 2), (2, EPSILON, EPSILON, 0),
+            (1, EPSILON, b, 3), (2, a, a, 0), (3, a, EPSILON, 3)]
+    if side == "output":
+        rows = [(src, olab, ilab, dst) for src, ilab, olab, dst in rows]
+    m = build(4, 0, (3,), rows, table)
+    for text in ("", "a", "aa", "aaa", "b"):
+        want = reference_outcome(m, text, side)
+        assert lookup_outcome(m, text, side) == want
+    assert lookup_outcome(m, "aa", side) == {(b,), (a, b), (a, a, b)}
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_lookup_emitting_cycle_raises_every_time(side):
+    # 1 <-> 2 reads epsilon and writes "a"; it is reached after "b"
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    rows = [(0, b, b, 1), (1, EPSILON, a, 2), (2, EPSILON, a, 1), (0, a, a, 3)]
+    if side == "output":
+        rows = [(src, olab, ilab, dst) for src, ilab, olab, dst in rows]
+    m = build(4, 0, (0, 3), rows, table)
+    message = f"symbol-writing {side}-epsilon cycle reachable on 'b'"
+    for machine in (m, m, m, fst.from_bytes(fst.to_bytes(m))):
+        assert lookup_outcome(machine, "a", side) == {(a,)}
+        with pytest.raises(EpsilonCycle, match=f"^{message}$"):
+            fst.lookup(machine, [b], side)
+        with pytest.raises(EpsilonCycle, match=f"^{message}$"):
+            fst.apply(machine, "b", side=side)
+    # apply names the text as given, a literal <> included
+    with pytest.raises(EpsilonCycle, match="reachable on 'b<>'$"):
+        fst.apply(m, "b<>", side=side)
+    assert closure_table(m, side) == {1: False, 2: False}
+
+
+def test_lookup_dedups_texts_by_apply():
+    # "ab" is one symbol besides "a" and "b": two paths write two id
+    # tuples that render to one text
+    table = SymbolTable(["x", "ab", "a", "b"])
+    x, ab, a, b = (table.id_of(s) for s in ("x", "ab", "a", "b"))
+    m = build(3, 0, (2,), [(0, x, ab, 2), (0, x, a, 1), (1, EPSILON, b, 2)], table)
+    assert fst.lookup(m, [x]) == {(ab,), (a, b)} == oracle.lookup_reference(m, [x], "input")
+    assert fst.apply(m, "x").pairs == (("x", "ab"),)
+    inv = fst.invert(m)
+    assert fst.apply(inv, "x", side="output").pairs == (("x", "ab"),)
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_closure_table_is_bounded(side):
+    # A silent epsilon cycle of n states, each with an arc that reads
+    # "a", writes "a" or "b" and moves on: every state's closure is the
+    # whole cycle, n entries.  With one more arc the machine has 2n + 1,
+    # so the table keeps two closures, has room for one entry left, and
+    # walks the rest in the search.
+    n = 2000
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    rows = [(s, EPSILON, EPSILON, (s + 1) % n) for s in range(n)]
+    rows += [(s, a, (a, b)[s % 2], (s + 1) % n) for s in range(n)] + [(0, a, a, 0)]
+    if side == "output":
+        rows = [(src, olab, ilab, dst) for src, ilab, olab, dst in rows]
+    m = build(n, 0, (0,), rows, table)
+    for text in ("", "a", "aaa", "b"):
+        got = {render(out, table) for out in fst.lookup(m, scan(text, table), side)}
+        # each "a" may write either symbol; nothing else is read
+        assert got == {"".join(w) for w in itertools.product("ab", repeat=len(text))
+                       if "b" not in text}
+    closures = closure_table(m, side)
+    kept = [c for c in closures.values() if c]
+    assert sum(map(len, kept)) <= m.arc_count
+    assert len(kept) == 2 and closures.room == 0
+    assert len(closures) == n
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,46 @@ def test_analysis_is_an_immutable_value():
         assert twin == a and twin.render() == a.render()
 
 
+def test_analysis_fields_obey_the_parse_rule():
+    # two analyses that render alike: only the second one is well-formed
+    with pytest.raises(MalformedAnalysis):
+        Analysis("a", ("b><c",))
+    assert Analysis.parse(Analysis("a", ("b", "c")).render()) == Analysis("a", ("b", "c"))
+    # every root and up to two tags over these three: the constructor
+    # accepts exactly the fields that parse reads back from their text
+    parts = ["", *map("".join, itertools.product("a<>", repeat=1)),
+             *map("".join, itertools.product("a<>", repeat=2))]
+    accepted = 0
+    for root in parts:
+        for n in range(3):
+            for tags in itertools.product(parts, repeat=n):
+                text = root + "".join(f"<{t}>" for t in tags)
+                try:
+                    read = Analysis.parse(text)
+                except MalformedAnalysis:
+                    read = None
+                if read is not None and (read.root, read.tags) == (root, tags):
+                    assert Analysis(root, tags).render() == text
+                    accepted += 1
+                else:
+                    with pytest.raises(MalformedAnalysis):
+                        Analysis(root, tags)
+    assert accepted == 12  # root "a" or "aa"; one or two tags, each "a" or "aa"
+
+
+def test_analyses_that_render_alike_answer_once():
+    # "ab" is one symbol besides "a" and "b", so the grammar writes the
+    # lexical form ab<T> of the surface "s" along two paths
+    table = SymbolTable(["s", "ab", "a", "b", "<T>"])
+    s, ab, a, b, t = (table.id_of(x) for x in ("s", "ab", "a", "b", "<T>"))
+    grammar = fst.build(5, 0, (4,), [(0, ab, s, 3), (0, a, s, 1), (1, b, fst.EPSILON, 3),
+                                     (3, t, fst.EPSILON, 4)], table)
+    assert len(fst.lookup(grammar, [s], "output")) == 2
+    model = MorphModel(grammar)
+    assert morph.analyze(model, "s") == [Analysis("ab", ("T",))]
+    assert morph.generate(model, "ab<T>") == ["s"]
+
+
 def test_model_load_from_files(tmp_path, grammar):
     from hindimorph import data_path
     path = tmp_path / "g.fst"
