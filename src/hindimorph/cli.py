@@ -8,7 +8,7 @@ Subcommands::
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
     generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
     train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N --step F]
-    tag -m <model.tag> -f <model.fst> [--beam N] [sentence|-]
+    tag -m <model.tag> -f <model.fst> [sentence|-]
     eval -m <model.tag> -f <model.fst> -c <gold.txt>
 
 Each subcommand imports the modules it uses when it runs, so
@@ -118,11 +118,10 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     from . import tagger
-    tagger._check_beam(args.beam)  # before any load, so a bad beam costs none
     model = tagger.load_model(args.model)
     morph_model = morph.MorphModel.load(args.fst)
     for sentence in _words_from(args.sentence):
-        tagged = tagger.tag(model, morph_model, sentence, beam=args.beam)
+        tagged = tagger.tag(model, morph_model, sentence)
         print(" ".join(f"{surface}/{t}" for surface, t in tagged))
     return 0
 
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tag", help="tag sentences")
     p.add_argument("-m", "--model", required=True, help="tagger model file")
     p.add_argument("-f", "--fst", required=True, help="morphology transducer file")
-    p.add_argument("--beam", type=int, default=3)
     p.add_argument("sentence", nargs="*",
                    help="sentences; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_tag)

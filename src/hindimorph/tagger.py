@@ -5,8 +5,8 @@ The model is a conditional log-linear classifier per token,
     p(t | h) = exp(w . f(h, t)) / sum_t' exp(w . f(h, t')),
 
 trained by full-batch gradient ascent on the mean per-token
-log-likelihood minus an L2 penalty.  Decoding is a beam search over tag
-sequences conditioned on the previous tag.  Words never seen in
+log-likelihood minus an L2 penalty.  Decoding is a beam search of width
+3 over tag sequences conditioned on the previous tag.  Words never seen in
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
 
@@ -36,6 +36,10 @@ BOUNDARY_WORD_END = "</s>"
 BOUNDARY_TAG = "<s>"
 PUNCT_TAG = "I"
 PUNCT_CHARS = frozenset("।?!,")
+# Tag sequences kept per position while decoding.  On the bundled corpus
+# this width tags every held-out token as exact Viterbi decoding does,
+# which costs more: it scores every candidate of the previous token.
+_BEAM = 3
 
 # String-payload feature templates plus the two always-on boolean flags.
 TEMPLATES = ("w", "pw", "nw", "pt", "s1", "s2", "s3", "s4", "p1", "punct", "dig")
@@ -168,10 +172,10 @@ class TagModel:
     # decoding.
     _rows: dict[str, list[float]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # Word -> the candidate (tag, index) pairs and the feature rows of a
+    # Word -> the candidate tag indices and the feature rows of a
     # dictionary word or punctuation, which the model alone fixes; filled
     # by decoding and, like `_rows`, blind to later edits of the model.
-    _entries: dict[str, tuple[tuple[tuple[str, int], ...], list[list[float]]]] | None = field(
+    _entries: dict[str, tuple[tuple[int, ...], list[list[float]]]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
 
@@ -200,12 +204,6 @@ def _row_log_probs(rows: Sequence[Sequence[float]]) -> list[float]:
     peak = max(scores)
     log_z = peak + math.log(sum(math.exp(s - peak) for s in scores))
     return [s - log_z for s in scores]
-
-
-def tag_probs(model: TagModel, feats: Sequence[str]) -> dict[str, float]:
-    """p(tag | features) over the full tagset (sums to 1)."""
-    return {t: math.exp(lp)
-            for t, lp in _log_probs(model.weights, feats, model.tagset).items()}
 
 
 def _positions(corpus: TaggedCorpus) -> list[tuple[list[str], str]]:
@@ -369,7 +367,7 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
         else:
             cands = set()
             for analysis in analyses:
-                mapped = MORPH_TAG_MAP.get(analysis.tags[0] if analysis.tags else "")
+                mapped = MORPH_TAG_MAP.get(analysis.tags[0])
                 cands.update(mapped if mapped else full)
     cands &= full
     if not cands:
@@ -400,23 +398,22 @@ def _feature_rows(model: TagModel) -> dict[str, list[float]]:
     return rows
 
 
-def _check_beam(beam: int) -> None:
-    if beam < 1:
-        raise TaggerError(f"beam must be >= 1, got {beam}")
-
-
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
-                tokens: Sequence[str], beam: int = 3) -> list[str]:
-    """Beam-search decode; ties break toward earlier tagset order.
+                tokens: Sequence[str]) -> list[str]:
+    """Beam-search decode, keeping the :data:`_BEAM` best tag sequences
+    per position; ties break toward earlier tagset order.
 
     Each position's rows are its token's own rows, its neighbours' rows
     as previous and next word, and the previous tag's row, in the order
     of :func:`extract_features`.  The log-probabilities are computed once
     per distinct previous tag among the beam entries; they are the floats
-    :func:`_log_probs` gives.
+    :func:`_log_probs` gives.  A beam entry is its negated score and its
+    path of tag indices, so sorting the entries orders them best first.
     """
     index = _feature_rows(model)
     zero = [0.0] * len(model.tagset)
+    # The pt: row of each tag by index, and of the sentence start at -1.
+    prev_tag_rows = [index.get(f"pt:{t}", zero) for t in (*model.tagset, BOUNDARY_TAG)]
     memo = model._entries
     if memo is None:
         memo = model._entries = {}
@@ -427,7 +424,7 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
             allowed = candidate_tags(model, morph_model, word)
             # Between two copies of itself, the token fires its own features
             # and, as pw: and nw:, those its neighbours fire for it.
-            entry = (tuple((t, k) for k, t in enumerate(model.tagset) if t in allowed),
+            entry = (tuple(k for k, t in enumerate(model.tagset) if t in allowed),
                      [index.get(f, zero) for f in extract_features((word,) * 3, 1, BOUNDARY_TAG)])
             # Kept for a punctuation character or a dictionary word, which
             # candidate_tags answers from the model alone, so the memo stays
@@ -438,34 +435,34 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 memo[word] = entry
         entries.append(entry)
     last = len(entries) - 1
-    beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
+    beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
     for i, (cands, own) in enumerate(entries):
         rows = own.copy()
         rows[_PREV_WORD_SLOT] = (entries[i - 1][1][_PREV_WORD_SLOT] if i
                                  else index.get(_START, zero))
         rows[_NEXT_WORD_SLOT] = (entries[i + 1][1][_NEXT_WORD_SLOT] if i < last
                                  else index.get(_END, zero))
-        by_prev: dict[str, list[float]] = {}
+        by_prev: dict[int, list[float]] = {}
         expanded = []
-        for score, tags, path in beams:
-            prev_tag = tags[-1] if tags else BOUNDARY_TAG
-            log_p = by_prev.get(prev_tag)
+        for neg_score, path in beams:
+            prev = path[-1] if path else -1
+            log_p = by_prev.get(prev)
             if log_p is None:
-                rows[_PREV_TAG_SLOT] = index.get(f"pt:{prev_tag}", zero)
-                log_p = by_prev[prev_tag] = _row_log_probs(rows)
-            for t, k in cands:
-                expanded.append((score + log_p[k], tags + (t,), path + (k,)))
-        expanded.sort(key=lambda item: (-item[0], item[2]))
-        beams = expanded[:beam]
-    return list(beams[0][1])
+                rows[_PREV_TAG_SLOT] = prev_tag_rows[prev]
+                log_p = by_prev[prev] = _row_log_probs(rows)
+            for k in cands:
+                expanded.append((neg_score - log_p[k], path + (k,)))
+        expanded.sort()
+        beams = expanded[:_BEAM]
+    return [model.tagset[k] for k in beams[0][1]]
 
 
 def tag(model: TagModel, morph_model: morph.MorphModel | None,
-        sentence: str, beam: int = 3) -> list[tuple[str, str]]:
-    """Tokenize and tag a raw sentence; ``beam`` must be at least 1."""
-    _check_beam(beam)
+        sentence: str) -> list[tuple[str, str]]:
+    """Tokenize and tag a raw sentence with the width-3 beam of
+    :func:`_tag_tokens`."""
     tokens = tokenize_sentence(sentence)
-    return list(zip(tokens, _tag_tokens(model, morph_model, tokens, beam)))
+    return list(zip(tokens, _tag_tokens(model, morph_model, tokens)))
 
 
 @dataclass(frozen=True)
@@ -478,20 +475,20 @@ class EvalResult:
 
 
 def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
-             gold: TaggedCorpus, beam: int = 3) -> EvalResult:
-    """Token accuracy on a gold corpus, split by dictionary membership.
+             gold: TaggedCorpus) -> EvalResult:
+    """Token accuracy on a gold corpus, split by dictionary membership,
+    of the taggings :func:`tag` would give.
 
     An empty partition (a zero ``*_total``) reports accuracy 1.0.  Gold
     tags outside the model's tagset raise :class:`TagsetMismatch`.
     """
-    _check_beam(beam)
     extra = sorted({t for s in gold.sentences for _, t in s} - set(model.tagset))
     if extra:
         raise TagsetMismatch(f"gold tags outside the model tagset: {extra}")
     known_hits = known_total = unknown_hits = unknown_total = 0
     for sentence in gold.sentences:
         surfaces = [unicodedata.normalize("NFC", s) for s, _ in sentence]
-        predicted = _tag_tokens(model, morph_model, surfaces, beam)
+        predicted = _tag_tokens(model, morph_model, surfaces)
         for surface, (_, gold_tag), pred in zip(surfaces, sentence, predicted):
             if surface in model.dictionary:
                 known_total += 1
@@ -547,6 +544,10 @@ def model_from_bytes(data: bytes) -> TagModel:
         indices = reader.array("<I")
         if word in dictionary:
             raise TaggerError(f"tagger model dictionary repeats the word {word!r}")
+        if not indices:
+            raise TaggerError(f"tagger model dictionary lists no tag for {word!r}")
+        if len(set(indices)) != len(indices):
+            raise TaggerError(f"tagger model dictionary repeats a tag index for {word!r}")
         try:
             dictionary[word] = frozenset(tagset[i] for (i,) in indices)
         except IndexError as exc:

@@ -4,6 +4,7 @@ One test per guarantee; run with ``pytest -v tests/test_acceptance.py``
 for a pass/fail line each.  Tolerances and budgets are stated inline.
 """
 
+import math
 import random
 import time
 
@@ -216,7 +217,8 @@ def test_tagger_golden_suite(mini_corpus, tag_model, morph_model):
         i = rng.randrange(len(tokens))
         contexts.append(tagger.extract_features(tokens, i, rng.choice(tag_model.tagset)))
     for feats in contexts:
-        total = sum(tagger.tag_probs(tag_model, feats).values())
+        log_p = tagger._log_probs(tag_model.weights, feats, tag_model.tagset)
+        total = sum(math.exp(lp) for lp in log_p.values())
         assert abs(total - 1.0) <= 1e-9
 
     # analytic gradient matches central finite differences within 1e-4

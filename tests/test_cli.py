@@ -374,39 +374,6 @@ def test_tag_stray_tag_bracket_is_an_unknown_token(capsys, tag_file, fst_file):
     assert stderr == ""
 
 
-def test_tag_beam_flag(capsys, tag_file, fst_file):
-    rc, stdout, _ = run(capsys, [
-        "tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", "1",
-        "आम आदमी आम खाता है ।"])
-    assert rc == 0
-    assert stdout == "आम/JJ आदमी/N_NN आम/N_NN खाता/V_VM है/V_AUX ।/I\n"
-
-
-@pytest.mark.parametrize("beam", ["0", "-1"])
-def test_tag_rejects_beam_below_one(capsys, tag_file, fst_file, beam):
-    rc, stdout, stderr = run(capsys, [
-        "tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", beam, "आम"])
-    assert rc == 1
-    assert stdout == ""
-    assert stderr == f"hindimorph tag: error: beam must be >= 1, got {beam}\n"
-
-
-def test_tag_rejects_beam_below_one_on_empty_stdin(capsys, monkeypatch, tag_file, fst_file):
-    # no sentence to tag: the beam is still checked
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
-    rc, stdout, stderr = run(capsys, [
-        "tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", "0"])
-    assert (rc, stdout, stderr) == (1, "", "hindimorph tag: error: beam must be >= 1, got 0\n")
-
-
-def test_tag_rejects_beam_below_one_before_loading(capsys, tmp_path):
-    # the models are missing, and the beam error comes first
-    rc, stdout, stderr = run(capsys, [
-        "tag", "-m", str(tmp_path / "missing.tag"), "-f", str(tmp_path / "missing.fst"),
-        "--beam", "0", "आम"])
-    assert (rc, stdout, stderr) == (1, "", "hindimorph tag: error: beam must be >= 1, got 0\n")
-
-
 def test_tag_corrupt_model(capsys, tmp_path, fst_file):
     bad = tmp_path / "bad.tag"
     bad.write_bytes(b"garbage")
@@ -600,6 +567,16 @@ def test_missing_required_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["compile", "-r", "rules.mrl"])  # no -o
     assert excinfo.value.code == 2
+
+
+def test_tag_beam_option_is_a_usage_error(capsys, tag_file, fst_file):
+    # the beam width is fixed at 3
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", "3", "आम"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --beam" in captured.err
 
 
 def test_module_invocation_matches_in_process(capsys, fst_file):

@@ -25,7 +25,6 @@ from hindimorph.tagger import (
     model_to_bytes,
     objective,
     tag,
-    tag_probs,
     tokenize_sentence,
     train,
 )
@@ -217,9 +216,12 @@ def test_feature_payloads_follow_templates():
 # --- probabilities --------------------------------------------------------
 
 
+def _probs(weights, feats, tagset):
+    return {t: math.exp(lp) for t, lp in tagger._log_probs(weights, feats, tagset).items()}
+
+
 def test_zero_weights_give_uniform_probs():
-    model = TagModel(("A", "B", "C"), {}, {}, 0.1)
-    probs = tag_probs(model, ["w:x", "pt:<s>"])
+    probs = _probs({}, ["w:x", "pt:<s>"], ("A", "B", "C"))
     for p in probs.values():
         assert p == pytest.approx(1 / 3)
 
@@ -230,22 +232,20 @@ def test_probs_sum_to_one_for_random_weights():
     feats = ["w:x", "pw:y", "s1:z", "punct:0"]
     for _ in range(50):
         weights = {f"{f}:{t}": rng.uniform(-3, 3) for f in feats for t in tagset}
-        probs = tag_probs(TagModel(tagset, weights, {}, 0.1), feats)
+        probs = _probs(weights, feats, tagset)
         assert abs(sum(probs.values()) - 1.0) <= 1e-9
         assert all(p >= 0.0 for p in probs.values())
 
 
 def test_single_weight_shifts_probability():
-    model = TagModel(("A", "B"), {"w:foo:A": 1.0}, {}, 0.1)
-    probs = tag_probs(model, ["w:foo"])
+    probs = _probs({"w:foo:A": 1.0}, ["w:foo"], ("A", "B"))
     assert probs["A"] == pytest.approx(1 / (1 + math.exp(-1)))
     assert probs["A"] > probs["B"]
 
 
 def test_probs_are_stable_under_huge_scores():
     weights = {"w:foo:A": 1000.0, "w:foo:B": 999.0}
-    model = TagModel(("A", "B"), weights, {}, 0.1)
-    probs = tag_probs(model, ["w:foo"])
+    probs = _probs(weights, ["w:foo"], ("A", "B"))
     assert probs["A"] == pytest.approx(1 / (1 + math.exp(-1)))
     assert abs(sum(probs.values()) - 1.0) <= 1e-9
 
@@ -376,7 +376,7 @@ def test_train_equals_reference_ascent(config):
     # the trained model decodes from rows built from its weights
     for sentence in toy_corpus().sentences:
         tokens = [s for s, _ in sentence]
-        assert tagger._tag_tokens(model, None, tokens, 3) == (
+        assert tagger._tag_tokens(model, None, tokens) == (
             oracle.tag_tokens_reference(model, None, tokens, 3))
 
 
@@ -508,21 +508,6 @@ def test_tag_ties_break_toward_earlier_tagset_order():
         ("foo", "A"), ("bar", "A"), ("baz", "A")]
 
 
-def test_tag_beam_one_still_tags_goldens(tag_model, morph_model):
-    sentence, expected = GOLDEN_SENTENCES[1]
-    assert tag(tag_model, morph_model, sentence, beam=1) == expected
-
-
-@pytest.mark.parametrize("beam", [0, -1])
-def test_tag_and_evaluate_reject_beam_below_one(tag_model, morph_model, beam):
-    with pytest.raises(TaggerError, match=f"beam must be >= 1, got {beam}"):
-        tag(tag_model, morph_model, "आम आदमी आम खाता है ।", beam=beam)
-    with pytest.raises(TaggerError, match="beam must be >= 1"):
-        tag(tag_model, morph_model, "", beam=beam)
-    with pytest.raises(TaggerError, match="beam must be >= 1"):
-        evaluate(tag_model, morph_model, TaggedCorpus.parse("आम/JJ"), beam=beam)
-
-
 # Not in the tagger dictionary: morph fallback (noun, verb), no analysis
 # (Latin, digits) and a word that only the stray weight below knows.
 UNKNOWN_WORDS = ("मालन", "पढ़ी", "xyzzy", "२०२४", "x")
@@ -551,13 +536,15 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
     sentences = _substituted_sentences(mini_corpus)
     assert sum(t in UNKNOWN_WORDS for s in sentences for t in s) >= 100
     # the second pass keeps the analyses of only two words, so the morph
-    # model drops them within a sentence
+    # model drops them within a sentence; widths 1 and 5 check the pruning
+    # and its ties on either side of the decoder's fixed width
     for memo_words in (morph._MEMO_WORDS, 2):
         monkeypatch.setattr(morph, "_MEMO_WORDS", memo_words)
         for model in (tag_model, loaded):
-            for beam in (1, 3, 5):
+            for beam in (1, tagger._BEAM, 5):
+                monkeypatch.setattr(tagger, "_BEAM", beam)
                 for tokens in sentences:
-                    assert tagger._tag_tokens(model, morph_model, tokens, beam) == (
+                    assert tagger._tag_tokens(model, morph_model, tokens) == (
                         oracle.tag_tokens_reference(model, morph_model, tokens, beam))
 
 
@@ -568,7 +555,7 @@ def test_decode_memo_keeps_only_model_fixed_entries(tag_model, morph_model, mini
     sentences = _substituted_sentences(mini_corpus)
     for fallback in (morph_model, None, morph_model):
         for tokens in sentences:
-            assert tagger._tag_tokens(model, fallback, tokens, 3) == (
+            assert tagger._tag_tokens(model, fallback, tokens) == (
                 oracle.tag_tokens_reference(model, fallback, tokens, 3))
     assert model._entries
     assert all(word in model.dictionary or word in tagger.PUNCT_CHARS
@@ -586,7 +573,7 @@ def test_decode_tokens_whose_flag_disagrees_with_their_surface(tag_model, morph_
     # one of PUNCT_CHARS, so the memo must not keep it.
     model = model_from_bytes(model_to_bytes(tag_model))
     for _ in range(2):  # the second decode reads the memo
-        assert tagger._tag_tokens(model, morph_model, tokens, 3) == (
+        assert tagger._tag_tokens(model, morph_model, tokens) == (
             oracle.tag_tokens_reference(model, morph_model, tokens, 3))
 
 
@@ -597,7 +584,7 @@ def test_decode_memo_skips_a_dictionary_word_that_is_not_nfc(morph_model):
     model = TagModel(MINI_TAGSET, {}, {word: frozenset({"RB"})}, 0.1)
     tokens = [word]
     for fallback in (morph_model, None):
-        assert tagger._tag_tokens(model, fallback, tokens, 3) == (
+        assert tagger._tag_tokens(model, fallback, tokens) == (
             oracle.tag_tokens_reference(model, fallback, tokens, 3))
     assert model._entries == {}
 
@@ -870,6 +857,20 @@ def test_mutated_model_bytes_raise_only_tagger_error(morph_model):
                 assert all(t in model.tagset for _, t in tagged)
 
     check()
+
+
+@pytest.mark.parametrize("indices,message", [
+    ((), "lists no tag for 'x1'"),
+    ((1, 1), "repeats a tag index for 'x1'"),
+], ids=["no-tags", "repeated-index"])
+def test_reject_malformed_dictionary_entry(indices, message):
+    # the trainer writes each word's tag indices once each, and at least one
+    data = _small_model_bytes(dictionary={"x1": frozenset({"A", "B"})})
+    entry = pack_str("x1") + struct.pack("<3I", 2, 0, 1)
+    assert data.count(entry) == 1
+    bad = pack_str("x1") + struct.pack(f"<{1 + len(indices)}I", len(indices), *indices)
+    with pytest.raises(TaggerError, match=message):
+        model_from_bytes(data.replace(entry, bad))
 
 
 def test_reject_dictionary_index_out_of_range():
