@@ -1,18 +1,31 @@
 """Little-endian records shared by the transducer and tagger file formats:
-fixed-size values, u32 counts and lengths, length-prefixed UTF-8 strings."""
+fixed-size values, u32 counts and lengths, length-prefixed UTF-8 strings,
+and a string -> float table stored as one key block and one f64 block."""
 
 import struct
+import sys
 from array import array
-from itertools import chain, repeat
-from operator import add
 
 _U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
 
 
 def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return _U32.pack(len(raw)) + raw
+
+
+def pack_float_map(mapping: dict[str, float], error: type[Exception], what: str) -> bytes:
+    """`mapping` sorted by key, as :meth:`Reader.float_map` reads it; a
+    key holding "\\n" raises `error`, and `what` names it."""
+    keys = sorted(mapping)
+    block = "\n".join(keys).encode("utf-8")
+    if block.count(b"\n") > max(len(keys) - 1, 0):
+        bad = next(key for key in keys if "\n" in key)
+        raise error(f"{what} {bad!r} holds a newline")
+    values = array("d", map(mapping.__getitem__, keys))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return struct.pack("<II", len(keys), len(block)) + block + values.tobytes()
 
 
 class Reader:
@@ -55,46 +68,34 @@ class Reader:
             raise self._error(f"{what} is not valid UTF-8") from exc
 
     def float_map(self, what: str) -> dict[str, float]:
-        """A u32 count, then that many (length-prefixed UTF-8 key, f64)
-        records, as a dict in file order; `what` names a key in the
-        errors, which include a repeated key.
-
-        One loop walks the length prefixes to the end of each key, where
-        its value starts; the keys and values are then cut out lazily,
-        straight into the dict.
+        """A u32 key count, a u32 byte length, the keys as one UTF-8 block
+        of that length joined by "\\n", then one f64 value per key in the
+        same order; returned as a dict in file order.  `what` names a key
+        in the errors, which include a repeated key and a key block that
+        splits into more or fewer keys than the count.
         """
-        count, data = self.u32(), self._data
-        start = pos = self._pos
-        if count * 12 > len(data) - start:  # 12 bytes or more per record
+        count, size = self.unpack("<II")
+        if count * 8 + size > len(self._data) - self._pos:
             raise self._error(f"truncated {self._kind} file")
-        key_ends = array("I")
         try:
-            for _ in range(count):
-                pos += 4 + _U32.unpack_from(data, pos)[0]
-                key_ends.append(pos)
-                pos += 8
-        except (struct.error, OverflowError):  # a prefix, or a key end, past the data
-            pos = len(data) + 1
-        if pos > len(data):
-            raise self._error(f"truncated {self._kind} file")
-
-        def keys():
-            # a key starts 4 bytes after the previous record's value ends
-            starts = map(add, chain((start - 8,), key_ends), repeat(12))
-            return map(bytes.decode, map(data.__getitem__, map(slice, starts, key_ends)))
-
-        values = chain.from_iterable(map(_F64.unpack_from, repeat(data), key_ends))
-        try:
-            result = dict(zip(keys(), values))
+            block = self.take(size).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self._error(f"{what} is not valid UTF-8") from exc
+        # n keys split back into n, but no keys and one empty key both join to ""
+        keys = block.split("\n") if count or block else []
+        if len(keys) != count:
+            raise self._error(
+                f"{self._kind} file counts {count} {what}s but its key block holds {len(keys)}")
+        values = array("d", self.take(8 * count))
+        if sys.byteorder == "big":
+            values.byteswap()
+        result = dict(zip(keys, values))
         if len(result) != count:
             seen: set[str] = set()
-            for key in keys():
+            for key in keys:
                 if key in seen:
                     raise self._error(f"{self._kind} file repeats the {what} {key!r}")
                 seen.add(key)
-        self._pos = pos
         return result
 
     def finish(self) -> None:

@@ -25,11 +25,13 @@ import re
 import struct
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul, sub
 from pathlib import Path
 from typing import Sequence
 
 from . import _text, morph
-from ._binary import Reader, pack_str
+from ._binary import Reader, pack_float_map, pack_str
 
 BOUNDARY_WORD = "<s>"
 BOUNDARY_WORD_END = "</s>"
@@ -159,6 +161,12 @@ def extract_features(tokens: Sequence[str], i: int, prev_tag: str) -> list[str]:
 _START, _END = extract_features(("",), 0, BOUNDARY_TAG)[
     _PREV_WORD_SLOT:_NEXT_WORD_SLOT + 1]
 
+# What decoding reads of a model (see _feature_rows): feature -> one weight
+# per tag, in tagset order; the row of a feature without weights; the pt:
+# row of each tag by index and of the sentence start at -1; and the rows
+# of _START and _END.
+_Tables = tuple[dict[str, list[float]], list[float], list[list[float]], list[float], list[float]]
+
 
 @dataclass
 class TagModel:
@@ -167,11 +175,10 @@ class TagModel:
     dictionary: dict[str, frozenset[str]]
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
-    # Feature -> one weight per tag, in tagset order.  Filled by the first
-    # decode (see _feature_rows); later edits to `weights` are not seen by
-    # decoding.
-    _rows: dict[str, list[float]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # The decode tables of _feature_rows, with the feature rows first.
+    # Filled at load, or by the first decode of a model built in memory;
+    # later edits to `weights` are not seen by decoding.
+    _rows: _Tables | None = field(default=None, init=False, repr=False, compare=False)
     # Word -> the candidate tag indices and the feature rows of a
     # dictionary word or punctuation, which the model alone fixes; filled
     # by decoding and, like `_rows`, blind to later edits of the model.
@@ -295,7 +302,10 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     # (feature id, tag index) in the order `gradient` first inserts the key:
     # a new feature's gold tag, then the rest of the tagset.
     key_order: list[tuple[int, int]] = []
-    sweep: list[tuple[list[int], int]] = []
+    # Each distinct list of feature ids, numbered in order of first use;
+    # a position is its list's number and its gold tag index.
+    distinct: dict[tuple[int, ...], int] = {}
+    sweep: list[tuple[int, int]] = []
     for feats, gold_tag in positions:
         gold = tag_index[gold_tag]
         ids = []
@@ -306,35 +316,45 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
                 key_order.append((fid, gold))
                 key_order.extend((fid, k) for k in range(len(tagset)) if k != gold)
             ids.append(fid)
-        sweep.append((ids, gold))
+        sweep.append((distinct.setdefault(tuple(ids), len(distinct)), gold))
+    feature_lists = list(distinct)
+    # key_order as indices into the rows laid end to end
+    flat_order = [f * len(tagset) + k for f, k in key_order]
 
     rows = [[0.0] * len(tagset) for _ in feature_ids]
     n = float(len(positions))
     decay = 2.0 * config.l2_lambda
     step = config.step
 
+    def log_probs() -> list[list[float]]:
+        # the rows do not change within an epoch: one result per distinct list
+        return [_row_log_probs(list(map(rows.__getitem__, ids))) for ids in feature_lists]
+
     def loss(total: float) -> float:
-        penalty = sum(rows[f][k] * rows[f][k] for f, k in key_order)
-        return -(total / n - config.l2_lambda * penalty)
+        flat = list(chain.from_iterable(rows))
+        ws = list(map(flat.__getitem__, flat_order))
+        return -(total / n - config.l2_lambda * sum(map(mul, ws, ws)))
 
     losses: list[float] = []
     for _ in range(config.epochs):
         grad = [[0.0] * len(tagset) for _ in rows]
         total = 0.0
-        for ids, gold in sweep:
-            log_p = _row_log_probs([rows[f] for f in ids])
-            total += log_p[gold]
-            probs = [math.exp(lp) for lp in log_p]
-            for f in ids:
+        log_ps = log_probs()
+        probs = [list(map(math.exp, log_p)) for log_p in log_ps]
+        for d, gold in sweep:
+            total += log_ps[d][gold]
+            p = probs[d]
+            for f in feature_lists[d]:
                 g = grad[f]
                 g[gold] += 1.0
-                grad[f] = [a - p for a, p in zip(g, probs)]
+                grad[f] = list(map(sub, g, p))
         losses.append(loss(total))
         rows = [[w + step * (g / n - decay * w) for w, g in zip(w_row, g_row)]
                 for w_row, g_row in zip(rows, grad)]
+    log_ps = log_probs()
     total = 0.0
-    for ids, gold in sweep:
-        total += _row_log_probs([rows[f] for f in ids])[gold]
+    for d, gold in sweep:
+        total += log_ps[d][gold]
     losses.append(loss(total))
 
     names = list(feature_ids)
@@ -375,16 +395,17 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
     return tuple(t for t in model.tagset if t in cands)
 
 
-def _feature_rows(model: TagModel) -> dict[str, list[float]]:
-    """The model's weights as feature -> one weight per tag (built once).
+def _feature_rows(model: TagModel) -> _Tables:
+    """The model's decode tables (see :data:`_Tables`), built from its
+    weights once.
 
     A key splits at its last ':' into feature and tag.  A key whose tag
     is not in the tagset is skipped: :func:`_log_probs` never reads it.
     """
-    rows = model._rows
-    if rows is None:
+    tables = model._rows
+    if tables is None:
         tag_index = {t: k for k, t in enumerate(model.tagset)}
-        rows = {}
+        rows: dict[str, list[float]] = {}
         for key, w in model.weights.items():
             feature, _, t = key.rpartition(":")
             k = tag_index.get(t)
@@ -394,8 +415,11 @@ def _feature_rows(model: TagModel) -> dict[str, list[float]]:
             if row is None:
                 row = rows[feature] = [0.0] * len(model.tagset)
             row[k] = w
-        model._rows = rows
-    return rows
+        zero = [0.0] * len(model.tagset)
+        prev_tag_rows = [rows.get(f"pt:{t}", zero) for t in (*model.tagset, BOUNDARY_TAG)]
+        tables = model._rows = (rows, zero, prev_tag_rows,
+                                rows.get(_START, zero), rows.get(_END, zero))
+    return tables
 
 
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
@@ -410,10 +434,7 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     :func:`_log_probs` gives.  A beam entry is its negated score and its
     path of tag indices, so sorting the entries orders them best first.
     """
-    index = _feature_rows(model)
-    zero = [0.0] * len(model.tagset)
-    # The pt: row of each tag by index, and of the sentence start at -1.
-    prev_tag_rows = [index.get(f"pt:{t}", zero) for t in (*model.tagset, BOUNDARY_TAG)]
+    index, zero, prev_tag_rows, start, end = _feature_rows(model)
     memo = model._entries
     if memo is None:
         memo = model._entries = {}
@@ -438,10 +459,8 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
     for i, (cands, own) in enumerate(entries):
         rows = own.copy()
-        rows[_PREV_WORD_SLOT] = (entries[i - 1][1][_PREV_WORD_SLOT] if i
-                                 else index.get(_START, zero))
-        rows[_NEXT_WORD_SLOT] = (entries[i + 1][1][_NEXT_WORD_SLOT] if i < last
-                                 else index.get(_END, zero))
+        rows[_PREV_WORD_SLOT] = entries[i - 1][1][_PREV_WORD_SLOT] if i else start
+        rows[_NEXT_WORD_SLOT] = entries[i + 1][1][_NEXT_WORD_SLOT] if i < last else end
         by_prev: dict[int, list[float]] = {}
         expanded = []
         for neg_score, path in beams:
@@ -512,11 +531,34 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
 # Serialization
 
 MAGIC = b"MTAG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def _check_fields(tagset: tuple[str, ...], l2_lambda: float,
+                  weights: dict[str, float]) -> None:
+    """Refuse a tagset, L2 coefficient or weights that no model file holds."""
+    if not tagset:
+        raise TaggerError("tagger model has an empty tagset")
+    if len(set(tagset)) != len(tagset):
+        raise TaggerError("tagger model tagset repeats a tag")
+    bad_tags = [t for t in tagset if ":" in t]
+    if bad_tags:
+        raise TaggerError(f"tagger model tags contain ':': {bad_tags}")
+    if not math.isfinite(l2_lambda):
+        raise TaggerError(f"tagger model l2_lambda is not finite: {l2_lambda}")
+    if not all(map(math.isfinite, weights.values())):
+        bad = [key for key, w in weights.items() if not math.isfinite(w)]
+        raise TaggerError(f"tagger model weights are not finite: {bad[:3]}")
 
 
 def model_to_bytes(model: TagModel) -> bytes:
-    """Serialize (little-endian; weight map sorted by key for stability)."""
+    """Serialize (little-endian; dictionary words and weight keys sorted
+    for stability).
+
+    Raises :class:`TaggerError` for a model that :func:`model_from_bytes`
+    would refuse, so every file written loads.
+    """
+    _check_fields(model.tagset, model.l2_lambda, model.weights)
     tag_index = {t: i for i, t in enumerate(model.tagset)}
     out = [MAGIC, struct.pack("<HdI", FORMAT_VERSION, model.l2_lambda, len(model.tagset))]
     out += map(pack_str, model.tagset)
@@ -524,11 +566,15 @@ def model_to_bytes(model: TagModel) -> bytes:
     out += map(pack_str, TEMPLATES)
     out.append(struct.pack("<I", len(model.dictionary)))
     for word in sorted(model.dictionary):
-        indices = sorted(tag_index[t] for t in model.dictionary[word])
+        try:
+            indices = sorted(tag_index[t] for t in model.dictionary[word])
+        except KeyError as exc:
+            raise TaggerError(f"tagger model dictionary tag {exc.args[0]!r} of {word!r} "
+                              "is not in the tagset") from None
+        if not indices:
+            raise TaggerError(f"tagger model dictionary lists no tag for {word!r}")
         out += (pack_str(word), struct.pack(f"<{1 + len(indices)}I", len(indices), *indices))
-    out.append(struct.pack("<I", len(model.weights)))
-    for key in sorted(model.weights):
-        out += (pack_str(key), struct.pack("<d", model.weights[key]))
+    out.append(pack_float_map(model.weights, TaggerError, "tagger model weight key"))
     return b"".join(out)
 
 
@@ -556,19 +602,10 @@ def model_from_bytes(data: bytes) -> TagModel:
     reader.finish()
     if templates != TEMPLATES:
         raise TaggerError(f"tagger model templates {templates} are not {TEMPLATES}")
-    if not tagset:
-        raise TaggerError("tagger model has an empty tagset")
-    if len(set(tagset)) != len(tagset):
-        raise TaggerError("tagger model tagset repeats a tag")
-    bad_tags = [t for t in tagset if ":" in t]
-    if bad_tags:
-        raise TaggerError(f"tagger model tags contain ':': {bad_tags}")
-    if not math.isfinite(l2_lambda):
-        raise TaggerError(f"tagger model l2_lambda is not finite: {l2_lambda}")
-    if not all(map(math.isfinite, weights.values())):
-        bad = [key for key, w in weights.items() if not math.isfinite(w)]
-        raise TaggerError(f"tagger model weights are not finite: {bad[:3]}")
-    return TagModel(tagset, weights, dictionary, l2_lambda)
+    _check_fields(tagset, l2_lambda, weights)
+    model = TagModel(tagset, weights, dictionary, l2_lambda)
+    _feature_rows(model)  # a loaded model is ready to decode
+    return model
 
 
 def save_model(model: TagModel, path) -> None:

@@ -342,6 +342,19 @@ def test_train_rejects_invalid_options(capsys, tmp_path, flags):
     assert not out.exists()
 
 
+def test_train_refuses_to_save_non_finite_weights(capsys, tmp_path):
+    # a huge step overflows the weights; the file would not load, so none
+    # is written
+    out = tmp_path / "m.tag"
+    rc, stdout, stderr = run(capsys, [
+        "train", "-c", str(data_path("tagged_mini.txt")), "-o", str(out),
+        "--epochs", "3", "--step", "1e308"])
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("hindimorph train: error: tagger model weights are not finite: ")
+    assert not list(tmp_path.iterdir())
+
+
 # --- tag / eval --------------------------------------------------------------
 
 

@@ -388,12 +388,12 @@ def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
     assert _bits(model.weights.values()) == _bits(weights.values())
     assert _bits(model.loss_history) == _bits(losses)
     assert hashlib.sha256(model_to_bytes(model)).hexdigest() == (
-        "158026d59bf9a54b1985595670491e0b949cb651eebdb98f412557da80497f0a")
+        "df9094559508f4589ee0c3a1ad822029bd17721a7c24cf453abbb7d90f8ff90a")
 
 
 def test_default_model_bytes_are_pinned(tag_model):
     assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == (
-        "fec3bf2a06a280389d1224ffef99e93e04e5d11e47ccf7e66d6d5f25b39da2ed")
+        "31045dcccb4ba16b3c0c7e61c2186c8cd350c50683e23db382571eb708859fdf")
 
 
 def test_loss_history_starts_at_log_tagset_size_and_decreases(tag_model):
@@ -690,8 +690,15 @@ def test_reject_unsupported_version(tag_model):
         model_from_bytes(bytes(data))
 
 
+def test_reject_version_1_file():
+    # format 1 stored one length-prefixed record per weight; such a file
+    # is refused by its header, and the model has to be retrained
+    with pytest.raises(TaggerError, match="unsupported tagger model format version 1$"):
+        model_from_bytes(tagger.MAGIC + struct.pack("<H", 1))
+
+
 def test_reject_invalid_utf8_string():
-    data = tagger.MAGIC + struct.pack("<H", 1) + struct.pack("<d", 0.1)
+    data = tagger.MAGIC + struct.pack("<H", tagger.FORMAT_VERSION) + struct.pack("<d", 0.1)
     data += struct.pack("<I", 1)  # one tag
     data += struct.pack("<I", 2) + b"\xff\xfe"  # not UTF-8
     with pytest.raises(TaggerError, match="UTF-8"):
@@ -703,39 +710,54 @@ def _template_list(templates) -> bytes:
     return struct.pack("<I", len(templates)) + b"".join(map(pack_str, templates))
 
 
-def _weight_block_bytes(records: list[bytes], count: int | None = None) -> bytes:
-    """A model with a one-tag tagset and no dictionary, then the given weight records."""
-    data = tagger.MAGIC + struct.pack("<Hd", 1, 0.1)
-    data += struct.pack("<I", 1) + pack_str("A")
-    data += _template_list(tagger.TEMPLATES)
-    data += struct.pack("<I", 0)
-    return data + struct.pack("<I", len(records) if count is None else count) + b"".join(records)
+def _model_head(tagset, words=(), l2_lambda=0.1, templates=tagger.TEMPLATES) -> bytes:
+    """A model file up to its weight table, written field by field as
+    given: `words` is (word, tag indices) pairs, in file order."""
+    data = tagger.MAGIC + struct.pack("<HdI", tagger.FORMAT_VERSION, l2_lambda, len(tagset))
+    data += b"".join(map(pack_str, tagset)) + _template_list(templates)
+    return data + struct.pack("<I", len(words)) + b"".join(
+        pack_str(w) + struct.pack(f"<{1 + len(ix)}I", len(ix), *ix) for w, ix in words)
 
 
-def _weight(key: bytes, value: float = 1.0) -> bytes:
-    return struct.pack("<I", len(key)) + key + struct.pack("<d", value)
+def _weight_table(block: bytes, values=(), count=None, size=None) -> bytes:
+    """A weight table: the key count (by default one per value), the byte
+    length of the key block (by default its own), the key block, and the
+    values as f64s."""
+    return (struct.pack("<II", len(values) if count is None else count,
+                        len(block) if size is None else size)
+            + block + struct.pack(f"<{len(values)}d", *values))
 
 
-@pytest.mark.parametrize("records,count,message", [
-    ([], 0xFFFFFFFF, "truncated"),
-    ([_weight(b"w:a:A"), struct.pack("<I", 40) + b"\0" * 20], 3, "truncated"),
-    ([_weight(b"w:a:A"), struct.pack("<I", 30) + b"w:b:A" + b"\0" * 8], None, "truncated"),
-    ([_weight(b"w:a:A"), struct.pack("<I", 5) + b"w:b:A" + b"\0" * 7], None, "truncated"),
-    ([_weight(b"w:a:A"), struct.pack("<I", 0xFFFFFFF0) + b"\0" * 12], None, "truncated"),
-    ([_weight(b"w:a:A"), _weight(b"w:\xff\xfe:A")], None, "weight key is not valid UTF-8"),
-    ([_weight(b"w:a:A"), _weight(b"w:b:A"), _weight(b"w:a:A", 2.0)], None,
+def _weight_block_bytes(table: bytes) -> bytes:
+    """A model with a one-tag tagset and no dictionary, then the given weight table."""
+    return _model_head(("A",)) + table
+
+
+@pytest.mark.parametrize("table,message", [
+    (_weight_table(b"", count=0xFFFFFFFF), "truncated"),
+    (_weight_table(b"w:a:A\nw:b:A", (1.0, 2.0), size=40), "truncated"),
+    (_weight_table(b"w:a:A\nw:", count=0, size=11), "truncated"),
+    (_weight_table(b"w:a:A\nw:b:A", (1.0, 2.0))[:-1], "truncated"),
+    (_weight_table(b"w:a:A", (1.0,), size=0xFFFFFFF0), "truncated"),
+    (_weight_table(b"w:a:A\nw:\xff\xfe:A", (1.0, 2.0)), "weight key is not valid UTF-8"),
+    (_weight_table(b"w:a:A\nw:b:A\nw:a:A", (1.0, 1.0, 2.0)),
      "repeats the weight key 'w:a:A'"),
+    (_weight_table(b"w:a:A\nw:b:A\nw:c:A", (1.0, 2.0)),
+     "counts 2 weight keys but its key block holds 3"),
+    (_weight_table(b"w:a:A", (1.0, 2.0)), "counts 2 weight keys but its key block holds 1"),
+    (_weight_table(b"w:a:A"), "counts 0 weight keys but its key block holds 1"),
 ], ids=["count-max", "prefix-past-end", "key-past-end", "value-past-end",
-        "length-past-4GiB", "key-not-utf8", "repeated-key"])
-def test_reject_malformed_weight_block(records, count, message):
+        "length-past-4GiB", "key-not-utf8", "repeated-key", "more-keys-than-values",
+        "fewer-keys-than-values", "keys-without-values"])
+def test_reject_malformed_weight_block(table, message):
     with pytest.raises(TaggerError, match=message):
-        model_from_bytes(_weight_block_bytes(records, count))
+        model_from_bytes(_weight_block_bytes(table))
 
 
 def test_weight_count_past_the_data_is_rejected_before_the_walk():
-    # The tail holds 100,000 well-formed empty records, far fewer than the
-    # count says: the count is refused before any record is walked.
-    data = _weight_block_bytes([b"\0" * 1_200_000], 0xFFFFFFFF)
+    # The tail holds 100,000 empty keys and their values, one fewer than
+    # the count says: the count is refused before the block is decoded.
+    data = _weight_block_bytes(_weight_table(b"\n" * 99_999, (0.0,) * 100_000, count=100_001))
     tracemalloc.start()
     try:
         with pytest.raises(TaggerError, match="truncated"):
@@ -747,9 +769,21 @@ def test_weight_count_past_the_data_is_rejected_before_the_walk():
 
 
 def test_weight_block_loads_in_file_order():
-    records = [_weight(b"w:b:A", 2.0), _weight(b"w:a:A", -1.0), _weight(b"w::A", 0.5)]
-    model = model_from_bytes(_weight_block_bytes(records))
+    table = _weight_table(b"w:b:A\nw:a:A\nw::A", (2.0, -1.0, 0.5))
+    model = model_from_bytes(_weight_block_bytes(table))
     assert list(model.weights.items()) == [("w:b:A", 2.0), ("w:a:A", -1.0), ("w::A", 0.5)]
+
+
+@pytest.mark.parametrize("keys", [
+    ["", "w:a:A"], [""], ["w:\u2028:A", "w:\r:A", "w:\x0b:A"],
+], ids=["empty-and-other", "one-empty", "other-line-separators"])
+def test_weight_keys_round_trip_at_the_block_edges(keys):
+    # one empty key joins to the same empty block as no keys: the count
+    # tells them apart; only "\n" separates keys, not other line breaks
+    model = TagModel(("A",), dict.fromkeys(keys, 1.5), {}, 0.1)
+    data = model_to_bytes(model)
+    assert model_from_bytes(data).weights == model.weights
+    assert model_to_bytes(model_from_bytes(data)) == data
 
 
 def test_shuffled_model_file_loads_as_the_sorted_one():
@@ -760,12 +794,9 @@ def test_shuffled_model_file_loads_as_the_sorted_one():
     weights = [("nw:</s>:A", 0.5), ("s1:म:B", 0.25), ("w:a:A", 1.0), ("w:b:B", -2.0)]
 
     def model_file(words, weights):
-        data = tagger.MAGIC + struct.pack("<HdI", 1, 0.1, 2) + pack_str("A") + pack_str("B")
-        data += _template_list(tagger.TEMPLATES)
-        data += struct.pack("<I", len(words)) + b"".join(
-            pack_str(w) + struct.pack(f"<{1 + len(ix)}I", len(ix), *ix) for w, ix in words)
-        return data + struct.pack("<I", len(weights)) + b"".join(
-            _weight(k.encode(), v) for k, v in weights)
+        keys, values = zip(*weights)
+        return _model_head(("A", "B"), words) + _weight_table(
+            "\n".join(keys).encode(), values)
 
     canonical = model_file(words, weights)
     loaded = model_from_bytes(model_file(words[::-1], weights[::-1]))
@@ -792,13 +823,21 @@ def test_round_trip_keeps_unusual_keys_and_weights_bit_for_bit():
     assert model_to_bytes(loaded) == data
 
 
+SMALL_MODEL = dict(tagset=("A", "B"), weights={"w:a:A": 1.0}, dictionary={}, l2_lambda=0.1)
+
+
 def _small_model_bytes(templates=tagger.TEMPLATES, **fields) -> bytes:
-    """The bytes of a small valid model, with the given fields replaced;
-    `templates` replaces the file's template list, which no model holds."""
-    model = dict(tagset=("A", "B"), weights={"w:a:A": 1.0}, dictionary={}, l2_lambda=0.1)
-    model.update(fields)
-    data = model_to_bytes(TagModel(**model))
-    return data.replace(_template_list(tagger.TEMPLATES), _template_list(templates), 1)
+    """The bytes of a small valid model with the given fields replaced,
+    written by hand in canonical order and without the checks of
+    model_to_bytes; `templates` replaces the file's template list, which
+    no model holds."""
+    model = {**SMALL_MODEL, **fields}
+    tagset = model["tagset"]
+    words = [(w, sorted(map(tagset.index, tags)))
+             for w, tags in sorted(model["dictionary"].items())]
+    keys = sorted(model["weights"])
+    return _model_head(tagset, words, model["l2_lambda"], templates) + _weight_table(
+        "\n".join(keys).encode(), [model["weights"][k] for k in keys])
 
 
 def test_small_valid_model_loads():
@@ -821,8 +860,45 @@ def test_small_valid_model_loads():
         "repeated-tag", "colon-tag", "lambda-nan", "lambda-inf", "weight-nan",
         "weight-inf"])
 def test_reject_invalid_model_fields(fields, message):
+    data = _small_model_bytes(**fields)
     with pytest.raises(TaggerError, match=message):
-        model_from_bytes(_small_model_bytes(**fields))
+        model_from_bytes(data)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"tagset": ()}, "empty tagset"),
+    ({"tagset": ("A", "A")}, "repeats a tag"),
+    ({"tagset": ("A", "B:A")}, "contain ':'"),
+    ({"l2_lambda": math.nan}, "l2_lambda is not finite"),
+    ({"l2_lambda": math.inf}, "l2_lambda is not finite"),
+    ({"weights": {"w:a:A": math.nan}}, "weights are not finite"),
+    ({"weights": {"w:a:A": 1.0, "w:b:B": -math.inf}}, "weights are not finite"),
+    ({"dictionary": {"x1": frozenset({"A", "C"})}}, "tag 'C' of 'x1' is not in the tagset"),
+    ({"dictionary": {"x1": frozenset()}}, "lists no tag for 'x1'"),
+    ({"weights": {"w:a:A": 1.0, "w:a\nb:A": 2.0}}, r"weight key 'w:a\\nb:A' holds a newline"),
+], ids=["empty-tagset", "repeated-tag", "colon-tag", "lambda-nan", "lambda-inf",
+        "weight-nan", "weight-inf", "dictionary-tag-outside-tagset", "dictionary-no-tag",
+        "newline-key"])
+def test_save_refuses_a_model_that_load_refuses(tmp_path, fields, message):
+    path = tmp_path / "bad.tag"
+    with pytest.raises(TaggerError, match=message):
+        tagger.save_model(TagModel(**{**SMALL_MODEL, **fields}), path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_loaded_model_is_ready_to_decode(tag_model):
+    # The rows are built at load, before the first decode, as the first
+    # decode of an equal model built in memory builds them; a key whose tag
+    # is outside the tagset is skipped.
+    stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
+                     tag_model.dictionary, tag_model.l2_lambda)
+    loaded = model_from_bytes(model_to_bytes(stray))
+    assert loaded._rows is not None and loaded._entries is None
+    in_memory = TagModel(loaded.tagset, dict(loaded.weights), loaded.dictionary,
+                         loaded.l2_lambda)
+    assert in_memory._rows is None
+    assert loaded._rows == tagger._feature_rows(in_memory)
+    assert "w:x" not in loaded._rows[0]
 
 
 def test_mutated_model_bytes_raise_only_tagger_error(morph_model):
@@ -874,12 +950,12 @@ def test_reject_malformed_dictionary_entry(indices, message):
 
 
 def test_reject_dictionary_index_out_of_range():
-    data = tagger.MAGIC + struct.pack("<H", 1) + struct.pack("<d", 0.1)
+    data = tagger.MAGIC + struct.pack("<H", tagger.FORMAT_VERSION) + struct.pack("<d", 0.1)
     data += struct.pack("<I", 1) + struct.pack("<I", 1) + b"X"  # tagset ("X",)
     data += struct.pack("<I", 0)  # no templates
     data += struct.pack("<I", 1)  # one dictionary word
     data += struct.pack("<I", 1) + b"a"
     data += struct.pack("<I", 1) + struct.pack("<I", 7)  # index 7 > 0
-    data += struct.pack("<I", 0)  # no weights
+    data += struct.pack("<II", 0, 0)  # no weight keys, an empty key block
     with pytest.raises(TaggerError, match="out of range"):
         model_from_bytes(data)
