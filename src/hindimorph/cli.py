@@ -213,9 +213,12 @@ def _domain_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    for stream in (sys.stdout, sys.stderr):  # UTF-8 whatever the locale
+    # UTF-8 whatever the locale.  A command-line byte that is not UTF-8
+    # reaches us as a lone surrogate: stdout writes it back as that byte,
+    # stderr as a backslash escape.
+    for stream, errors in ((sys.stdout, "surrogateescape"), (sys.stderr, "backslashreplace")):
         if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding="utf-8")
+            stream.reconfigure(encoding="utf-8", errors=errors)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

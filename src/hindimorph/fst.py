@@ -179,7 +179,7 @@ class Transducer:
     label, written label, dst) order.  They are the machine's own
     columns for "input", and one re-sorted copy for "output"; each
     state's arcs keep their offsets in both orders.  No :class:`Arc` is
-    made until `arcs` or :meth:`out_arcs` is read.
+    made until `arcs` is read.
     """
 
     __slots__ = ("state_count", "start", "finals", "symbols", "_cols", "_first",
@@ -210,13 +210,6 @@ class Transducer:
     def arc_count(self) -> int:
         """The number of arcs, read from the columns without building `arcs`."""
         return len(self._cols[0])
-
-    def out_arcs(self, state: int) -> tuple[Arc, ...]:
-        """The arcs leaving `state`, in (ilab, olab, dst) order: the
-        slice of `arcs` between the state's two offsets."""
-        if not 0 <= state < self.state_count:
-            raise InvalidStateId(f"state {state} out of range")
-        return self.arcs[self._first[state]:self._first[state + 1]]
 
     def __repr__(self) -> str:
         return (f"Transducer({self.state_count} states, {self.arc_count} arcs, "

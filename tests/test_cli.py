@@ -613,14 +613,42 @@ def test_every_public_name_imports_from_the_package_root():
         hindimorph.nothing
 
 
-def _run_child(args):
-    """Run ``python ARGS`` in a fresh process that imports the package
-    from where this one did."""
+def _child_env():
+    """The environment of a child process that imports the package from
+    where this one did."""
     src = str(Path(hindimorph.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_child(args):
+    """Run ``python ARGS`` in a fresh process, with text output."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          encoding="utf-8", env=env)
+                          encoding="utf-8", env=_child_env())
+
+
+def test_non_utf8_argument_bytes(tmp_path, fst_file, tag_file, tag_model, morph_model):
+    # Python decodes a command-line byte that is not UTF-8 to a lone
+    # surrogate: stdout writes it back as the byte, stderr escapes it.
+    (tmp_path / os.fsdecode(b"r\xff.mrl")).write_bytes(b"\xff\xfe")
+    tagged = tagger.tag(tag_model, morph_model, "\udcff")
+    rules_file = str(data_path("rules", "hindi.mrl"))
+    cases = [
+        (["analyze", "-m", fst_file, b"\xff"], 0, b"\xff\t?\n", ""),
+        (["tag", "-m", tag_file, "-f", fst_file, b"\xff"], 0,
+         f"\udcff/{tagged[0][1]}\n".encode("utf-8", "surrogateescape"), ""),
+        (["compile", "-r", rules_file, "-o", b"o\xff.fst"], 0,
+         b"85 states, 114 arcs -> o\xff.fst\n", ""),
+        (["compile", "-r", b"r\xff.mrl", "-o", "x.fst"], 1, b"",
+         "hindimorph compile: error: r\\udcff.mrl: invalid UTF-8 at byte 0\n"),
+    ]
+    for argv, status, stdout, stderr in cases:
+        proc = subprocess.run([sys.executable, "-m", "hindimorph", *argv],
+                              capture_output=True, env=_child_env(), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == (
+            status, stdout, stderr), argv
+    assert fst.load(tmp_path / os.fsdecode(b"o\xff.fst")).state_count == 85
+    assert not (tmp_path / "x.fst").exists()
 
 
 IMPORT_PROBE = """

@@ -20,10 +20,8 @@ from hindimorph.tagger import (
     candidate_tags,
     evaluate,
     extract_features,
-    gradient,
     model_from_bytes,
     model_to_bytes,
-    objective,
     tag,
     tokenize_sentence,
     train,
@@ -217,7 +215,9 @@ def test_feature_payloads_follow_templates():
 
 
 def _probs(weights, feats, tagset):
-    return {t: math.exp(lp) for t, lp in tagger._log_probs(weights, feats, tagset).items()}
+    # the kernel that training and decoding run, on one row per feature
+    rows = [[weights.get(f"{f}:{t}", 0.0) for t in tagset] for f in feats]
+    return dict(zip(tagset, map(math.exp, tagger._row_log_probs(rows))))
 
 
 def test_zero_weights_give_uniform_probs():
@@ -262,15 +262,15 @@ def toy_corpus():
 
 def test_objective_at_zero_weights_is_log_tagset_size():
     corpus = toy_corpus()
-    positions = tagger._positions(corpus)
-    got = objective({}, positions, corpus.tagset(), l2_lambda=0.1)
+    positions = oracle._positions(corpus)
+    got = oracle.objective({}, positions, corpus.tagset(), l2_lambda=0.1)
     assert got == pytest.approx(-math.log(len(corpus.tagset())))
 
 
 def test_gradient_at_zero_weights_single_token():
     corpus = TaggedCorpus.parse("a/X")
-    positions = tagger._positions(corpus)
-    grad = gradient({}, positions, ("X", "Y"), l2_lambda=0.0)
+    positions = oracle._positions(corpus)
+    grad = oracle.gradient({}, positions, ("X", "Y"), l2_lambda=0.0)
     # observed(1) - expected(1/2) for the gold tag, -expected for the other
     assert grad["w:a:X"] == pytest.approx(0.5)
     assert grad["w:a:Y"] == pytest.approx(-0.5)
@@ -278,9 +278,9 @@ def test_gradient_at_zero_weights_single_token():
 
 def test_gradient_includes_l2_pull_on_existing_weights():
     corpus = TaggedCorpus.parse("a/X")
-    positions = tagger._positions(corpus)
+    positions = oracle._positions(corpus)
     weights = {"unused:feature:X": 2.0}
-    grad = gradient(weights, positions, ("X", "Y"), l2_lambda=0.25)
+    grad = oracle.gradient(weights, positions, ("X", "Y"), l2_lambda=0.25)
     # the feature never fires, so its gradient is purely -2*lambda*w
     assert grad["unused:feature:X"] == pytest.approx(-2 * 0.25 * 2.0)
 
@@ -288,20 +288,20 @@ def test_gradient_includes_l2_pull_on_existing_weights():
 def test_gradient_matches_central_finite_differences():
     corpus = toy_corpus()
     tagset = corpus.tagset()
-    positions = tagger._positions(corpus)
+    positions = oracle._positions(corpus)
     lam = 0.1
     rng = random.Random(23)
-    base = gradient({}, positions, tagset, lam)
+    base = oracle.gradient({}, positions, tagset, lam)
     weights = {key: rng.uniform(-0.5, 0.5) for key in base}
-    grad = gradient(weights, positions, tagset, lam)
+    grad = oracle.gradient(weights, positions, tagset, lam)
     h = 1e-5
     for key in rng.sample(sorted(grad), 50):
         hi = dict(weights)
         hi[key] = hi.get(key, 0.0) + h
         lo = dict(weights)
         lo[key] = lo.get(key, 0.0) - h
-        fd = (objective(hi, positions, tagset, lam)
-              - objective(lo, positions, tagset, lam)) / (2 * h)
+        fd = (oracle.objective(hi, positions, tagset, lam)
+              - oracle.objective(lo, positions, tagset, lam)) / (2 * h)
         scale = max(abs(fd), abs(grad[key]), 1e-8)
         assert abs(fd - grad[key]) / scale <= 1e-4, key
 
@@ -527,9 +527,9 @@ def _substituted_sentences(corpus):
 
 def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpus,
                                               monkeypatch):
-    # The trained model decodes from its training rows; the loaded one
-    # builds its rows from the file and must skip the key w:x:ZZ, whose
-    # tag is outside the tagset.
+    # Each model decodes from the tables it built from its weights when it
+    # was made; the loaded one must skip the key w:x:ZZ, whose tag is
+    # outside the tagset.
     stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
                      tag_model.dictionary, tag_model.l2_lambda)
     loaded = model_from_bytes(model_to_bytes(stray))
@@ -876,9 +876,13 @@ def test_reject_invalid_model_fields(fields, message):
     ({"dictionary": {"x1": frozenset({"A", "C"})}}, "tag 'C' of 'x1' is not in the tagset"),
     ({"dictionary": {"x1": frozenset()}}, "lists no tag for 'x1'"),
     ({"weights": {"w:a:A": 1.0, "w:a\nb:A": 2.0}}, r"weight key 'w:a\\nb:A' holds a newline"),
+    ({"weights": {"w:\ud800:A": 1.0}}, r"weight key 'w:\\ud800:A' holds a lone surrogate"),
+    ({"dictionary": {"x\udcff": frozenset({"A"})}},
+     r"dictionary word 'x\\udcff' holds a lone surrogate"),
+    ({"tagset": ("A", "B\udfff")}, r"tag 'B\\udfff' holds a lone surrogate"),
 ], ids=["empty-tagset", "repeated-tag", "colon-tag", "lambda-nan", "lambda-inf",
         "weight-nan", "weight-inf", "dictionary-tag-outside-tagset", "dictionary-no-tag",
-        "newline-key"])
+        "newline-key", "surrogate-weight-key", "surrogate-dictionary-word", "surrogate-tag"])
 def test_save_refuses_a_model_that_load_refuses(tmp_path, fields, message):
     path = tmp_path / "bad.tag"
     with pytest.raises(TaggerError, match=message):
@@ -886,19 +890,33 @@ def test_save_refuses_a_model_that_load_refuses(tmp_path, fields, message):
     assert not list(tmp_path.iterdir())
 
 
-def test_loaded_model_is_ready_to_decode(tag_model):
-    # The rows are built at load, before the first decode, as the first
-    # decode of an equal model built in memory builds them; a key whose tag
-    # is outside the tagset is skipped.
+def _tables_from_weights(model):
+    """The decode tables of `model`, read key by key from its weights."""
+    features = {key.rpartition(":")[0] for key in model.weights
+                if key.rpartition(":")[2] in model.tagset}
+    rows = {f: [model.weights.get(f"{f}:{t}", 0.0) for t in model.tagset] for f in features}
+    zero = [0.0] * len(model.tagset)
+    return (rows, zero,
+            [rows.get(f"pt:{t}", zero) for t in (*model.tagset, tagger.BOUNDARY_TAG)],
+            rows.get(f"pw:{tagger.BOUNDARY_WORD}", zero),
+            rows.get(f"nw:{tagger.BOUNDARY_WORD_END}", zero))
+
+
+def test_every_model_is_ready_to_decode(tag_model):
+    # A trained, a loaded and a hand-built model each hold their decode
+    # tables before the first decode; a key whose tag is outside the
+    # tagset is skipped.
     stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
                      tag_model.dictionary, tag_model.l2_lambda)
     loaded = model_from_bytes(model_to_bytes(stray))
-    assert loaded._rows is not None and loaded._entries is None
-    in_memory = TagModel(loaded.tagset, dict(loaded.weights), loaded.dictionary,
-                         loaded.l2_lambda)
-    assert in_memory._rows is None
-    assert loaded._rows == tagger._feature_rows(in_memory)
+    trained = train(TaggedCorpus.parse("a/X b/Y\nb/Y a/X\n"), TrainConfig(epochs=2))
+    by_hand = TagModel(("A", "B"), {"w:a:A": 1.5, "pt:A:B": -2.0, "w:b:C": 3.0}, {}, 0.1)
+    for model in (stray, loaded, trained, by_hand):
+        assert model._entries == {}
+        assert model._rows == _tables_from_weights(model)
     assert "w:x" not in loaded._rows[0]
+    assert by_hand._rows[0] == {"w:a": [1.5, 0.0], "pt:A": [0.0, -2.0]}
+    assert by_hand._rows[2] == [[0.0, -2.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 def test_mutated_model_bytes_raise_only_tagger_error(morph_model):
