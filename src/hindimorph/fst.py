@@ -953,8 +953,15 @@ FORMAT_VERSION = 1
 def to_bytes(a: Transducer) -> bytes:
     """Serialize to the binary transducer format (little-endian).  The
     arc block is the columns interleaved, one (src, ilab, olab, dst)
-    record per arc, in sorted order."""
-    entries = list(a.symbols)
+    record per arc, in sorted order.
+
+    Raises :class:`FstError` for a symbol that UTF-8 cannot encode (one
+    holding a lone surrogate), so :func:`save` writes no file for it.
+    """
+    try:
+        packed = list(map(pack_str, a.symbols))
+    except UnicodeEncodeError as exc:
+        raise FstError(f"transducer symbol {exc.object!r} holds a lone surrogate") from None
     finals = sorted(a.finals)
     n_arcs = len(a._cols[0])
     block = array("I", bytes(16 * n_arcs))
@@ -963,8 +970,8 @@ def to_bytes(a: Transducer) -> bytes:
     if sys.byteorder == "big":
         block.byteswap()
     blob = b"".join([
-        MAGIC, struct.pack("<HI", FORMAT_VERSION, len(entries)),
-        *map(pack_str, entries),
+        MAGIC, struct.pack("<HI", FORMAT_VERSION, len(packed)),
+        *packed,
         struct.pack(f"<{4 + len(finals)}I", a.state_count, a.start,
                     len(finals), *finals, n_arcs),
         block.tobytes(),

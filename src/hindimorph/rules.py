@@ -25,6 +25,7 @@ Definitions must precede use; redefinition is an error.
 from __future__ import annotations
 
 import functools
+import gc
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -495,6 +496,43 @@ def render_rules(rule_file: RuleFile) -> str:
 # ---------------------------------------------------------------------------
 # Compiler
 
+def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path | None,
+             node) -> Transducer:
+    """The machine of one AST node.  A module-level function, not a
+    closure over itself, so a compile leaves no reference cycle."""
+    if isinstance(node, Literal):
+        if node.symbol == EPSILON_SYMBOL:
+            return fst.epsilon(symbols)
+        sid = symbols.intern(node.symbol)
+        return fst.single_arc(symbols, sid, sid)
+    if isinstance(node, Pair):
+        ilab = 0 if node.lhs == EPSILON_SYMBOL else symbols.intern(node.lhs)
+        olab = 0 if node.rhs == EPSILON_SYMBOL else symbols.intern(node.rhs)
+        return fst.single_arc(symbols, ilab, olab)
+    if isinstance(node, CharClass):
+        arcs = [(0, sid, sid, 1) for sid in map(symbols.intern, node.chars)]
+        return fst.build(2, 0, (1,), arcs, symbols)
+    machine = functools.partial(_machine, defs, symbols, base_dir)
+    if isinstance(node, (Concat, Union)):
+        return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
+                                [machine(p) for p in node.parts])
+    if type(node) in _CLOSURES:
+        return fst.closure(machine(node.expr), _CLOSURES[type(node)][1])
+    if isinstance(node, Compose):
+        return fst.compose(machine(node.lhs), machine(node.rhs))
+    if isinstance(node, VarRef):
+        if node.name not in defs:
+            raise UndefinedVariable(node.name)
+        return defs[node.name]
+    if isinstance(node, Include):
+        # an absolute path joined to a directory is that path again
+        path = Path(base_dir or "", node.path)
+        if not path.is_file():
+            raise IncludeNotFound(node.path)
+        return lexicon.compile_root_fst(lexicon.read_lexicon_file(path), symbols)
+    raise TypeError(f"not a rule AST node: {node!r}")
+
+
 def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """Compile a parsed rule file into a normalized transducer.
 
@@ -509,44 +547,25 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     ``p`` reads as itself.  A missing file raises :class:`IncludeNotFound`,
     and a ``$Name$`` that no earlier definition binds (possible only in a
     hand-built :class:`RuleFile`) :class:`UndefinedVariable`.
+
+    The compile makes no reference cycle, so the cyclic garbage
+    collector has nothing to find in it: the collector is paused for
+    the call (:func:`gc.disable`), and its state comes back as it was
+    on return and on an error.  The pause holds for the whole process,
+    so cyclic garbage that another thread makes meanwhile waits until
+    the compile ends.
     """
     defs: dict[str, Transducer] = {}
-
-    def machine(node) -> Transducer:
-        if isinstance(node, Literal):
-            if node.symbol == EPSILON_SYMBOL:
-                return fst.epsilon(symbols)
-            sid = symbols.intern(node.symbol)
-            return fst.single_arc(symbols, sid, sid)
-        if isinstance(node, Pair):
-            ilab = 0 if node.lhs == EPSILON_SYMBOL else symbols.intern(node.lhs)
-            olab = 0 if node.rhs == EPSILON_SYMBOL else symbols.intern(node.rhs)
-            return fst.single_arc(symbols, ilab, olab)
-        if isinstance(node, CharClass):
-            arcs = [(0, sid, sid, 1) for sid in map(symbols.intern, node.chars)]
-            return fst.build(2, 0, (1,), arcs, symbols)
-        if isinstance(node, (Concat, Union)):
-            return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
-                                    [machine(p) for p in node.parts])
-        if type(node) in _CLOSURES:
-            return fst.closure(machine(node.expr), _CLOSURES[type(node)][1])
-        if isinstance(node, Compose):
-            return fst.compose(machine(node.lhs), machine(node.rhs))
-        if isinstance(node, VarRef):
-            if node.name not in defs:
-                raise UndefinedVariable(node.name)
-            return defs[node.name]
-        if isinstance(node, Include):
-            # an absolute path joined to a directory is that path again
-            path = Path(rule_file.base_dir or "", node.path)
-            if not path.is_file():
-                raise IncludeNotFound(node.path)
-            return lexicon.compile_root_fst(lexicon.read_lexicon_file(path), symbols)
-        raise TypeError(f"not a rule AST node: {node!r}")
-
-    for name, expr in rule_file.definitions:
-        defs[name] = fst.minimize(machine(expr))
-    return fst.minimize(machine(rule_file.result))
+    machine = functools.partial(_machine, defs, symbols, rule_file.base_dir)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, expr in rule_file.definitions:
+            defs[name] = fst.minimize(machine(expr))
+        return fst.minimize(machine(rule_file.result))
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def compile_file(path, symbols: SymbolTable) -> Transducer:

@@ -881,6 +881,17 @@ def test_save_load(tmp_path):
     assert set(fst.enumerate_pairs(back, 2)) == {("क", "ख")}
 
 
+def test_save_refuses_a_symbol_with_a_lone_surrogate(tmp_path):
+    # SymbolTable accepts the symbol; UTF-8 cannot encode it
+    t = fst.build(2, 0, [1], [(0, 1, 1, 1)], SymbolTable(["a\ud800"]))
+    message = r"^transducer symbol 'a\\ud800' holds a lone surrogate$"
+    with pytest.raises(fst.FstError, match=message):
+        fst.to_bytes(t)
+    with pytest.raises(fst.FstError, match=message):
+        fst.save(t, tmp_path / "t.fst")
+    assert not list(tmp_path.iterdir())
+
+
 def test_from_bytes_rejects_garbage():
     table = SymbolTable()
     blob = fst.to_bytes(fst.epsilon(table))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import random
@@ -366,17 +367,74 @@ def test_compiled_machine_is_normalized(grammar):
         "5014e0d4dc6dd8332e96a65ca56e9d6e47cf677ebe6793e66474984e0f0506b6")
 
 
+@pytest.fixture
+def synth(monkeypatch):
+    """The benchmark's seeded grammar generator, imported as it stands."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("synth")
+
+
 @pytest.mark.parametrize("n_stems,n_indecl,sha,size", [
     (1000, 120, "7d19d4cae7aac2adbf82639078b3b8983d5b5681f5e3acfd699f39a99560598a", 38_781),
     (10_000, 1200, "f839be0aa4f71636112b1b0005b1ccd91f71dd62f578987cd9e83cf438484a09", 282_413),
 ])
-def test_synthetic_grammar_bytes_are_pinned(tmp_path, monkeypatch, n_stems, n_indecl, sha, size):
-    # the benchmark's seeded grammar generator, imported as it stands
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    synth = importlib.import_module("synth")
+def test_synthetic_grammar_bytes_are_pinned(tmp_path, synth, n_stems, n_indecl, sha, size):
     rules_path = synth.generate_grammar(1, n_stems, n_indecl).write(tmp_path)
     blob = fst.to_bytes(rules.compile_file(rules_path, SymbolTable()))
     assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (sha, size)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector around a compile
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector's state back as it was after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("rule_file, error", [
+    (parse_rules("$V$ = a | i\n$V$+ a:b"), None),
+    (parse_rules('#include "nowhere.lex"'), IncludeNotFound),
+    (RuleFile((), VarRef("X")), UndefinedVariable),
+], ids=["compiled", "include-not-found", "undefined-variable"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_compile_gives_back_the_collector_state(collector, rule_file, error, enabled):
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        rules.compile(rule_file, SymbolTable())
+    else:
+        with pytest.raises(error):
+            rules.compile(rule_file, SymbolTable())
+    assert gc.isenabled() is enabled
+
+
+def test_compile_leaves_no_cyclic_garbage(collector, tmp_path, synth):
+    # with the collector off, a cycle that a compile made would still be
+    # there for the gc.collect() below to find
+    from hindimorph import data_path
+    paths = [data_path("rules", "hindi.mrl"), synth.generate_grammar(1, 1000, 120).write(tmp_path)]
+    gc.collect()
+    gc.disable()
+    for path in paths:
+        rules.compile_file(path, SymbolTable())
+    assert gc.collect() == 0
+
+
+def test_compile_runs_no_collection(collector, tmp_path, synth):
+    rule_file = rules.parse_rules_file(synth.generate_grammar(1, 1000, 120).write(tmp_path))
+    symbols = SymbolTable()
+    gc.enable()
+    before = gc.get_stats()
+    rules.compile(rule_file, symbols)
+    after = gc.get_stats()
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
 
 
 def test_compile_is_compositional_with_oracle():
