@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .fst import StringPairSet, SymbolTable, Transducer
+from .fst import SymbolTable, Transducer
 from .morph import Analysis, MorphModel
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "Analysis",
     "MorphModel",
     "RuleFile",
-    "StringPairSet",
     "SymbolTable",
     "TaggedCorpus",
     "TagModel",

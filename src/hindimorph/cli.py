@@ -7,7 +7,7 @@ Subcommands::
     compile -r <rules.mrl> -o <model.fst>
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
     generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
-    train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N --step F]
+    train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N]
     tag -m <model.tag> -f <model.fst> [sentence|-]
     eval -m <model.tag> -f <model.fst> -c <gold.txt>
 
@@ -106,8 +106,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     from . import tagger
     corpus = tagger.TaggedCorpus.read(args.corpus)
-    config = tagger.TrainConfig(l2_lambda=args.l2_lambda, epochs=args.epochs,
-                                step=args.step)
+    config = tagger.TrainConfig(l2_lambda=args.l2_lambda, epochs=args.epochs)
     model = tagger.train(corpus, config)
     tagger.save_model(model, args.output)
     tokens = sum(len(s) for s in corpus.sentences)
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--lambda", dest="l2_lambda", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--step", type=float, default=0.1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag sentences")

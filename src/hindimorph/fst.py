@@ -6,8 +6,9 @@ accepting paths, where an epsilon label component contributes nothing
 to its side.  This module provides the relation algebra (union,
 concatenation, closure, composition, inversion, projection),
 normalization (epsilon removal, determinization, minimization), runtime
-application on either tape, bounded pair enumeration, and a binary file
-format.
+application on either tape (:func:`apply` answers the texts written for
+a text read; :func:`lookup` does the same on label ids), bounded pair
+enumeration, and a binary file format.
 
 Determinization works over the *pair* alphabet: each input:output label
 is treated as one atomic symbol.  True input-side determinization does
@@ -839,24 +840,33 @@ def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int,
     return outputs
 
 
-def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
-    """All pairs (string read, string written) of the paths of `a` that
-    read `text` on one tape: :func:`scan`, then :func:`lookup`, then
-    each written id tuple rendered.
+def _texts(a: Transducer, outputs: set[tuple[int, ...]]) -> list[str]:
+    """The texts of written label-id tuples, each once, sorted.  Two
+    tuples can render alike when a symbol spells several characters."""
+    entries = a.symbols._entries
+    if len(outputs) == 1:
+        return ["".join(map(entries.__getitem__, *outputs))]
+    return sorted({"".join(map(entries.__getitem__, out)) for out in outputs})
+
+
+def apply(a: Transducer, text: str, side: str = "input") -> list[str]:
+    """The texts written along the paths of `a` that read `text` on one
+    tape, each once, as a new sorted list: :func:`scan`, then
+    :func:`lookup`, then each written id tuple rendered.
 
     With ``side="input"`` arcs match on their input label and write
-    their output label, which gives the (input, output) pairs whose
-    input is `text`.  With ``side="output"`` arcs match on their output
-    label and write their input label, which gives the (output, input)
-    pairs whose output is `text`: the result of applying
-    :func:`invert` of `a` to `text`, without building that machine.  A
-    generation-direction grammar analyzes with ``side="output"``.  Any
-    other `side` raises :class:`ValueError`.  Lookup reads only integer
-    columns and makes no :class:`Arc`.
+    their output label, which gives the outputs paired with the input
+    `text`.  With ``side="output"`` arcs match on their output label and
+    write their input label, which gives the inputs paired with the
+    output `text`: the result of applying :func:`invert` of `a` to
+    `text`, without building that machine.  A generation-direction
+    grammar analyzes with ``side="output"``.  Any other `side` raises
+    :class:`ValueError`.  Lookup reads only integer columns and makes no
+    :class:`Arc`.
 
     Raises :class:`UnknownSymbol` when `text` contains a symbol outside
     the machine's table (distinct from an in-alphabet string that is
-    simply rejected, which yields an empty result), and
+    simply rejected, which yields an empty list), and
     :class:`EpsilonCycle` when a cycle that reads epsilon and writes a
     symbol is reachable on this text.
     """
@@ -867,14 +877,12 @@ def apply(a: Transducer, text: str, side: str = "input") -> "StringPairSet":
     except EpsilonCycle:  # name `text` as given, a literal <> included
         raise EpsilonCycle(
             f"symbol-writing {side}-epsilon cycle reachable on {text!r}") from None
-    entries = a.symbols._entries
-    rendered_in = "".join(map(entries.__getitem__, ids))
-    return StringPairSet(
-        (rendered_in, "".join(map(entries.__getitem__, out))) for out in outputs)
+    return _texts(a, outputs)
 
 
-def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
-    """All accepting pairs reachable by paths of at most max_len arcs.
+def enumerate_pairs(a: Transducer, max_len: int) -> list[tuple[str, str]]:
+    """All accepting (input, output) pairs reachable by paths of at most
+    max_len arcs, each once, sorted by input, then output.
 
     Configurations (state, input-so-far, output-so-far) are deduplicated
     level by level, so equal pairs reached along different paths count
@@ -901,49 +909,8 @@ def enumerate_pairs(a: Transducer, max_len: int) -> "StringPairSet":
             break
         frontier = nxt
     table = a.symbols
-    return StringPairSet((render(ins, table), render(outs, table))
-                         for state, ins, outs in seen if state in a.finals)
-
-
-class StringPairSet:
-    """Immutable, deduplicated (input, output) pairs.
-
-    Iteration order is lexicographic by input, then output, so results
-    are reproducible across runs.
-    """
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[str, str]] = ()):
-        self._pairs: tuple[tuple[str, str], ...] = tuple(sorted(set(pairs)))
-
-    @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return self._pairs
-
-    def outputs(self) -> list[str]:
-        """Output sides in iteration order (deduplicated)."""
-        return list(dict.fromkeys(out for _, out in self._pairs))
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self._pairs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StringPairSet):
-            return self._pairs == other._pairs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
-    def __repr__(self) -> str:
-        return f"StringPairSet({list(self._pairs)!r})"
+    return sorted({(render(ins, table), render(outs, table))
+                   for state, ins, outs in seen if state in a.finals})
 
 
 MAGIC = b"MFST"

@@ -3,12 +3,12 @@
 A grammar maps lexical forms (root plus ``<Tag>`` symbols) to surface
 forms.  The one machine serves both directions: generation reads the
 lexical form on its input tape, and analysis reads the surface word on
-its output tape.  Both go to :func:`fst.lookup` with label ids (the
-surface word's from :func:`fst.scan`, the lexical form's from its parsed
-:class:`Analysis`) and render each written id tuple once, with no
-:class:`fst.StringPairSet` in between.  Indeclinable words that no rule
-should touch live in a plain dictionary file that shadows the
-transducer in both directions.
+its output tape.  Analysis asks :func:`fst.apply` for the texts the
+grammar writes and parses each into an :class:`Analysis`; generation
+takes its label ids from the :class:`Analysis` it parses anyway, so it
+calls :func:`fst.lookup` directly.  Both render each written id tuple
+once.  Indeclinable words that no rule should touch live in a plain
+dictionary file that shadows the transducer in both directions.
 """
 
 from __future__ import annotations
@@ -131,13 +131,13 @@ class MorphModel:
 
     The grammar is the only machine: :func:`analyze` looks words up on
     its output (surface) tape and :func:`generate` on its input
-    (lexical) tape, each through :func:`fst.lookup`, which keeps each
-    side's epsilon closures on the grammar.  Each word's indeclinable
-    analyses are kept once each, sorted by rendered form, the order
-    :func:`analyze` answers in.  The model also keeps the grammar's
-    analyses of up to 4,096 distinct surface words, about 450 bytes
-    each (see :func:`analyze`), so a later replacement of ``grammar``
-    is not seen.
+    (lexical) tape, each through :func:`fst.lookup` (analysis by way of
+    :func:`fst.apply`), which keeps each side's epsilon closures on the
+    grammar.  Each word's indeclinable analyses are kept once each,
+    sorted by rendered form, the order :func:`analyze` answers in.  The
+    model also keeps the grammar's analyses of up to 4,096 distinct
+    surface words, about 450 bytes each (see :func:`analyze`), so a
+    later replacement of ``grammar`` is not seen.
     """
 
     def __init__(self, grammar: Transducer,
@@ -163,15 +163,6 @@ class MorphModel:
         return cls(grammar, indecl)
 
 
-def _texts(grammar: Transducer, outputs: set[tuple[int, ...]]) -> list[str]:
-    """The texts of written label-id tuples, each once, sorted.  Two
-    tuples can render alike when a symbol spells several characters."""
-    entries = grammar.symbols._entries
-    if len(outputs) == 1:
-        return ["".join(map(entries.__getitem__, *outputs))]
-    return sorted({"".join(map(entries.__getitem__, out)) for out in outputs})
-
-
 def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     """All analyses of a surface word, ordered by rendered form.
 
@@ -180,8 +171,10 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     soft miss, not an error); so does a word with a symbol outside the
     grammar's alphabet.  A surface word is plain text, so one that holds
     a ``<`` is a soft miss too: the grammar's tag syntax (``<>``,
-    ``<Tag>``) belongs to the lexical tape.  Each id tuple the grammar
-    writes is rendered once; tuples that render alike give one analysis.
+    ``<Tag>``) belongs to the lexical tape.  The grammar is read through
+    :func:`fst.apply`, so tuples that render alike give one analysis.  A
+    text the grammar writes that is not ``root<Tag>...`` raises
+    :class:`MalformedAnalysis` naming the surface word.
 
     The grammar's answers, soft misses included, are kept on the model
     for up to 4,096 distinct words, so a repeated word is read once; a
@@ -197,13 +190,14 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     memo = model._analyses
     found = memo.get(surface)
     if found is None:
-        grammar = model.grammar
         try:
-            ids = fst.scan(surface, grammar.symbols)
+            found = tuple(map(Analysis.parse, fst.apply(model.grammar, surface, "output")))
         except fst.UnknownSymbol:
             found = ()
-        else:
-            found = tuple(map(Analysis.parse, _texts(grammar, fst.lookup(grammar, ids, "output"))))
+        except MalformedAnalysis as exc:  # the grammar wrote it, not the user
+            raise MalformedAnalysis(
+                f"grammar wrote a lexical form for surface word {surface!r} that is {exc}"
+            ) from None
         if len(memo) >= _MEMO_WORDS:
             memo.clear()
         memo[surface] = found
@@ -228,4 +222,4 @@ def generate(model: MorphModel, lexical: str) -> list[str]:
     ids = [*map(id_of, analysis.root), *[id_of(f"<{tag}>") for tag in analysis.tags]]
     if None in ids:  # a symbol outside the grammar's alphabet
         return []
-    return _texts(grammar, fst.lookup(grammar, ids))
+    return fst._texts(grammar, fst.lookup(grammar, ids))

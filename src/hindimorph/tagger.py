@@ -205,7 +205,10 @@ class TagModel:
 class TrainConfig:
     l2_lambda: float = 0.1
     epochs: int = 100
-    step: float = 0.1
+
+
+# The gradient-ascent step size of every epoch.
+_STEP = 0.1
 
 
 def _row_log_probs(rows: Sequence[Sequence[float]]) -> list[float]:
@@ -221,7 +224,8 @@ def _row_log_probs(rows: Sequence[Sequence[float]]) -> list[float]:
 
 
 def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
-    """Train a tagger by full-batch gradient ascent from zero weights.
+    """Train a tagger by full-batch gradient ascent from zero weights,
+    with a fixed step of 0.1 (``_STEP``).
 
     Each feature string is interned once to a row of one weight per tag.
     An epoch is one sweep over the positions: each position's
@@ -234,16 +238,14 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     Iteration order is fixed by the corpus, so the result is
     deterministic.  The returned model records the loss (the L2 penalty
     minus the mean per-token log-likelihood) before each epoch and after
-    the last one in ``loss_history``.  Raises :class:`TaggerError` unless ``epochs >= 0``,
-    ``l2_lambda`` is finite and ``>= 0`` and ``step`` is finite and ``> 0``.
+    the last one in ``loss_history``.  Raises :class:`TaggerError` unless
+    ``epochs >= 0`` and ``l2_lambda`` is finite and ``>= 0``.
     """
     config = config or TrainConfig()
     if config.epochs < 0:
         raise TaggerError(f"epochs must be >= 0, got {config.epochs}")
     if not (math.isfinite(config.l2_lambda) and config.l2_lambda >= 0):
         raise TaggerError(f"l2_lambda must be finite and >= 0, got {config.l2_lambda}")
-    if not (math.isfinite(config.step) and config.step > 0):
-        raise TaggerError(f"step must be finite and > 0, got {config.step}")
     if not any(corpus.sentences):
         raise EmptyCorpus("training corpus has no tokens")
     tagset = corpus.tagset()
@@ -275,7 +277,6 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     rows = [[0.0] * len(tagset) for _ in feature_ids]
     n = float(len(sweep))
     decay = 2.0 * config.l2_lambda
-    step = config.step
 
     def log_probs() -> list[list[float]]:
         # the rows do not change within an epoch: one result per distinct list
@@ -298,7 +299,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
                 g[gold] += 1.0
                 grad[f] = list(map(sub, g, p))
         losses.append(loss(total))
-        rows = [[w + step * (g / n - decay * w) for w, g in zip(w_row, g_row)]
+        rows = [[w + _STEP * (g / n - decay * w) for w, g in zip(w_row, g_row)]
                 for w_row, g_row in zip(rows, grad)]
     log_ps = log_probs()
     total = 0.0

@@ -176,6 +176,17 @@ def test_indeclinable_record_with_a_second_tab_is_an_error(capsys, tmp_path, fst
     assert stderr == "hindimorph analyze: error: bad.tsv:1: expected word<TAB>analysis\n"
 
 
+def test_analyze_names_the_word_whose_grammar_form_is_malformed(capsys, tmp_path):
+    # the grammar writes "ab", which has no tag; the words before it answer
+    rule_file, model = tmp_path / "g.mrl", tmp_path / "g.fst"
+    rule_file.write_text("ab | c <N>:<>\n", encoding="utf-8")
+    assert run(capsys, ["compile", "-r", str(rule_file), "-o", str(model)])[0] == 0
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(model), "c", "x", "ab"])
+    assert (rc, stdout) == (1, "c\tc<N>\nx\t?\n")
+    assert stderr == ("hindimorph analyze: error: grammar wrote a lexical form for surface "
+                      "word 'ab' that is not a root<Tag>... analysis: 'ab'\n")
+
+
 def test_analyze_missing_model(capsys, tmp_path):
     rc, stdout, stderr = run(capsys, [
         "analyze", "-m", str(tmp_path / "nope.fst"), "घर"])
@@ -308,7 +319,7 @@ def test_train_honors_hyperparameter_flags(capsys, tmp_path):
     out = tmp_path / "toy.tag"
     rc, stdout, _ = run(capsys, [
         "train", "-c", str(corpus), "-o", str(out),
-        "--lambda", "0.3", "--epochs", "5", "--step", "0.2"])
+        "--lambda", "0.3", "--epochs", "5"])
     assert rc == 0
     model = tagger.load_model(out)
     assert model.l2_lambda == pytest.approx(0.3)
@@ -327,9 +338,8 @@ def test_train_malformed_corpus_leaves_no_output(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--epochs", "-2"], ["--step", "nan"], ["--step", "0"],
-    ["--lambda", "inf"], ["--lambda", "-1"],
-], ids=["epochs-2", "step-nan", "step0", "lambda-inf", "lambda-1"])
+    ["--epochs", "-2"], ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "-1"],
+], ids=["epochs-2", "lambda-nan", "lambda-inf", "lambda-1"])
 def test_train_rejects_invalid_options(capsys, tmp_path, flags):
     corpus = tmp_path / "toy.txt"
     corpus.write_text("ab/X cd/Y\nab/X ef/Y\n", encoding="utf-8")
@@ -342,13 +352,24 @@ def test_train_rejects_invalid_options(capsys, tmp_path, flags):
     assert not out.exists()
 
 
+def test_train_has_no_step_option(capsys, tmp_path):
+    # the step is fixed at 0.1: --step is a usage error
+    out = tmp_path / "m.tag"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "-c", str(data_path("tagged_mini.txt")), "-o", str(out),
+                  "--step", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_refuses_to_save_non_finite_weights(capsys, tmp_path):
-    # a huge step overflows the weights; the file would not load, so none
-    # is written
+    # a huge prior makes each step overshoot zero by more than the last
+    # until the weights overflow; the file would not load, so none is written
     out = tmp_path / "m.tag"
     rc, stdout, stderr = run(capsys, [
         "train", "-c", str(data_path("tagged_mini.txt")), "-o", str(out),
-        "--epochs", "3", "--step", "1e308"])
+        "--epochs", "5", "--lambda", "1e300"])
     assert rc == 1
     assert stdout == ""
     assert stderr.startswith("hindimorph train: error: tagger model weights are not finite: ")

@@ -10,7 +10,6 @@ from hindimorph.fst import (
     EpsilonCycle,
     InvalidStateId,
     InvalidSymbolId,
-    StringPairSet,
     SymbolTable,
     SymbolTableMismatch,
     Transducer,
@@ -162,10 +161,10 @@ def test_operands_must_share_table():
 
 def test_empty_epsilon_single_arc():
     table = SymbolTable("a")
-    assert fst.enumerate_pairs(fst.empty(table), 5) == StringPairSet()
-    assert fst.enumerate_pairs(fst.epsilon(table), 5) == StringPairSet([("", "")])
+    assert fst.enumerate_pairs(fst.empty(table), 5) == []
+    assert fst.enumerate_pairs(fst.epsilon(table), 5) == [("", "")]
     one = fst.single_arc(table, table.id_of("a"), EPSILON)
-    assert fst.enumerate_pairs(one, 5) == StringPairSet([("a", "")])
+    assert fst.enumerate_pairs(one, 5) == [("a", "")]
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +420,23 @@ def test_operations_do_not_mutate_operands():
 def test_apply_single_arc():
     table = SymbolTable()
     t = pair_machine(table, "a:b")
-    assert set(fst.apply(t, "a")) == {("a", "b")}
-    assert set(fst.apply(t, "b")) == set()
-    assert set(fst.apply(t, "b", side="output")) == {("b", "a")}
-    assert set(fst.apply(t, "a", side="output")) == set()
+    assert fst.apply(t, "a") == ["b"]
+    assert fst.apply(t, "b") == []
+    assert fst.apply(t, "b", side="output") == ["a"]
+    assert fst.apply(t, "a", side="output") == []
+    # the side is checked first, before the text is scanned
     for side in ("in", "Output", "both", ""):
-        with pytest.raises(ValueError):
-            fst.apply(t, "a", side=side)
+        with pytest.raises(ValueError, match=f"^unknown apply side {side!r}$"):
+            fst.apply(t, "z", side=side)
 
 
 def test_apply_unknown_symbol_is_an_error():
     table = SymbolTable()
     t = pair_machine(table, "a:b")
-    with pytest.raises(UnknownSymbol):
-        fst.apply(t, "z")
+    with pytest.raises(UnknownSymbol, match=r"^symbol 'z' not in table$"):
+        fst.apply(t, "az")
+    with pytest.raises(UnknownSymbol, match=r"^symbol '<N>' not in table$"):
+        fst.apply(t, "a<N>", side="output")
 
 
 def test_apply_equals_filtered_enumeration():
@@ -445,11 +447,9 @@ def test_apply_equals_filtered_enumeration():
         rel = oracle.full_relation(t)
         inputs = {x for x, _ in rel} | {"a", "ba", ""}
         for x in sorted(inputs):
-            want = {(i, o) for i, o in rel if i == x}
-            assert set(fst.apply(t, x)) == want
+            assert fst.apply(t, x) == sorted({o for i, o in rel if i == x})
         for y in sorted({o for _, o in rel} | {"a", "ba", ""}):
-            want = {(o, i) for i, o in rel if o == y}
-            assert set(fst.apply(t, y, side="output")) == want
+            assert fst.apply(t, y, side="output") == sorted({i for i, o in rel if o == y})
 
 
 @pytest.mark.parametrize("make", [oracle.rand_acyclic, oracle.rand_machine])
@@ -513,9 +513,8 @@ def test_apply_high_fan_out():
                     assert got == outcome(inv, text, other)
                     if got is EpsilonCycle or len(text) > cap:
                         continue
-                    want = {(pair[read], pair[1 - read]) for pair in rel
-                            if pair[read] == text}
-                    assert {p for p in got if len(p[1]) <= cap} == want
+                    want = {pair[1 - read] for pair in rel if pair[read] == text}
+                    assert {out for out in got if len(out) <= cap} == want
     assert shapes == {"arcs on the last state", "leading epsilon arcs",
                       "several arcs per label"}
 
@@ -560,7 +559,7 @@ def test_apply_epsilon_cycle_policy():
     t = build(3, 0, (0,),
               [(0, b, b, 1), (1, EPSILON, a, 2), (2, EPSILON, a, 1)],
               table)
-    assert set(fst.apply(t, "")) == {("", "")}
+    assert fst.apply(t, "") == [""]
     with pytest.raises(EpsilonCycle):
         fst.apply(t, "b")
     # the guard is kept on the machine: a second call raises again
@@ -571,7 +570,7 @@ def test_apply_epsilon_cycle_policy():
         fst.apply(fst.from_bytes(fst.to_bytes(t)), "b")
     # an emitting input-epsilon self-loop is a cycle too
     loop = build(2, 0, (1,), [(0, b, b, 1), (1, EPSILON, a, 1)], table)
-    assert set(fst.apply(loop, "")) == set()
+    assert fst.apply(loop, "") == []
     with pytest.raises(EpsilonCycle):
         fst.apply(loop, "b")
     # an emitting arc that leaves a silent cycle lies on no cycle
@@ -579,14 +578,14 @@ def test_apply_epsilon_cycle_policy():
                      [(0, EPSILON, EPSILON, 1), (1, EPSILON, EPSILON, 0),
                       (1, EPSILON, a, 2)],
                      table)
-    assert set(fst.apply(exit_arc, "")) == {("", "a")}
+    assert fst.apply(exit_arc, "") == ["a"]
     # an output-epsilon cycle that writes input is a cycle for side="output"
     # only; reading the input tape, the same arcs consume "a"
     out_arcs = [(0, b, b, 1), (1, a, EPSILON, 2), (2, a, EPSILON, 1)]
     out_loop = build(3, 0, (0, 2), out_arcs, table)
-    assert set(fst.apply(out_loop, "ba")) == {("ba", "b")}
-    assert set(fst.apply(out_loop, "baaa")) == {("baaa", "b")}
-    assert set(fst.apply(out_loop, "", side="output")) == {("", "")}
+    assert fst.apply(out_loop, "ba") == ["b"]
+    assert fst.apply(out_loop, "baaa") == ["b"]
+    assert fst.apply(out_loop, "", side="output") == [""]
     with pytest.raises(EpsilonCycle):
         fst.apply(out_loop, "b", side="output")
     # each side keeps its own slot: a raise on one side leaves the other unset
@@ -598,7 +597,7 @@ def test_apply_epsilon_cycle_policy():
     with pytest.raises(EpsilonCycle):
         fst.apply(t, "b")
     assert "output" not in t._sides
-    assert set(fst.apply(t, "a", side="output")) == set()
+    assert fst.apply(t, "a", side="output") == []
 
 
 def test_emitting_eps_cycle_states_match_oracle():
@@ -633,11 +632,11 @@ def test_deep_epsilon_reading_cycles(side):
         fst.apply(loud, "a", side=side)
     # the cycle reads b on the other tape, so that side answers
     assert fst._emitting_eps_cycle_states(loud, other) == frozenset()
-    assert set(fst.apply(loud, "a", side=other)) == {("a", "a")}
+    assert fst.apply(loud, "a", side=other) == ["a"]
     quiet = build(n + 1, 0, (n,),
                   [(s, EPSILON, EPSILON, (s + 1) % n) for s in range(n)] + [exit_arc], table)
     assert fst._emitting_eps_cycle_states(quiet, side) == frozenset()
-    assert set(fst.apply(quiet, "a", side=side)) == {("a", "a")}
+    assert fst.apply(quiet, "a", side=side) == ["a"]
 
 
 def test_apply_tolerates_silent_epsilon_cycle():
@@ -647,7 +646,7 @@ def test_apply_tolerates_silent_epsilon_cycle():
     t = build(2, 0, (1,),
               [(0, EPSILON, EPSILON, 0), (0, a, a, 1)],
               table)
-    assert set(fst.apply(t, "a")) == {("a", "a")}
+    assert fst.apply(t, "a") == ["a"]
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +663,7 @@ def lookup_outcome(m, text, side):
         with pytest.raises(type(exc)):
             fst.apply(m, text, side=side)
         return type(exc)
-    assert fst.apply(m, text, side=side) == StringPairSet(
-        (render(ids, m.symbols), render(out, m.symbols)) for out in got)
+    assert fst.apply(m, text, side=side) == sorted({render(out, m.symbols) for out in got})
     return got
 
 
@@ -778,9 +776,9 @@ def test_lookup_dedups_texts_by_apply():
     x, ab, a, b = (table.id_of(s) for s in ("x", "ab", "a", "b"))
     m = build(3, 0, (2,), [(0, x, ab, 2), (0, x, a, 1), (1, EPSILON, b, 2)], table)
     assert fst.lookup(m, [x]) == {(ab,), (a, b)} == oracle.lookup_reference(m, [x], "input")
-    assert fst.apply(m, "x").pairs == (("x", "ab"),)
+    assert fst.apply(m, "x") == ["ab"]
     inv = fst.invert(m)
-    assert fst.apply(inv, "x", side="output").pairs == (("x", "ab"),)
+    assert fst.apply(inv, "x", side="output") == ["ab"]
 
 
 @pytest.mark.parametrize("side", ["input", "output"])
@@ -834,27 +832,37 @@ def test_enumerate_single_arc_with_final_start():
 
 
 # ---------------------------------------------------------------------------
-# string pair sets
+# result order: each answer once, sorted, in a new list
 
 
-def test_pair_set_is_sorted_and_deduplicated():
-    s = StringPairSet([("b", "x"), ("a", "y"), ("a", "y"), ("a", "x")])
-    assert s.pairs == (("a", "x"), ("a", "y"), ("b", "x"))
-    assert ("a", "y") in s
-    assert len(s) == 3
+def test_enumerate_pairs_is_sorted_and_deduplicated():
+    # arcs in unsorted order, and ("a", "y") read along two paths
+    table = SymbolTable("abxy")
+    a, b, x, y = (table.id_of(s) for s in "abxy")
+    t = build(3, 0, (1,), [(0, b, x, 1), (0, a, y, 1), (0, a, EPSILON, 2),
+                           (2, EPSILON, y, 1), (0, a, x, 1)], table)
+    assert fst.enumerate_pairs(t, 2) == [("a", "x"), ("a", "y"), ("b", "x")]
 
 
-def test_pair_set_outputs_in_order():
-    s = StringPairSet([("a", "y"), ("b", "x"), ("c", "y")])
-    assert s.outputs() == ["y", "x"]
+def test_apply_texts_are_sorted_and_deduplicated():
+    # "x" is written along two paths; the outputs in unsorted arc order
+    table = SymbolTable("abxyz")
+    a, b, x, y, z = (table.id_of(s) for s in "abxyz")
+    t = build(3, 0, (1,), [(0, a, y, 1), (0, a, x, 1), (0, a, EPSILON, 2),
+                           (2, EPSILON, x, 1), (0, b, z, 1)], table)
+    assert fst.apply(t, "a") == ["x", "y"]
+    assert fst.apply(fst.invert(t), "a", side="output") == ["x", "y"]
+    assert fst.apply(t, "y", side="output") == ["a"]
 
 
-def test_pair_set_equality_and_hash():
-    s1 = StringPairSet([("a", "b")])
-    s2 = StringPairSet({("a", "b")})
-    assert s1 == s2
-    assert hash(s1) == hash(s2)
-    assert s1 != StringPairSet()
+def test_apply_returns_a_new_list():
+    table = SymbolTable()
+    t = pair_machine(table, "a:b")
+    first = fst.apply(t, "a")
+    first.append("c")
+    assert fst.apply(t, "a") == ["b"]
+    assert fst.apply(t, "a") is not fst.apply(t, "a")
+    assert fst.enumerate_pairs(t, 1) == fst.enumerate_pairs(t, 1) == [("a", "b")]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1010,7 @@ def test_mutated_fst_bytes_raise_only_fst_error():
                         with pytest.raises(type(exc)):
                             fst.apply(ref, text, side=side)
                         continue
-                    assert isinstance(result, StringPairSet)
+                    assert isinstance(result, list)
                     assert result == fst.apply(ref, text, side=side)
 
     check()

@@ -130,6 +130,50 @@ def test_memo_is_cleared_at_its_bound(grammar, monkeypatch):
         assert len(model._analyses) <= 3
 
 
+def test_analyze_reads_the_grammar_through_fst_apply(grammar, monkeypatch):
+    # What a tracer that wraps the module attribute fst.apply relies on:
+    # one call per grammar lookup, and an out-of-alphabet word told apart
+    # by the UnknownSymbol that the call raises.
+    calls = []
+    apply = fst.apply
+
+    def counting(*args, **kwargs):
+        try:
+            result = apply(*args, **kwargs)
+        except fst.FstError as exc:
+            calls.append((*args, type(exc)))
+            raise
+        calls.append((*args, None))
+        return result
+
+    monkeypatch.setattr(fst, "apply", counting)
+    model = MorphModel(grammar, {"अरे": [Analysis("अरे", ("Particle",))]})
+    assert len(morph.analyze(model, "लडके")) == 2
+    assert morph.analyze(model, "लडक") == []  # rejected: every letter is in the alphabet
+    assert morph.analyze(model, "घरों") == []  # "ों" is not
+    assert calls == [(grammar, "लडके", "output", None), (grammar, "लडक", "output", None),
+                     (grammar, "घरों", "output", fst.UnknownSymbol)]
+    # memo hits, an indeclinable hit and words holding "<" make no call
+    calls.clear()
+    for word in ("लडके", "लडक", "घरों", "अरे", "लडके<Noun>", "लड<"):
+        morph.analyze(model, word)
+    assert calls == []
+
+
+def test_malformed_form_written_by_the_grammar_names_the_surface_word():
+    # the grammar writes "ab", which has no tag, for the surface word "ab"
+    grammar = rules.compile(rules.parse_rules("ab | c <N>:<>\n"), SymbolTable())
+    model = MorphModel(grammar)
+    assert morph.analyze(model, "c") == [Analysis("c", ("N",))]
+    message = ("grammar wrote a lexical form for surface word 'ab' that is "
+               "not a root<Tag>... analysis: 'ab'")
+    for _ in range(2):  # the word is not kept as a miss
+        with pytest.raises(MalformedAnalysis) as exc:
+            morph.analyze(model, "ab")
+        assert str(exc.value) == message
+    assert list(model._analyses) == ["c"]
+
+
 # ---------------------------------------------------------------------------
 # generation
 
