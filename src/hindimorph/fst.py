@@ -295,8 +295,8 @@ def single_arc(symbols: SymbolTable, ilab: int, olab: int) -> Transducer:
     return build(2, 0, (1,), ((0, ilab, olab, 1),), symbols)
 
 
-def _require_shared(a: Transducer, b: Transducer) -> None:
-    if a.symbols is not b.symbols:
+def _require_shared(a: Transducer, *more: Transducer) -> None:
+    if any(b.symbols is not a.symbols for b in more):
         raise SymbolTableMismatch("operands must share one SymbolTable")
 
 
@@ -306,27 +306,42 @@ def _shifted(a: Transducer, offset: int) -> Iterator[tuple[int, int, int, int]]:
     return zip(map(offset.__add__, src), ilab, olab, map(offset.__add__, dst))
 
 
-def union(a: Transducer, b: Transducer) -> Transducer:
-    """Relation union of `a` and `b`."""
-    _require_shared(a, b)
-    off_b = 1 + a.state_count
-    arcs = [(0, EPSILON, EPSILON, a.start + 1),
-            (0, EPSILON, EPSILON, b.start + off_b)]
-    arcs += _shifted(a, 1)
-    arcs += _shifted(b, off_b)
-    finals = [f + 1 for f in a.finals] + [f + off_b for f in b.finals]
-    return build(1 + a.state_count + b.state_count, 0, finals, arcs, a.symbols)
+def _offsets(machines: tuple[Transducer, ...], first: int) -> list[int]:
+    """Where each machine's states start when they are laid out one after
+    another from state `first`, and then the state count of the whole."""
+    return list(accumulate((m.state_count for m in machines), initial=first))
 
 
-def concat(a: Transducer, b: Transducer) -> Transducer:
-    """Pairwise concatenation: {(xu, yv) | (x,y) in a, (u,v) in b}."""
-    _require_shared(a, b)
-    off_b = a.state_count
+def union(a: Transducer, *more: Transducer) -> Transducer:
+    """Relation union of `a` and every machine of `more`, built in one
+    pass: a fresh start state 0 with an epsilon arc to each operand's
+    start, and :func:`build` called once."""
+    _require_shared(a, *more)
+    machines = (a, *more)
+    offsets = _offsets(machines, 1)
+    arcs = []
+    finals = []
+    for m, off in zip(machines, offsets):
+        arcs.append((0, EPSILON, EPSILON, m.start + off))
+        arcs += _shifted(m, off)
+        finals += [f + off for f in m.finals]
+    return build(offsets[-1], 0, finals, arcs, a.symbols)
+
+
+def concat(a: Transducer, *more: Transducer) -> Transducer:
+    """Pairwise concatenation: {(xu, yv) | (x,y) in a, (u,v) in b}, of `a`
+    and every machine of `more` in turn, built in one pass: an epsilon
+    arc from each operand's finals to the next one's start, and
+    :func:`build` called once."""
+    _require_shared(a, *more)
+    machines = (a, *more)
+    offsets = _offsets(machines, 0)
     arcs = list(zip(*a._cols))
-    arcs += _shifted(b, off_b)
-    arcs += [(f, EPSILON, EPSILON, b.start + off_b) for f in a.finals]
-    finals = [f + off_b for f in b.finals]
-    return build(a.state_count + b.state_count, a.start, finals, arcs, a.symbols)
+    for prev, prev_off, m, off in zip(machines, offsets, more, offsets[1:]):
+        arcs += [(f + prev_off, EPSILON, EPSILON, m.start + off) for f in prev.finals]
+        arcs += _shifted(m, off)
+    finals = [f + offsets[-2] for f in machines[-1].finals]
+    return build(offsets[-1], a.start, finals, arcs, a.symbols)
 
 
 def closure(a: Transducer, mode: str = "star") -> Transducer:

@@ -79,10 +79,17 @@ def read_lexicon_file(path) -> list[str]:
 
 
 def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
-    """Identity trie over root strings, minimized.
+    """The minimal identity machine of a set of roots, the same machine
+    as :func:`fst.minimize` makes of their trie, built without it.
 
-    Duplicate roots collapse.  Minimization shares common suffixes, so
-    the result is the smallest deterministic machine for the set.
+    The roots are interned in sorted order while the trie is built, and
+    duplicates collapse.  Every state of a trie is made after its parent
+    and reaches a final, so one pass from the last state back to the
+    first finds the minimal machine (the register of Revuz 1992): each
+    state's class is the first state met with its finality and its
+    label -> class map, which merges common suffixes.  The classes are
+    numbered breadth-first from the start by label, as
+    :func:`fst.minimize` numbers them, and :func:`fst.build` runs once.
     """
     children: list[dict[int, int]] = [{}]
     finals: set[int] = set()
@@ -96,8 +103,21 @@ def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
                 children[node][sid] = nxt
             node = nxt
         finals.add(node)
-    arcs = [(src, sid, sid, dst)
-            for src, kids in enumerate(children)
-            for sid, dst in kids.items()]
-    trie = fst.build(len(children), 0, finals, arcs, symbols)
-    return fst.minimize(trie)
+    cls = [0] * len(children)
+    register: dict[tuple, int] = {}
+    for s in range(len(children) - 1, -1, -1):  # children before their parent
+        row = tuple(sorted([(sid, cls[child]) for sid, child in children[s].items()]))
+        cls[s] = register.setdefault((s in finals, row), s)
+    number = {cls[0]: 0}
+    seq = [cls[0]]
+    arcs: list[tuple[int, int, int, int]] = []
+    for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
+        for sid, child in sorted(children[c].items()):
+            tc = cls[child]
+            tid = number.get(tc)
+            if tid is None:
+                tid = number[tc] = len(seq)
+                seq.append(tc)
+            arcs.append((cid, sid, sid, tid))
+    return fst.build(len(seq), 0, [cid for cid, c in enumerate(seq) if c in finals],
+                     arcs, symbols)

@@ -514,8 +514,7 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
         return fst.build(2, 0, (1,), arcs, symbols)
     machine = functools.partial(_machine, defs, symbols, base_dir)
     if isinstance(node, (Concat, Union)):
-        return functools.reduce(fst.concat if isinstance(node, Concat) else fst.union,
-                                [machine(p) for p in node.parts])
+        return (fst.concat if isinstance(node, Concat) else fst.union)(*map(machine, node.parts))
     if type(node) in _CLOSURES:
         return fst.closure(machine(node.expr), _CLOSURES[type(node)][1])
     if isinstance(node, Compose):
@@ -540,7 +539,10 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     as SFST does, and shared by reference; so the operands of ``||``
     and of the final :func:`fst.minimize` are minimal machines.  The
     result is epsilon-free, deterministic over the pair alphabet, and
-    minimal.
+    minimal.  Each ``|`` or juxtaposition of any number of operands
+    builds its machine once (:func:`fst.union`, :func:`fst.concat`),
+    and an ``#include`` root list comes out of
+    :func:`lexicon.compile_root_fst` already minimal.
 
     ``#include "p"`` reads ``p`` in ``rule_file.base_dir``, or in the
     working directory when the text was parsed without one; an absolute

@@ -9,7 +9,9 @@ logic, so agreement between the two is meaningful.
 
 ``minimize_reference`` keeps the earlier normalization pipeline
 (subset construction, trimming and Moore refinement, each building a
-machine) as the byte-level reference for ``fst.minimize``.
+machine) as the byte-level reference for ``fst.minimize``, and
+``root_fst_reference`` the earlier root-list construction (a trie
+through ``minimize_reference``) for ``lexicon.compile_root_fst``.
 
 Machines are walked through :func:`out_arcs`, per-state arc lists
 built here from ``Transducer.arcs``, not through the library's arc index.
@@ -35,7 +37,8 @@ import unicodedata
 from collections import deque
 
 from hindimorph import tagger
-from hindimorph.fst import EPSILON, EpsilonCycle, SymbolTable, Transducer, build, remove_epsilons
+from hindimorph.fst import (EPSILON, EpsilonCycle, SymbolTable, Transducer, build,
+                            remove_epsilons, scan)
 
 ALPHABET = ("a", "b", "c")
 
@@ -432,6 +435,28 @@ def minimize_reference(a: Transducer) -> Transducer:
             arcs.append((cid, arc.ilab, arc.olab, tid))
     finals = {order[cls[f]] for f in d.finals}
     return build(len(seq), 0, finals, arcs, a.symbols)
+
+
+def root_fst_reference(roots, symbols: SymbolTable) -> Transducer:
+    """The earlier root-list construction: the roots' trie, interned in
+    sorted order, built as a machine and normalized by
+    :func:`minimize_reference`."""
+    children: list[dict[int, int]] = [{}]
+    finals: set[int] = set()
+    for root in sorted(roots):
+        node = 0
+        for sid in scan(root, symbols, intern=True):
+            nxt = children[node].get(sid)
+            if nxt is None:
+                nxt = len(children)
+                children.append({})
+                children[node][sid] = nxt
+            node = nxt
+        finals.add(node)
+    arcs = [(src, sid, sid, dst)
+            for src, kids in enumerate(children)
+            for sid, dst in kids.items()]
+    return minimize_reference(build(len(children), 0, finals, arcs, symbols))
 
 
 # ---------------------------------------------------------------------------

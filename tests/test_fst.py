@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import struct
@@ -276,6 +277,30 @@ def test_concat_matches_oracle():
         got = set(fst.enumerate_pairs(fst.concat(a, b), 8))
         want = oracle.concat_sets(oracle.full_relation(a), oracle.full_relation(b))
         assert got == want
+
+
+@pytest.mark.parametrize("op, sets", [(fst.union, oracle.union_sets),
+                                      (fst.concat, oracle.concat_sets)])
+def test_n_ary_union_and_concat_match_oracle_and_the_left_fold(op, sets):
+    rng = random.Random(f"n-ary-{op.__name__}")
+    table = oracle.make_table()
+    for trial in range(TRIALS):
+        ms = [oracle.rand_acyclic(rng, table, max_states=3) for _ in range(3 + trial % 2)]
+        got = op(*ms)
+        want = functools.reduce(sets, map(oracle.full_relation, ms))
+        assert set(fst.enumerate_pairs(got, got.state_count)) == want
+        cyclic = [oracle.rand_machine(rng, table) for _ in range(3 + trial % 2)]
+        for operands in (ms, cyclic):
+            assert fst.to_bytes(fst.minimize(op(*operands))) == fst.to_bytes(
+                fst.minimize(functools.reduce(op, operands)))
+
+
+def test_n_ary_operands_must_share_table():
+    t1 = fst.epsilon(SymbolTable())
+    t2 = fst.epsilon(SymbolTable())
+    for op in (fst.union, fst.concat):
+        with pytest.raises(SymbolTableMismatch):
+            op(t1, t1, t1, t2)
 
 
 def test_compose_matches_oracle():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hindimorph import fst, lexicon
@@ -151,3 +153,60 @@ def test_duplicate_rows_collapse():
     t2 = compile_root_fst(["घर"], syms)
     assert fst.to_bytes(t1) == fst.to_bytes(t2)
 
+
+# Pieces of random roots: one-character symbols that share prefixes and
+# suffixes, two tag spans and the literal epsilon "<>", which scans to
+# nothing.
+_PIECES = ("a", "b", "c", "क", "ा", "ी", "<x>", "<y>", "<>")
+
+
+def _random_roots(rng):
+    roots = [rng.choices(_PIECES, k=rng.randint(0, 5)) for _ in range(rng.randint(0, 12))]
+    if roots and rng.random() < 0.5:  # a root that is a prefix of another
+        long = rng.choice(roots)
+        roots.append(long[:rng.randint(0, len(long))])
+    if roots and rng.random() < 0.5:  # the same suffix after new prefixes
+        tail = rng.choice(roots)
+        roots += [[rng.choice(_PIECES), *tail] for _ in range(3)]
+    roots += rng.sample(roots, k=min(len(roots), rng.randint(0, 2)))  # duplicates
+    rng.shuffle(roots)  # file order is not sorted order
+    return ["".join(pieces) for pieces in roots]
+
+
+@pytest.mark.parametrize("roots", [[], [""], ["<>"], ["a<>b", "ab"], ["ab", "cb", "c"],
+                                   ["az", "by", "bz"], ["<x>", "<x>a", "a<x>", "a"]],
+                         ids=["no-root", "empty-root", "epsilon-root", "epsilon-inside",
+                              "final-and-not-final-same-arcs", "labels-out-of-id-order",
+                              "tag-spans"])
+def test_root_fst_matches_the_trie_reference(roots):
+    for prefill in ((), "zyxba"):  # symbols interned before, in another order
+        got_syms, ref_syms = SymbolTable(prefill), SymbolTable(prefill)
+        got = compile_root_fst(roots, got_syms)
+        assert fst.to_bytes(got) == fst.to_bytes(oracle.root_fst_reference(roots, ref_syms))
+        assert list(got_syms) == list(ref_syms)
+
+
+def test_random_root_fsts_match_the_trie_reference():
+    rng = random.Random("root-fst")
+    for trial in range(300):
+        roots = _random_roots(rng)
+        prefill = rng.sample(_PIECES[:6], k=rng.randint(0, 6)) if trial % 2 else ()
+        got_syms, ref_syms = SymbolTable(prefill), SymbolTable(prefill)
+        got = compile_root_fst(roots, got_syms)
+        assert fst.to_bytes(got) == fst.to_bytes(oracle.root_fst_reference(roots, ref_syms))
+        assert list(got_syms) == list(ref_syms)
+        assert set(fst.enumerate_pairs(got, got.state_count)) == {
+            (r.replace("<>", ""),) * 2 for r in roots}
+
+
+def test_a_root_of_20000_symbols_compiles_without_recursion():
+    # a chain of distinguishable states, too deep for a recursive walk
+    # (and for the reference's Moore rounds, one per state)
+    long = "".join(random.Random(20_000).choices("abc", k=20_000))
+    syms = SymbolTable()
+    got = compile_root_fst([long, long[:10_000], ""], syms)
+    ids = fst.scan(long, syms)
+    chain = fst.build(len(ids) + 1, 0, (0, 10_000, 20_000),
+                      [(k, sid, sid, k + 1) for k, sid in enumerate(ids)], syms)
+    assert fst.to_bytes(got) == fst.to_bytes(chain)
+    assert list(syms) == ["<>", *sorted(set(long), key=long.index)]
