@@ -529,6 +529,53 @@ def _no_targets(cls: list[int]) -> tuple[()]:
     return ()
 
 
+def _postorder(rows: list[list[tuple[int, int]]], start: int) -> list[int] | None:
+    """The states reached from `start`, children first and `start` last,
+    by an iterative depth-first search; None if it meets a cycle."""
+    mark = [0] * len(rows)  # 1: on the stack, 2: listed
+    mark[start] = 1
+    order = []
+    stack = [(start, iter(rows[start]))]
+    while stack:
+        s, arcs = stack[-1]
+        for _, dst in arcs:
+            if not mark[dst]:
+                mark[dst] = 1
+                stack.append((dst, iter(rows[dst])))
+                break
+            if mark[dst] == 1:
+                return None
+        else:
+            stack.pop()
+            mark[s] = 2
+            order.append(s)
+    return order
+
+
+def _number(classes: list[tuple[bool, tuple]], top: int | None,
+            symbols: SymbolTable) -> Transducer:
+    """The machine of `classes`, each (final, ((label, target class),
+    ...)) in label order, from class `top` (None: the empty machine).
+    The classes `top` reaches are numbered breadth-first by label, so
+    equal relations always give the identical machine."""
+    if top is None:
+        return empty(symbols)
+    n_syms = len(symbols)
+    number: list[int | None] = [None] * len(classes)
+    number[top] = 0
+    seq = [top]
+    arcs: list[tuple[int, int, int, int]] = []
+    for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
+        for label, tc in classes[c][1]:
+            tid = number[tc]
+            if tid is None:
+                tid = number[tc] = len(seq)
+                seq.append(tc)
+            arcs.append((cid, *divmod(label, n_syms), tid))
+    return build(len(seq), 0, [cid for cid, c in enumerate(seq) if classes[c][0]],
+                 arcs, symbols)
+
+
 def minimize(a: Transducer) -> Transducer:
     """Minimal deterministic machine (pair alphabet) for a's relation.
 
@@ -539,22 +586,33 @@ def minimize(a: Transducer) -> Transducer:
     2. the pair-alphabet subset construction of :func:`determinize`
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
-    3. arcs into states on no accepting path are dropped; states
-       unreachable from the start are left to step 5, which numbers
-       only the classes the start reaches;
-    4. Moore partition refinement over the partial transition function
-       merges indistinguishable states.  It starts from classes keyed
-       by (final, sorted label tuple), so each round compares only the
-       tuples of target classes;
+    3. a depth-first search lists the states children first.  With no
+       cycle, one pass over that list with a register keyed by (final,
+       label -> class map) classes every state on an accepting path
+       (Revuz 1992);
+    4. only on a cycle, arcs into states on no accepting path are
+       dropped and Moore partition refinement over the partial
+       transition function merges indistinguishable states.  It starts
+       from classes keyed by (final, sorted label tuple), so each round
+       compares only the tuples of target classes;
     5. the classes are numbered breadth-first from the start, by sorted
        label, so equal relations always give the identical machine.
     """
-    n_syms = len(a.symbols)
     rows, finals = _eps_free_rows(a)
     start = a.start
     if not all(len(row) == len(dict(row)) for row in rows):
         rows, finals = _subset(rows, finals, start)
         start = 0
+    order = _postorder(rows, start)
+    if order is not None:
+        cls: list[int | None] = [None] * len(rows)
+        register: dict[tuple, int] = {}
+        for s in order:
+            row = tuple([(label, c) for label, dst in rows[s] if (c := cls[dst]) is not None])
+            final = s in finals
+            if row or final:  # else dead: no class, and no arc into it
+                cls[s] = register.setdefault((final, row), len(register))
+        return _number(list(register), cls[start], a.symbols)
 
     # Trim: drop the arcs into states that reach no final.  The numbering
     # at the end visits only the classes reached from the start.
@@ -571,8 +629,6 @@ def minimize(a: Transducer) -> Transducer:
             if not live[p]:
                 live[p] = True
                 stack.append(p)
-    if not live[start]:
-        return empty(a.symbols)
     if not all(live):
         rows = [[(label, dst) for label, dst in row if live[dst]] for row in rows]
 
@@ -605,23 +661,11 @@ def minimize(a: Transducer) -> Transducer:
 
     # Members of a class share their label -> target-class map, so the
     # first member stands for the class.
-    rep: dict[int, int] = {}
+    classes: list = [None] * n_classes
     for s, c in enumerate(cls):
-        rep.setdefault(c, s)
-    number = {cls[start]: 0}
-    seq = [cls[start]]
-    arcs: list[tuple[int, int, int, int]] = []
-    for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
-        for label, dst in rows[rep[c]]:
-            tc = cls[dst]
-            tid = number.get(tc)
-            if tid is None:
-                tid = number[tc] = len(seq)
-                seq.append(tc)
-            arcs.append((cid, *divmod(label, n_syms), tid))
-    # A final unreachable from the start may be in a class never numbered.
-    return build(len(seq), 0, {number[cls[f]] for f in finals if cls[f] in number},
-                 arcs, a.symbols)
+        if classes[c] is None:
+            classes[c] = (s in finals, tuple([(label, cls[dst]) for label, dst in rows[s]]))
+    return _number(classes, cls[start], a.symbols)
 
 
 def _tapes(side: str) -> tuple[int, int]:

@@ -85,11 +85,12 @@ def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
     The roots are interned in sorted order while the trie is built, and
     duplicates collapse.  Every state of a trie is made after its parent
     and reaches a final, so one pass from the last state back to the
-    first finds the minimal machine (the register of Revuz 1992): each
-    state's class is the first state met with its finality and its
-    label -> class map, which merges common suffixes.  The classes are
-    numbered breadth-first from the start by label, as
-    :func:`fst.minimize` numbers them, and :func:`fst.build` runs once.
+    first finds the minimal machine (the register of Revuz 1992): states
+    with the same finality and label -> class map share a class, which
+    merges common suffixes.  It is the fold :func:`fst.minimize` runs on
+    an acyclic machine, written out over the trie's own dicts because
+    building that fold's rows first took longer than the fold.  The
+    classes are numbered as :func:`fst.minimize` numbers them.
     """
     children: list[dict[int, int]] = [{}]
     finals: set[int] = set()
@@ -103,21 +104,10 @@ def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
                 children[node][sid] = nxt
             node = nxt
         finals.add(node)
+    pair = len(symbols) + 1  # the label of an identity arc is sid * pair
     cls = [0] * len(children)
     register: dict[tuple, int] = {}
     for s in range(len(children) - 1, -1, -1):  # children before their parent
-        row = tuple(sorted([(sid, cls[child]) for sid, child in children[s].items()]))
-        cls[s] = register.setdefault((s in finals, row), s)
-    number = {cls[0]: 0}
-    seq = [cls[0]]
-    arcs: list[tuple[int, int, int, int]] = []
-    for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
-        for sid, child in sorted(children[c].items()):
-            tc = cls[child]
-            tid = number.get(tc)
-            if tid is None:
-                tid = number[tc] = len(seq)
-                seq.append(tc)
-            arcs.append((cid, sid, sid, tid))
-    return fst.build(len(seq), 0, [cid for cid, c in enumerate(seq) if c in finals],
-                     arcs, symbols)
+        row = tuple(sorted([(sid * pair, cls[child]) for sid, child in children[s].items()]))
+        cls[s] = register.setdefault((s in finals, row), len(register))
+    return fst._number(list(register), cls[0], symbols)

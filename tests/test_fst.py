@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from hindimorph import data_path, fst, rules
+from hindimorph import data_path, fst, lexicon, rules
 from hindimorph.fst import (
     EPSILON,
     EpsilonCycle,
@@ -397,6 +397,59 @@ def test_minimize_and_determinize_bytes_match_reference(make):
         assert fst.to_bytes(fst.minimize(m)) == fst.to_bytes(oracle.minimize_reference(m))
         assert fst.to_bytes(fst.determinize(m)) == fst.to_bytes(
             oracle.determinize_reference(m))
+
+
+def _minimize_shapes(table):
+    """Named machines for the two paths of `minimize`, each with whether
+    it has a cycle that the start reaches."""
+    a, b, c = (table.id_of(ch) for ch in "abc")
+    return {
+        # 2, 3 and 6 reach no final; without the arcs into them, 1 and 5 merge
+        "dead-branches": (build(8, 0, (1, 5), [
+            (0, a, a, 1), (1, b, b, 2), (2, c, c, 3),
+            (0, b, b, 4), (4, a, a, 5), (4, c, c, 6), (0, c, EPSILON, 7), (7, a, b, 6),
+        ], table), False),
+        "dead-cycle": (build(4, 0, (1,), [
+            (0, a, a, 1), (0, b, b, 2), (2, c, c, 3), (3, c, c, 2),
+        ], table), True),
+        "dead-start": (build(3, 0, (2,), [(0, a, a, 1)], table), False),
+        "dead-start-on-a-cycle": (build(3, 0, (2,), [(0, a, a, 1), (1, b, b, 0)], table), True),
+        # one suffix class per ending, shared by roots of both operands,
+        # after a subset construction (both lists have roots in क)
+        "tries-sharing-suffixes": (fst.union(
+            lexicon.compile_root_fst(["कता", "मता", "बात", "का"], table),
+            lexicon.compile_root_fst(["पता", "रात", "ता", "कत", "कात"], table)), False),
+    }
+
+
+@pytest.mark.parametrize("shape", ["dead-branches", "dead-cycle", "dead-start",
+                                   "dead-start-on-a-cycle", "tries-sharing-suffixes"])
+def test_minimize_shapes_match_reference(shape):
+    table = oracle.make_table()
+    m, cyclic = _minimize_shapes(table)[shape]
+    # the Moore refinement runs only on a cycle, the register fold otherwise
+    assert (fst._postorder(fst._eps_free_rows(m)[0], m.start) is None) == cyclic
+    got = fst.minimize(m)
+    assert fst.to_bytes(got) == fst.to_bytes(oracle.minimize_reference(m))
+    if shape.startswith("dead-start"):
+        assert fst.to_bytes(got) == fst.to_bytes(fst.empty(table))
+
+
+@pytest.mark.parametrize("n", [60, 20_000])
+def test_minimize_a_chain_with_an_epsilon_arc(n):
+    # one state per symbol: too deep for a recursive walk, and for the
+    # reference's Moore rounds (one per state) but on the short chain
+    table = oracle.make_table()
+    ids = [table.id_of(ch) for ch in random.Random(n).choices("abc", k=n)]
+    ids[n // 2] = EPSILON
+    m = build(n + 1, 0, (n // 3, n), [(k, sid, sid, k + 1) for k, sid in enumerate(ids)], table)
+    got = fst.minimize(m)
+    kept = [sid for sid in ids if sid]
+    chain = build(n, 0, (n // 3, n - 1), [(k, sid, sid, k + 1) for k, sid in enumerate(kept)],
+                  table)
+    assert fst.to_bytes(got) == fst.to_bytes(chain)
+    if n < 100:
+        assert fst.to_bytes(got) == fst.to_bytes(oracle.minimize_reference(m))
 
 
 def test_closure_matches_oracle():

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -385,6 +386,14 @@ def test_train_equals_reference_ascent(config):
             oracle.tag_tokens_reference(model, None, tokens, 3))
 
 
+def _pinned(before_312: str, from_312: str) -> str:
+    """The model hash pinned for this interpreter.  Since Python 3.12,
+    ``sum()`` adds floats with Neumaier compensation (gh-100425).  The
+    trainer and its reference sum with ``sum()``, so from 3.12 on the
+    weights differ in their last bits, and so do the model's bytes."""
+    return before_312 if sys.version_info < (3, 12) else from_312
+
+
 def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
     config = TrainConfig(epochs=5)
     model = train(mini_corpus, config)
@@ -392,13 +401,15 @@ def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
     assert list(model.weights) == list(weights)
     assert _bits(model.weights.values()) == _bits(weights.values())
     assert _bits(model.loss_history) == _bits(losses)
-    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == (
-        "df9094559508f4589ee0c3a1ad822029bd17721a7c24cf453abbb7d90f8ff90a")
+    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == _pinned(
+        before_312="df9094559508f4589ee0c3a1ad822029bd17721a7c24cf453abbb7d90f8ff90a",
+        from_312="ed69939db03555e31f4ef54f2dfcd1aa53fdd5f214b0e8ca8dd18f97c0cc2abf")
 
 
 def test_default_model_bytes_are_pinned(tag_model):
-    assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == (
-        "31045dcccb4ba16b3c0c7e61c2186c8cd350c50683e23db382571eb708859fdf")
+    assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == _pinned(
+        before_312="31045dcccb4ba16b3c0c7e61c2186c8cd350c50683e23db382571eb708859fdf",
+        from_312="f3db6656722978bbb62ecf3cb2211380a209b7cd286de02dc43881ad707b45a3")
 
 
 def test_loss_history_starts_at_log_tagset_size_and_decreases(tag_model):
