@@ -4,7 +4,8 @@ A :class:`Transducer` is an immutable labeled directed graph denoting a
 regular relation: the set of (input, output) string pairs read along
 accepting paths, where an epsilon label component contributes nothing
 to its side.  This module provides the relation algebra (union,
-concatenation, closure, composition, inversion, projection),
+concatenation, closure, composition, inversion, projection), the
+minimal machine of a finite set of strings (:func:`string_set`),
 normalization (epsilon removal, determinization, minimization), runtime
 application on either tape (:func:`apply` answers the texts written for
 a text read; :func:`lookup` does the same on label ids), bounded pair
@@ -295,6 +296,36 @@ def single_arc(symbols: SymbolTable, ilab: int, olab: int) -> Transducer:
     return build(2, 0, (1,), ((0, ilab, olab, 1),), symbols)
 
 
+def string_set(strings: Iterable[list[int]], symbols: SymbolTable) -> Transducer:
+    """The minimal machine that maps each symbol-id string of `strings`
+    to itself, the machine :func:`minimize` makes of their trie: repeats
+    collapse, ``[]`` makes the start final, and no string at all gives
+    :func:`empty`.
+
+    The strings are sorted by id, and each one adds to the trie only the
+    states past its common prefix with the string before it.  So every
+    state comes after its parent and every row is in label order, and
+    :func:`_fold` runs from the last state back with no search.
+    """
+    pair = len(symbols) + 1  # the label of the identity arc sid:sid is sid * pair
+    rows: list[list[tuple[int, int]]] = [[]]
+    finals = set()
+    path = [0]  # the states of the previous string, the start first
+    prev: list[int] = []
+    for ids in sorted(strings):
+        k, common = 0, min(len(ids), len(prev))
+        while k < common and ids[k] == prev[k]:
+            k += 1
+        del path[k + 1:]
+        for sid in ids[k:]:
+            rows[path[-1]].append((sid * pair, len(rows)))
+            path.append(len(rows))
+            rows.append([])
+        finals.add(path[-1])
+        prev = ids
+    return _fold(rows, finals, range(len(rows) - 1, -1, -1), 0, symbols)
+
+
 def _require_shared(a: Transducer, *more: Transducer) -> None:
     if any(b.symbols is not a.symbols for b in more):
         raise SymbolTableMismatch("operands must share one SymbolTable")
@@ -552,6 +583,22 @@ def _postorder(rows: list[list[tuple[int, int]]], start: int) -> list[int] | Non
     return order
 
 
+def _fold(rows: list[list[tuple[int, int]]], finals: set[int], order: Iterable[int],
+          start: int, symbols: SymbolTable) -> Transducer:
+    """The minimal machine of acyclic `rows` from `start`, where `order`
+    lists the states `start` reaches, children first.  One pass with a
+    register keyed by (final, label -> class map) classes every state on
+    an accepting path (Revuz 1992), and :func:`_number` numbers them."""
+    cls: list[int | None] = [None] * len(rows)
+    register: dict[tuple, int] = {}
+    for s in order:
+        row = tuple([(label, c) for label, dst in rows[s] if (c := cls[dst]) is not None])
+        final = s in finals
+        if row or final:  # else dead: no class, and no arc into it
+            cls[s] = register.setdefault((final, row), len(register))
+    return _number(list(register), cls[start], symbols)
+
+
 def _number(classes: list[tuple[bool, tuple]], top: int | None,
             symbols: SymbolTable) -> Transducer:
     """The machine of `classes`, each (final, ((label, target class),
@@ -587,9 +634,10 @@ def minimize(a: Transducer) -> Transducer:
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
     3. a depth-first search lists the states children first.  With no
-       cycle, one pass over that list with a register keyed by (final,
-       label -> class map) classes every state on an accepting path
-       (Revuz 1992);
+       cycle, :func:`_fold` runs one pass over that list with a register
+       keyed by (final, label -> class map), which classes every state
+       on an accepting path (Revuz 1992); :func:`string_set` runs the
+       same fold over a trie;
     4. only on a cycle, arcs into states on no accepting path are
        dropped and Moore partition refinement over the partial
        transition function merges indistinguishable states.  It starts
@@ -605,14 +653,7 @@ def minimize(a: Transducer) -> Transducer:
         start = 0
     order = _postorder(rows, start)
     if order is not None:
-        cls: list[int | None] = [None] * len(rows)
-        register: dict[tuple, int] = {}
-        for s in order:
-            row = tuple([(label, c) for label, dst in rows[s] if (c := cls[dst]) is not None])
-            final = s in finals
-            if row or final:  # else dead: no class, and no arc into it
-                cls[s] = register.setdefault((final, row), len(register))
-        return _number(list(register), cls[start], a.symbols)
+        return _fold(rows, finals, order, start, a.symbols)
 
     # Trim: drop the arcs into states that reach no final.  The numbering
     # at the end visits only the classes reached from the start.

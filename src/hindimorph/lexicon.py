@@ -1,4 +1,4 @@
-"""Root-word lexicons: corpus extraction, root lists, trie compilation.
+"""Root-word lexicons: corpus extraction, root lists and their machines.
 
 A root list is a UTF-8 text file with one root per line::
 
@@ -9,7 +9,9 @@ A root list is a UTF-8 text file with one root per line::
 column: a paradigm class is a root list of its own, which a grammar
 includes with ``#include``.  A lexicon directory holds one root list
 per word class, named by :data:`WORD_CLASSES`; ``adj_noun`` lists words
-that function as both adjective and noun.
+that function as both adjective and noun.  A root list compiles to the
+minimal machine of its roots through :func:`fst.string_set`, which
+builds and folds their trie.
 """
 
 from __future__ import annotations
@@ -79,35 +81,10 @@ def read_lexicon_file(path) -> list[str]:
 
 
 def compile_root_fst(roots: Iterable[str], symbols: SymbolTable) -> Transducer:
-    """The minimal identity machine of a set of roots, the same machine
-    as :func:`fst.minimize` makes of their trie, built without it.
-
-    The roots are interned in sorted order while the trie is built, and
-    duplicates collapse.  Every state of a trie is made after its parent
-    and reaches a final, so one pass from the last state back to the
-    first finds the minimal machine (the register of Revuz 1992): states
-    with the same finality and label -> class map share a class, which
-    merges common suffixes.  It is the fold :func:`fst.minimize` runs on
-    an acyclic machine, written out over the trie's own dicts because
-    building that fold's rows first took longer than the fold.  The
-    classes are numbered as :func:`fst.minimize` numbers them.
+    """The minimal identity machine of a set of roots, the machine
+    :func:`fst.minimize` makes of their trie: each root is scanned, its
+    new symbols interned root by root in sorted root order, and
+    :func:`fst.string_set` compiles the id strings.  Duplicates collapse.
     """
-    children: list[dict[int, int]] = [{}]
-    finals: set[int] = set()
-    for root in sorted(roots):
-        node = 0
-        for sid in fst.scan(root, symbols, intern=True):
-            nxt = children[node].get(sid)
-            if nxt is None:
-                nxt = len(children)
-                children.append({})
-                children[node][sid] = nxt
-            node = nxt
-        finals.add(node)
-    pair = len(symbols) + 1  # the label of an identity arc is sid * pair
-    cls = [0] * len(children)
-    register: dict[tuple, int] = {}
-    for s in range(len(children) - 1, -1, -1):  # children before their parent
-        row = tuple(sorted([(sid * pair, cls[child]) for sid, child in children[s].items()]))
-        cls[s] = register.setdefault((s in finals, row), len(register))
-    return fst._number(list(register), cls[0], symbols)
+    return fst.string_set([fst.scan(root, symbols, intern=True) for root in sorted(roots)],
+                          symbols)

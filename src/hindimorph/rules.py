@@ -542,9 +542,10 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     minimal.  Each ``|`` or juxtaposition of any number of operands
     builds its machine once (:func:`fst.union`, :func:`fst.concat`),
     and an ``#include`` root list comes out of
-    :func:`lexicon.compile_root_fst` already minimal.  A definition
-    with no cycle, such as a union of root lists, is minimized by one
-    register pass; only one with a cycle goes through Moore refinement.
+    :func:`lexicon.compile_root_fst` already minimal, folded by the
+    register pass of :func:`fst.minimize`.  A definition with no cycle,
+    such as a union of root lists, is minimized by that one pass; only
+    one with a cycle goes through Moore refinement.
 
     ``#include "p"`` reads ``p`` in ``rule_file.base_dir``, or in the
     working directory when the text was parsed without one; an absolute

@@ -9,9 +9,11 @@ logic, so agreement between the two is meaningful.
 
 ``minimize_reference`` keeps the earlier normalization pipeline
 (subset construction, trimming and Moore refinement, each building a
-machine) as the byte-level reference for ``fst.minimize``, and
-``root_fst_reference`` the earlier root-list construction (a trie
-through ``minimize_reference``) for ``lexicon.compile_root_fst``.
+machine) as the byte-level reference for ``fst.minimize``.  The trie
+of ``trie_reference`` through ``minimize_reference`` is the reference
+for ``fst.string_set``, and ``root_fst_reference``, the earlier
+root-list construction (the sorted roots' trie through
+``minimize_reference``), the one for ``lexicon.compile_root_fst``.
 
 Machines are walked through :func:`out_arcs`, per-state arc lists
 built here from ``Transducer.arcs``, not through the library's arc index.
@@ -437,15 +439,14 @@ def minimize_reference(a: Transducer) -> Transducer:
     return build(len(seq), 0, finals, arcs, a.symbols)
 
 
-def root_fst_reference(roots, symbols: SymbolTable) -> Transducer:
-    """The earlier root-list construction: the roots' trie, interned in
-    sorted order, built as a machine and normalized by
-    :func:`minimize_reference`."""
+def trie_reference(strings, symbols: SymbolTable) -> Transducer:
+    """The trie of symbol-id strings as an identity machine, states
+    numbered in the order the strings are given; not minimized."""
     children: list[dict[int, int]] = [{}]
     finals: set[int] = set()
-    for root in sorted(roots):
+    for ids in strings:
         node = 0
-        for sid in scan(root, symbols, intern=True):
+        for sid in ids:
             nxt = children[node].get(sid)
             if nxt is None:
                 nxt = len(children)
@@ -456,7 +457,15 @@ def root_fst_reference(roots, symbols: SymbolTable) -> Transducer:
     arcs = [(src, sid, sid, dst)
             for src, kids in enumerate(children)
             for sid, dst in kids.items()]
-    return minimize_reference(build(len(children), 0, finals, arcs, symbols))
+    return build(len(children), 0, finals, arcs, symbols)
+
+
+def root_fst_reference(roots, symbols: SymbolTable) -> Transducer:
+    """The earlier root-list construction: the roots' trie, interned in
+    sorted order, built as a machine and normalized by
+    :func:`minimize_reference`."""
+    strings = [scan(root, symbols, intern=True) for root in sorted(roots)]
+    return minimize_reference(trie_reference(strings, symbols))
 
 
 # ---------------------------------------------------------------------------

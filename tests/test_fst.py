@@ -435,6 +435,30 @@ def test_minimize_shapes_match_reference(shape):
         assert fst.to_bytes(got) == fst.to_bytes(fst.empty(table))
 
 
+@pytest.mark.parametrize("strings", [
+    [[2, 3], [1], [3, 1], [2]],
+    [[1, 2], [3], [1, 2], [3]],
+    [[]],
+    [],
+    [[1, 2, 3], [1], [1, 2], [3, 2, 1]],
+    [[1, 3], [2, 3], [3, 3], [1, 1, 3]],
+    [[2, 3], [1, 3], [2], [1]],
+], ids=["unsorted", "repeats", "empty-string", "no-string", "prefix-of-another",
+        "shared-suffixes", "ids-out-of-text-order"])
+def test_string_set_matches_the_minimized_trie(strings):
+    # ids c=1, a=2, b=3: sorted by id, "c..." comes before "a..."
+    table = SymbolTable("cab")
+    texts = {"".join(map(table.lookup, ids)) for ids in strings}
+    want = fst.to_bytes(oracle.minimize_reference(oracle.trie_reference(strings, table)))
+    for given in (strings, (list(ids) for ids in strings)):  # a list, then a generator
+        got = fst.string_set(given, table)
+        assert fst.to_bytes(got) == want
+        assert oracle.full_relation(got) == {(text, text) for text in texts}
+        assert (got.start in got.finals) == ([] in strings)
+    if not strings:
+        assert want == fst.to_bytes(fst.empty(table))
+
+
 @pytest.mark.parametrize("n", [60, 20_000])
 def test_minimize_a_chain_with_an_epsilon_arc(n):
     # one state per symbol: too deep for a recursive walk, and for the
