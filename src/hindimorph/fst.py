@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, islice, repeat
-from operator import gt, itemgetter, le, not_, or_
+from operator import gt, le, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -305,9 +305,11 @@ def string_set(strings: Iterable[list[int]], symbols: SymbolTable) -> Transducer
     The strings are sorted by id, and each one adds to the trie only the
     states past its common prefix with the string before it.  So every
     state comes after its parent and every row is in label order, and
-    :func:`_fold` runs from the last state back with no search.
+    :func:`_fold` runs from the last state back with no search.  An id
+    that is epsilon or not in `symbols` raises :class:`InvalidSymbolId`.
     """
-    pair = len(symbols) + 1  # the label of the identity arc sid:sid is sid * pair
+    n_syms = len(symbols)
+    pair = n_syms + 1  # the label of the identity arc sid:sid is sid * pair
     rows: list[list[tuple[int, int]]] = [[]]
     finals = set()
     path = [0]  # the states of the previous string, the start first
@@ -317,7 +319,9 @@ def string_set(strings: Iterable[list[int]], symbols: SymbolTable) -> Transducer
         while k < common and ids[k] == prev[k]:
             k += 1
         del path[k + 1:]
-        for sid in ids[k:]:
+        for sid in ids[k:]:  # the ids before k were checked in `prev`
+            if not 0 < sid < n_syms:
+                raise InvalidSymbolId(f"symbol id {sid} out of range 1..{n_syms - 1}")
             rows[path[-1]].append((sid * pair, len(rows)))
             path.append(len(rows))
             rows.append([])
@@ -556,10 +560,6 @@ def determinize(a: Transducer) -> Transducer:
     return build(len(rows), 0, finals, _rows_to_arcs(rows, len(a.symbols)), a.symbols)
 
 
-def _no_targets(cls: list[int]) -> tuple[()]:
-    return ()
-
-
 def _postorder(rows: list[list[tuple[int, int]]], start: int) -> list[int] | None:
     """The states reached from `start`, children first and `start` last,
     by an iterative depth-first search; None if it meets a cycle."""
@@ -583,20 +583,32 @@ def _postorder(rows: list[list[tuple[int, int]]], start: int) -> list[int] | Non
     return order
 
 
-def _fold(rows: list[list[tuple[int, int]]], finals: set[int], order: Iterable[int],
+def _fold(rows: list[list[tuple[int, int]]], finals: set[int], order: Iterable[int] | None,
           start: int, symbols: SymbolTable) -> Transducer:
-    """The minimal machine of acyclic `rows` from `start`, where `order`
-    lists the states `start` reaches, children first.  One pass with a
-    register keyed by (final, label -> class map) classes every state on
-    an accepting path (Revuz 1992), and :func:`_number` numbers them."""
+    """The minimal machine of `rows` from `start`.  A pass classes each
+    state with a register keyed by (final, label -> class map); a state
+    with no final and no arc into a class is dead and has none.
+
+    Given `order`, the states `start` reaches, children first, one pass
+    updates the classes in place and classes every state on an accepting
+    path (Revuz 1992).  Given None (a cycle), each pass runs over every
+    state reading the classes of the pass before, which starts from all
+    dead, so it tells states apart by one more label; the passes repeat
+    until the classes come back unchanged (Moore 1956).  :func:`_number`
+    numbers the classes."""
+    cyclic = order is None
     cls: list[int | None] = [None] * len(rows)
-    register: dict[tuple, int] = {}
-    for s in order:
-        row = tuple([(label, c) for label, dst in rows[s] if (c := cls[dst]) is not None])
-        final = s in finals
-        if row or final:  # else dead: no class, and no arc into it
-            cls[s] = register.setdefault((final, row), len(register))
-    return _number(list(register), cls[start], symbols)
+    while True:
+        new = [None] * len(rows) if cyclic else cls
+        register: dict[tuple, int] = {}
+        for s in range(len(rows)) if cyclic else order:
+            row = tuple([(label, c) for label, dst in rows[s] if (c := cls[dst]) is not None])
+            final = s in finals
+            if row or final:  # else dead: no class, and no arc into it
+                new[s] = register.setdefault((final, row), len(register))
+        if not cyclic or new == cls:
+            return _number(list(register), cls[start], symbols)
+        cls = new
 
 
 def _number(classes: list[tuple[bool, tuple]], top: int | None,
@@ -633,17 +645,14 @@ def minimize(a: Transducer) -> Transducer:
     2. the pair-alphabet subset construction of :func:`determinize`
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
-    3. a depth-first search lists the states children first.  With no
-       cycle, :func:`_fold` runs one pass over that list with a register
-       keyed by (final, label -> class map), which classes every state
-       on an accepting path (Revuz 1992); :func:`string_set` runs the
-       same fold over a trie;
-    4. only on a cycle, arcs into states on no accepting path are
-       dropped and Moore partition refinement over the partial
-       transition function merges indistinguishable states.  It starts
-       from classes keyed by (final, sorted label tuple), so each round
-       compares only the tuples of target classes;
-    5. the classes are numbered breadth-first from the start, by sorted
+    3. a depth-first search lists the states children first, or finds
+       a cycle, and :func:`_fold` classes the states with a register
+       keyed by (final, label -> class map): in one pass over that list
+       (Revuz 1992), or on a cycle in repeated passes over every state
+       until the classes stop changing, which drops the states on no
+       accepting path and merges indistinguishable ones (Moore 1956).
+       :func:`string_set` runs the same fold over a trie;
+    4. the classes are numbered breadth-first from the start, by sorted
        label, so equal relations always give the identical machine.
     """
     rows, finals = _eps_free_rows(a)
@@ -651,62 +660,7 @@ def minimize(a: Transducer) -> Transducer:
     if not all(len(row) == len(dict(row)) for row in rows):
         rows, finals = _subset(rows, finals, start)
         start = 0
-    order = _postorder(rows, start)
-    if order is not None:
-        return _fold(rows, finals, order, start, a.symbols)
-
-    # Trim: drop the arcs into states that reach no final.  The numbering
-    # at the end visits only the classes reached from the start.
-    preds: list[list[int]] = [[] for _ in rows]
-    for s, row in enumerate(rows):
-        for _, dst in row:
-            preds[dst].append(s)
-    live = [False] * len(rows)
-    stack = list(finals)
-    for f in stack:
-        live[f] = True
-    while stack:
-        for p in preds[stack.pop()]:
-            if not live[p]:
-                live[p] = True
-                stack.append(p)
-    if not all(live):
-        rows = [[(label, dst) for label, dst in row if live[dst]] for row in rows]
-
-    # Moore refinement; a class's label tuple is fixed by the first
-    # partition, so later rounds look up only the target classes.  (For
-    # one target, itemgetter gives the class itself, not a 1-tuple; the
-    # members of a class have equally many targets, so their keys agree
-    # in shape.)
-    labels: list[tuple[int, ...]] = []
-    targets = []  # per state, a getter of its targets' classes
-    for row in rows:
-        if row:
-            labs, dsts = zip(*row)
-            labels.append(labs)
-            targets.append(itemgetter(*dsts))
-        else:
-            labels.append(())
-            targets.append(_no_targets)
-    keys: dict[tuple, int] = {}
-    cls = [keys.setdefault((s in finals, labs), len(keys))
-           for s, labs in enumerate(labels)]
-    n_classes = len(keys)
-    while True:
-        keys = {}
-        refined = [keys.setdefault((c, get(cls)), len(keys))
-                   for c, get in zip(cls, targets)]
-        if len(keys) == n_classes:
-            break
-        cls, n_classes = refined, len(keys)
-
-    # Members of a class share their label -> target-class map, so the
-    # first member stands for the class.
-    classes: list = [None] * n_classes
-    for s, c in enumerate(cls):
-        if classes[c] is None:
-            classes[c] = (s in finals, tuple([(label, cls[dst]) for label, dst in rows[s]]))
-    return _number(classes, cls[start], a.symbols)
+    return _fold(rows, finals, _postorder(rows, start), start, a.symbols)
 
 
 def _tapes(side: str) -> tuple[int, int]:

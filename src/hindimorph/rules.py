@@ -544,8 +544,8 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     and an ``#include`` root list comes out of
     :func:`lexicon.compile_root_fst` already minimal, folded by the
     register pass of :func:`fst.minimize`.  A definition with no cycle,
-    such as a union of root lists, is minimized by that one pass; only
-    one with a cycle goes through Moore refinement.
+    such as a union of root lists, is minimized by that one pass; one
+    with a cycle repeats the pass until its classes stop changing.
 
     ``#include "p"`` reads ``p`` in ``rule_file.base_dir``, or in the
     working directory when the text was parsed without one; an absolute

@@ -400,8 +400,8 @@ def test_minimize_and_determinize_bytes_match_reference(make):
 
 
 def _minimize_shapes(table):
-    """Named machines for the two paths of `minimize`, each with whether
-    it has a cycle that the start reaches."""
+    """Named machines for the one-pass and the fixpoint fold of
+    `minimize`, each with whether it has a cycle that the start reaches."""
     a, b, c = (table.id_of(ch) for ch in "abc")
     return {
         # 2, 3 and 6 reach no final; without the arcs into them, 1 and 5 merge
@@ -414,6 +414,21 @@ def _minimize_shapes(table):
         ], table), True),
         "dead-start": (build(3, 0, (2,), [(0, a, a, 1)], table), False),
         "dead-start-on-a-cycle": (build(3, 0, (2,), [(0, a, a, 1), (1, b, b, 0)], table), True),
+        # (aa)* as a 4-state cycle: 0 and 2 merge, and so do 1 and 3
+        "merging-cycle": (build(4, 0, (0, 2), [(s, a, a, (s + 1) % 4) for s in range(4)],
+                                table), True),
+        # a 30-state chain into a live cycle, with a dead chain and a dead
+        # cycle hanging off both: a state is known live only after as many
+        # passes as it has labels to a final
+        "live-cycle-after-a-long-chain": (build(40, 0, (33,), [
+            *[(s, a, a, s + 1) for s in range(30)],
+            (30, b, b, 31), (31, c, c, 32), (32, a, a, 33), (33, b, b, 30),
+            (31, a, a, 34), (34, a, a, 35), (35, a, a, 36),
+            (10, c, c, 37), (37, a, a, 38), (38, b, b, 37), (32, c, c, 39), (39, c, c, 37),
+        ], table), True),
+        "final-self-loop": (build(3, 0, (1, 2), [
+            (0, a, a, 1), (1, b, b, 1), (0, c, c, 2), (2, b, b, 2),
+        ], table), True),
         # one suffix class per ending, shared by roots of both operands,
         # after a subset construction (both lists have roots in क)
         "tries-sharing-suffixes": (fst.union(
@@ -423,16 +438,20 @@ def _minimize_shapes(table):
 
 
 @pytest.mark.parametrize("shape", ["dead-branches", "dead-cycle", "dead-start",
-                                   "dead-start-on-a-cycle", "tries-sharing-suffixes"])
+                                   "dead-start-on-a-cycle", "tries-sharing-suffixes",
+                                   "merging-cycle", "live-cycle-after-a-long-chain",
+                                   "final-self-loop"])
 def test_minimize_shapes_match_reference(shape):
     table = oracle.make_table()
     m, cyclic = _minimize_shapes(table)[shape]
-    # the Moore refinement runs only on a cycle, the register fold otherwise
+    # the register fold runs once with no cycle, and to a fixpoint on one
     assert (fst._postorder(fst._eps_free_rows(m)[0], m.start) is None) == cyclic
     got = fst.minimize(m)
     assert fst.to_bytes(got) == fst.to_bytes(oracle.minimize_reference(m))
     if shape.startswith("dead-start"):
         assert fst.to_bytes(got) == fst.to_bytes(fst.empty(table))
+    if shape == "merging-cycle":
+        assert got.state_count == 2
 
 
 @pytest.mark.parametrize("strings", [
@@ -459,10 +478,19 @@ def test_string_set_matches_the_minimized_trie(strings):
         assert want == fst.to_bytes(fst.empty(table))
 
 
+@pytest.mark.parametrize("strings, sid", [
+    ([[5]], 5), ([[-1]], -1), ([[1, 0, 2]], 0), ([[1, 2], [1, 2, 4]], 4),
+], ids=["past-the-table", "negative", "epsilon", "after-a-common-prefix"])
+def test_string_set_rejects_an_id_outside_the_table(strings, sid):
+    # ids 1..3 are c, a, b; the error names the id as given
+    with pytest.raises(InvalidSymbolId, match=rf"symbol id {sid} out of range 1\.\.3$"):
+        fst.string_set(strings, SymbolTable("cab"))
+
+
 @pytest.mark.parametrize("n", [60, 20_000])
 def test_minimize_a_chain_with_an_epsilon_arc(n):
     # one state per symbol: too deep for a recursive walk, and for the
-    # reference's Moore rounds (one per state) but on the short chain
+    # reference's Moore rounds (one per state) but on the short chains
     table = oracle.make_table()
     ids = [table.id_of(ch) for ch in random.Random(n).choices("abc", k=n)]
     ids[n // 2] = EPSILON
@@ -472,8 +500,17 @@ def test_minimize_a_chain_with_an_epsilon_arc(n):
     chain = build(n, 0, (n // 3, n - 1), [(k, sid, sid, k + 1) for k, sid in enumerate(kept)],
                   table)
     assert fst.to_bytes(got) == fst.to_bytes(chain)
+    # (a^k b)* as a cycle with an epsilon arc before the b: one fold pass per state
+    k = n // 20
+    a, b = table.id_of("a"), table.id_of("b")
+    loop = build(k + 2, 0, (0,), [*[(s, a, a, s + 1) for s in range(k)],
+                                  (k, EPSILON, EPSILON, k + 1), (k + 1, b, b, 0)], table)
+    got_loop = fst.minimize(loop)
+    cycle = build(k + 1, 0, (0,), [*[(s, a, a, s + 1) for s in range(k)], (k, b, b, 0)], table)
+    assert fst.to_bytes(got_loop) == fst.to_bytes(cycle)
     if n < 100:
         assert fst.to_bytes(got) == fst.to_bytes(oracle.minimize_reference(m))
+        assert fst.to_bytes(got_loop) == fst.to_bytes(oracle.minimize_reference(loop))
 
 
 def test_closure_matches_oracle():
