@@ -8,8 +8,8 @@ Subcommands::
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
     generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
     train -c <tagged.txt> -o <model.tag> [--lambda F --epochs N]
-    tag -m <model.tag> -f <model.fst> [sentence|-]
-    eval -m <model.tag> -f <model.fst> -c <gold.txt>
+    tag -m <model.tag> -f <model.fst> [--indecl <tsv>] [sentence|-]
+    eval -m <model.tag> -f <model.fst> [--indecl <tsv>] -c <gold.txt>
 
 Each subcommand imports the modules it uses when it runs, so
 ``analyze`` and ``generate`` load neither the rule compiler nor the
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     from . import tagger
     model = tagger.load_model(args.model)
-    morph_model = morph.MorphModel.load(args.fst)
+    morph_model = morph.MorphModel.load(args.fst, args.indecl)
     for sentence in _words_from(args.sentence):
         tagged = tagger.tag(model, morph_model, sentence)
         print(" ".join(f"{surface}/{t}" for surface, t in tagged))
@@ -128,7 +128,7 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     from . import tagger
     model = tagger.load_model(args.model)
-    morph_model = morph.MorphModel.load(args.fst)
+    morph_model = morph.MorphModel.load(args.fst, args.indecl)
     gold = tagger.TaggedCorpus.read(args.corpus)
     result = tagger.evaluate(model, morph_model, gold)
     known_note = "" if result.known_total else ", undefined"
@@ -187,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tag", help="tag sentences")
     p.add_argument("-m", "--model", required=True, help="tagger model file")
     p.add_argument("-f", "--fst", required=True, help="morphology transducer file")
+    p.add_argument("--indecl", default=None,
+                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
     p.add_argument("sentence", nargs="*",
                    help="sentences; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_tag)
@@ -194,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the tagger against a gold corpus")
     p.add_argument("-m", "--model", required=True, help="tagger model file")
     p.add_argument("-f", "--fst", required=True, help="morphology transducer file")
+    p.add_argument("--indecl", default=None,
+                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
     p.add_argument("-c", "--corpus", required=True, help="gold tagged corpus")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -188,15 +188,14 @@ class Transducer:
                  "_arcs", "_sides")
 
     def __init__(self, state_count: int, start: int, finals: frozenset[int],
-                 cols: tuple[array, array, array, array], symbols: SymbolTable):
+                 cols: tuple[array, ...], symbols: SymbolTable, first: array | None = None):
         self.state_count = state_count
         self.start = start
         self.finals = finals
         self.symbols = symbols
         self._cols = cols
-        counts = Counter(cols[0])
-        self._first = array("I", accumulate(map(counts.get, range(state_count), repeat(0)),
-                                            initial=0))
+        self._first = first or array("I", accumulate(  # counted from the sources if not given
+            map(Counter(cols[0]).get, range(state_count), repeat(0)), initial=0))
         self._arcs: tuple[Arc, ...] | None = None
         self._sides: dict[str, tuple[_Closures, array, array, array]] = {}
 
@@ -226,16 +225,17 @@ def _columns(rows: Iterable[tuple[int, int, int, int]]) -> tuple[array, ...]:
 
 def _freeze(state_count: int, start: int, finals: Iterable[int],
             cols: tuple[array, ...] | None, rows: Iterable[tuple[int, int, int, int]],
-            symbols: SymbolTable) -> Transducer:
+            symbols: SymbolTable, first: array | None = None) -> Transducer:
     """Check a machine's fields and freeze it; the one check behind
-    :func:`build` and :func:`from_bytes`.
+    :func:`build`, :func:`from_bytes` and :func:`_number`.
 
     `cols` are the arcs as sorted ``array("I")`` columns, or None when
-    some field fits no ``array("I")``.  The columns are range-checked
-    whole: an ``array("I")`` holds no negative value, so each column's
-    maximum decides, and the sorted sources end with theirs.  Only when
-    that fails are `rows`, the arcs in the order given, walked to name
-    the first bad field.
+    some field fits no ``array("I")``; `first`, the per-state offsets
+    into them, is counted from the sources when not given.  The columns
+    are range-checked whole: an ``array("I")`` holds no negative value,
+    so each column's maximum decides, and the sorted sources end with
+    theirs.  Only when that fails are `rows`, the arcs in the order
+    given, walked to name the first bad field.
     """
     if state_count < 1:
         raise InvalidStateId("a transducer needs at least one state")
@@ -259,7 +259,7 @@ def _freeze(state_count: int, start: int, finals: Iterable[int],
             if not 0 <= olab < n_syms:
                 raise InvalidSymbolId(f"arc output symbol {olab} out of range")
         raise TypeError("arc fields must be integers below 2**32")
-    return Transducer(state_count, start, final_set, cols, symbols)
+    return Transducer(state_count, start, final_set, cols, symbols, first)
 
 
 def build(state_count: int, start: int, finals: Iterable[int],
@@ -616,14 +616,17 @@ def _number(classes: list[tuple[bool, tuple]], top: int | None,
     """The machine of `classes`, each (final, ((label, target class),
     ...)) in label order, from class `top` (None: the empty machine).
     The classes `top` reaches are numbered breadth-first by label, so
-    equal relations always give the identical machine."""
+    equal relations always give the identical machine.  The arcs come
+    out in (src, ilab, olab, dst) order, each state's after the last
+    one's, so they go to :func:`_freeze` with their offsets and skip
+    :func:`build`'s sort."""
     if top is None:
         return empty(symbols)
     n_syms = len(symbols)
     number: list[int | None] = [None] * len(classes)
     number[top] = 0
     seq = [top]
-    arcs: list[tuple[int, int, int, int]] = []
+    arcs, first = [], array("I", [0])
     for cid, c in enumerate(seq):  # grows during the loop: a breadth-first search
         for label, tc in classes[c][1]:
             tid = number[tc]
@@ -631,8 +634,9 @@ def _number(classes: list[tuple[bool, tuple]], top: int | None,
                 tid = number[tc] = len(seq)
                 seq.append(tc)
             arcs.append((cid, *divmod(label, n_syms), tid))
-    return build(len(seq), 0, [cid for cid, c in enumerate(seq) if classes[c][0]],
-                 arcs, symbols)
+        first.append(len(arcs))
+    return _freeze(len(seq), 0, [cid for cid, c in enumerate(seq) if classes[c][0]],
+                   _columns(arcs), arcs, symbols, first)
 
 
 def minimize(a: Transducer) -> Transducer:

@@ -285,19 +285,22 @@ _MAX_NESTING = 100
 _TOO_DEEP = f"expression is nested too deeply (more than {_MAX_NESTING} levels)"
 
 
+def _children(node) -> tuple:
+    """The operands of an AST node; a leaf or a ``$Name$`` has none."""
+    if isinstance(node, (Concat, Union)):
+        return node.parts
+    if isinstance(node, Compose):
+        return node.lhs, node.rhs
+    if type(node) in _CLOSURES:
+        return (node.expr,)
+    return ()
+
+
 def _height(node) -> int:
     """Levels of the AST under `node`, counted without recursion."""
     height, level = 0, [node]
     while level:
-        height, below = height + 1, []
-        for n in level:
-            if isinstance(n, (Concat, Union)):
-                below += n.parts
-            elif isinstance(n, Compose):
-                below += (n.lhs, n.rhs)
-            elif isinstance(n, (Star, Plus, Opt)):
-                below.append(n.expr)
-        level = below
+        height, level = height + 1, [child for n in level for child in _children(n)]
     return height
 
 
@@ -532,18 +535,45 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
     raise TypeError(f"not a rule AST node: {node!r}")
 
 
+def _minimized_on_definition(rule_file: RuleFile) -> set[str]:
+    """The names that :func:`compile` minimizes where they are defined:
+    those the file refers to twice or more, and those referred to as an
+    operand of ``||`` or of a closure.  One walk over every statement."""
+    seen, minimized = set(), set()
+    stack = [expr for _, expr in rule_file.definitions] + [rule_file.result]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, VarRef):
+            if node.name in seen:  # a second reference
+                minimized.add(node.name)
+            seen.add(node.name)
+        children = _children(node)
+        if isinstance(node, Compose) or type(node) in _CLOSURES:
+            minimized.update(c.name for c in children if isinstance(c, VarRef))
+        stack += children
+    return minimized
+
+
 def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """Compile a parsed rule file into a normalized transducer.
 
-    Every definition is compiled and minimized once, when it is defined,
-    as SFST does, and shared by reference; so the operands of ``||``
-    and of the final :func:`fst.minimize` are minimal machines.  The
-    result is epsilon-free, deterministic over the pair alphabet, and
-    minimal.  Each ``|`` or juxtaposition of any number of operands
-    builds its machine once (:func:`fst.union`, :func:`fst.concat`),
-    and an ``#include`` root list comes out of
+    Every definition is compiled once, when it is defined, and shared by
+    reference.  SFST also minimizes each one there; this compiler does
+    so only where it pays: for a definition that the file refers to
+    twice or more, or as an operand of ``||`` or of a closure, so that
+    a composition's product and a closure start from a minimal machine.
+    Any other definition is kept as built, and the minimization of what
+    consumes it does that work once.  The result is minimized at the
+    end, and it is epsilon-free, deterministic over the pair alphabet,
+    and minimal.  Where the minimizations happen cannot change a byte:
+    union, concatenation, closure and :func:`fst.minimize` keep the
+    language of label pairs, :func:`fst.compose` depends on its
+    operands' pair languages alone, and the last :func:`fst.minimize`
+    gives one machine per pair language.  Each ``|`` or juxtaposition
+    of any number of operands builds its machine once (:func:`fst.union`,
+    :func:`fst.concat`), and an ``#include`` root list comes out of
     :func:`lexicon.compile_root_fst` already minimal, folded by the
-    register pass of :func:`fst.minimize`.  A definition with no cycle,
+    register pass of :func:`fst.minimize`.  A machine with no cycle,
     such as a union of root lists, is minimized by that one pass; one
     with a cycle repeats the pass until its classes stop changing.
 
@@ -562,11 +592,13 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """
     defs: dict[str, Transducer] = {}
     machine = functools.partial(_machine, defs, symbols, rule_file.base_dir)
+    minimized = _minimized_on_definition(rule_file)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for name, expr in rule_file.definitions:
-            defs[name] = fst.minimize(machine(expr))
+            built = machine(expr)
+            defs[name] = fst.minimize(built) if name in minimized else built
         return fst.minimize(machine(rule_file.result))
     finally:
         if was_enabled:

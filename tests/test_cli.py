@@ -408,6 +408,41 @@ def test_tag_stray_tag_bracket_is_an_unknown_token(capsys, tag_file, fst_file):
     assert stderr == ""
 
 
+@pytest.mark.parametrize("sentence, with_indecl, without", [
+    ("अरे लडका जाता है ।", "अरे/RP", "अरे/JJ"),
+    ("अतःकरण पवित्रता चलाता है ।", "अतःकरण/N_NN", "अतःकरण/JJ"),
+], ids=["particle", "noun"])
+def test_tag_with_indeclinables_matches_the_library(capsys, tag_file, fst_file, tag_model,
+                                                    morph_model, sentence, with_indecl,
+                                                    without):
+    # morph_model reads the bundled indeclinables.tsv, as --indecl does
+    want = " ".join(f"{surface}/{t}" for surface, t in
+                    tagger.tag(tag_model, morph_model, sentence)) + "\n"
+    argv = ["tag", "-m", str(tag_file), "-f", str(fst_file)]
+    rc, stdout, _ = run(capsys, [*argv, "--indecl", str(data_path("indeclinables.tsv")),
+                                 sentence])
+    assert (rc, stdout) == (0, want)
+    assert stdout.startswith(with_indecl + " ")
+    rc, stdout, _ = run(capsys, [*argv, sentence])
+    assert (rc, stdout.split(" ", 1)[0]) == (0, without)
+
+
+def test_eval_with_indeclinables(capsys, tmp_path, tag_file, fst_file):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("अरे/RP लडका/N_NN जाता/V_VM है/V_AUX ।/I\n"
+                    "अतःकरण/N_NN पवित्रता/N_NN चलाता/V_VM है/V_AUX ।/I\n", encoding="utf-8")
+    argv = ["eval", "-m", str(tag_file), "-f", str(fst_file), "-c", str(gold)]
+    rc, stdout, _ = run(capsys, [*argv, "--indecl", str(data_path("indeclinables.tsv"))])
+    assert (rc, stdout) == (0, "known: 1.0000 (7 tokens)\n"
+                               "unknown: 1.0000 (3 tokens)\n"
+                               "overall: 1.0000 (10 tokens)\n")
+    # without the dictionary, अरे and अतःकरण are tagged JJ
+    rc, stdout, _ = run(capsys, argv)
+    assert (rc, stdout) == (0, "known: 1.0000 (7 tokens)\n"
+                               "unknown: 0.3333 (3 tokens)\n"
+                               "overall: 0.8000 (10 tokens)\n")
+
+
 def test_tag_corrupt_model(capsys, tmp_path, fst_file):
     bad = tmp_path / "bad.tag"
     bad.write_bytes(b"garbage")

@@ -454,16 +454,18 @@ def test_minimize_shapes_match_reference(shape):
         assert got.state_count == 2
 
 
-@pytest.mark.parametrize("strings", [
-    [[2, 3], [1], [3, 1], [2]],
-    [[1, 2], [3], [1, 2], [3]],
-    [[]],
-    [],
-    [[1, 2, 3], [1], [1, 2], [3, 2, 1]],
-    [[1, 3], [2, 3], [3, 3], [1, 1, 3]],
-    [[2, 3], [1, 3], [2], [1]],
-], ids=["unsorted", "repeats", "empty-string", "no-string", "prefix-of-another",
-        "shared-suffixes", "ids-out-of-text-order"])
+STRING_SETS = {
+    "unsorted": [[2, 3], [1], [3, 1], [2]],
+    "repeats": [[1, 2], [3], [1, 2], [3]],
+    "empty-string": [[]],
+    "no-string": [],
+    "prefix-of-another": [[1, 2, 3], [1], [1, 2], [3, 2, 1]],
+    "shared-suffixes": [[1, 3], [2, 3], [3, 3], [1, 1, 3]],
+    "ids-out-of-text-order": [[2, 3], [1, 3], [2], [1]],
+}
+
+
+@pytest.mark.parametrize("strings", STRING_SETS.values(), ids=STRING_SETS.keys())
 def test_string_set_matches_the_minimized_trie(strings):
     # ids c=1, a=2, b=3: sorted by id, "c..." comes before "a..."
     table = SymbolTable("cab")
@@ -476,6 +478,20 @@ def test_string_set_matches_the_minimized_trie(strings):
         assert (got.start in got.finals) == ([] in strings)
     if not strings:
         assert want == fst.to_bytes(fst.empty(table))
+
+
+def test_minimize_and_string_set_freeze_what_build_freezes():
+    # their machines skip build: _number hands _freeze its own columns and
+    # per-state offsets, which must be those build makes of the same arcs
+    table = oracle.make_table()
+    rng = random.Random("freeze")
+    made = [fst.minimize(m) for m, _ in _minimize_shapes(table).values()]
+    made += [fst.minimize(oracle.rand_machine(rng, table, max_states=9, out_degree=3))
+             for _ in range(TRIALS)]
+    made += [fst.string_set(strings, SymbolTable("cab")) for strings in STRING_SETS.values()]
+    for m in made:
+        ref = build(m.state_count, m.start, m.finals, m.arcs, m.symbols)
+        assert (m._cols, m._first) == (ref._cols, ref._first)
 
 
 @pytest.mark.parametrize("strings, sid", [

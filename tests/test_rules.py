@@ -367,6 +367,69 @@ def test_compiled_machine_is_normalized(grammar):
         "5014e0d4dc6dd8332e96a65ca56e9d6e47cf677ebe6793e66474984e0f0506b6")
 
 
+def _inlined(rule_file):
+    """`rule_file` with no definition: each ``$Name$`` replaced by its
+    body, as if written out in parentheses."""
+    bodies = {}
+
+    def expand(node):
+        if isinstance(node, VarRef):
+            return bodies[node.name]
+        if isinstance(node, (Concat, Union)):
+            return type(node)(tuple(map(expand, node.parts)))
+        if isinstance(node, Compose):
+            return Compose(expand(node.lhs), expand(node.rhs))
+        if isinstance(node, (Star, Plus, Opt)):
+            return type(node)(expand(node.expr))
+        return node
+
+    for name, expr in rule_file.definitions:
+        bodies[name] = expand(expr)
+    return RuleFile((), expand(rule_file.result), rule_file.base_dir)
+
+
+# each grammar with the fst.minimize calls of its compile: one for each
+# definition referred to twice or more, or as an operand of || or of a
+# closure, and one for the result
+PLACEMENT_GRAMMARS = {
+    "once-in-a-union": ("$A$ = a | b\n$A$ | c", 1),
+    "once-in-a-concatenation": ("$A$ = a | b\n$A$ c", 1),
+    "twice": ("$A$ = a | b\n$A$ $A$", 2),
+    "under-a-star": ("$A$ = a b | a <>:c\n$A$* c", 2),
+    "under-plus-and-optional": ("$A$ = a | a b\n$B$ = <>:x | a\n$A$+ $B$?", 3),
+    "operand-of-compose": ("$A$ = a | b\n$A$ || a:b", 2),
+    "unused": ("$A$ = a | b\nc", 1),
+    "alias-chain": ("$A$ = a <>:x | a b\n$B$ = $A$\n$B$ c", 1),
+    "alias-chain-into-compose": ("$A$ = a <>:x | a b\n$B$ = $A$\n$B$ || a:c x:<> | b:b", 2),
+    "union-into-compose": ("$A$ = a:<> <>:b | a:b\n$B$ = ( $A$ | c ) c\n$B$ || b:a c:c", 2),
+    "compose-of-closures": ("$A$ = a:b | a <>:b <>:c\n$B$ = ( $A$ | c:a )*\n$B$ || b:c*", 2),
+}
+
+
+@pytest.mark.parametrize("text, calls", PLACEMENT_GRAMMARS.values(),
+                         ids=PLACEMENT_GRAMMARS.keys())
+def test_where_definitions_are_minimized_changes_no_byte(monkeypatch, text, calls):
+    minimized = []
+
+    def counting(a, minimize=fst.minimize):
+        minimized.append(a.state_count)
+        return minimize(a)
+
+    def compiled(rule_file):  # one table, whatever order the symbols come in
+        return fst.to_bytes(rules.compile(rule_file, SymbolTable("abcx")))
+
+    rule_file = parse_rules(text)
+    inlined = _inlined(rule_file)
+    want = compiled(inlined)
+    monkeypatch.setattr(fst, "minimize", counting)
+    assert compiled(rule_file) == want
+    assert len(minimized) == calls
+    # the same grammar written out in full minimizes only its result
+    minimized.clear()
+    assert compiled(parse_rules(render_rules(inlined))) == want
+    assert len(minimized) == 1
+
+
 @pytest.fixture
 def synth(monkeypatch):
     """The benchmark's seeded grammar generator, imported as it stands."""
@@ -382,6 +445,13 @@ def test_synthetic_grammar_bytes_are_pinned(tmp_path, synth, n_stems, n_indecl, 
     rules_path = synth.generate_grammar(1, n_stems, n_indecl).write(tmp_path)
     blob = fst.to_bytes(rules.compile_file(rules_path, SymbolTable()))
     assert (hashlib.sha256(blob).hexdigest(), len(blob)) == (sha, size)
+
+
+def test_compiled_10k_grammar_is_frozen_as_build_freezes_it(tmp_path, synth):
+    # the last minimize hands _freeze the columns and offsets it made itself
+    m = rules.compile_file(synth.generate_grammar(1, 10_000, 1200).write(tmp_path), SymbolTable())
+    ref = fst.build(m.state_count, m.start, m.finals, m.arcs, m.symbols)
+    assert (m._cols, m._first) == (ref._cols, ref._first)
 
 
 # ---------------------------------------------------------------------------
