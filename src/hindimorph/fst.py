@@ -560,27 +560,33 @@ def determinize(a: Transducer) -> Transducer:
     return build(len(rows), 0, finals, _rows_to_arcs(rows, len(a.symbols)), a.symbols)
 
 
-def _postorder(rows: list[list[tuple[int, int]]], start: int) -> list[int] | None:
-    """The states reached from `start`, children first and `start` last,
-    by an iterative depth-first search; None if it meets a cycle."""
+def _postorder(rows: list, roots: Iterable[int]) -> tuple[list[int], bool]:
+    """The states reached from `roots` over rows of (label, dst) pairs,
+    children first, by an iterative depth-first search, and whether the
+    search met a cycle: an arc back to a state still on its stack.  With
+    no cycle, every state comes after each state it reaches."""
     mark = [0] * len(rows)  # 1: on the stack, 2: listed
-    mark[start] = 1
-    order = []
-    stack = [(start, iter(rows[start]))]
-    while stack:
-        s, arcs = stack[-1]
-        for _, dst in arcs:
-            if not mark[dst]:
-                mark[dst] = 1
-                stack.append((dst, iter(rows[dst])))
-                break
-            if mark[dst] == 1:
-                return None
-        else:
-            stack.pop()
-            mark[s] = 2
-            order.append(s)
-    return order
+    order: list[int] = []
+    cyclic = False
+    for root in roots:
+        if mark[root]:
+            continue
+        mark[root] = 1
+        stack = [(root, iter(rows[root]))]
+        while stack:
+            s, arcs = stack[-1]
+            for _, dst in arcs:
+                if not mark[dst]:
+                    mark[dst] = 1
+                    stack.append((dst, iter(rows[dst])))
+                    break
+                if mark[dst] == 1:
+                    cyclic = True
+            else:
+                stack.pop()
+                mark[s] = 2
+                order.append(s)
+    return order, cyclic
 
 
 def _fold(rows: list[list[tuple[int, int]]], finals: set[int], order: Iterable[int] | None,
@@ -649,12 +655,14 @@ def minimize(a: Transducer) -> Transducer:
     2. the pair-alphabet subset construction of :func:`determinize`
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
-    3. a depth-first search lists the states children first, or finds
-       a cycle, and :func:`_fold` classes the states with a register
-       keyed by (final, label -> class map): in one pass over that list
-       (Revuz 1992), or on a cycle in repeated passes over every state
-       until the classes stop changing, which drops the states on no
-       accepting path and merges indistinguishable ones (Moore 1956).
+    3. a depth-first search (:func:`_postorder`, which the epsilon-cycle
+       guard of :func:`lookup` runs too) lists the states children first
+       and tells whether it met a cycle, and :func:`_fold` classes the
+       states with a register keyed by (final, label -> class map): in
+       one pass over that list (Revuz 1992), or on a cycle in repeated
+       passes over every state until the classes stop changing, which
+       drops the states on no accepting path and merges
+       indistinguishable ones (Moore 1956).
        :func:`string_set` runs the same fold over a trie;
     4. the classes are numbered breadth-first from the start, by sorted
        label, so equal relations always give the identical machine.
@@ -664,7 +672,8 @@ def minimize(a: Transducer) -> Transducer:
     if not all(len(row) == len(dict(row)) for row in rows):
         rows, finals = _subset(rows, finals, start)
         start = 0
-    return _fold(rows, finals, _postorder(rows, start), start, a.symbols)
+    order, cyclic = _postorder(rows, (start,))
+    return _fold(rows, finals, None if cyclic else order, start, a.symbols)
 
 
 def _tapes(side: str) -> tuple[int, int]:
@@ -687,40 +696,27 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     SCC is bad when one of its internal arcs writes a symbol (an arc
     with both ends in one SCC always lies on a cycle).  The components
     come from Kosaraju's two searches, which need no per-state low-link
-    bookkeeping, both iterative so a long cycle cannot overflow the
-    stack.  Reads the machine's columns; the arcs that read epsilon are
-    found at C speed.
+    bookkeeping: the depth-first search of :func:`_postorder`, which
+    :func:`minimize` runs too, and a flood over the reversed arcs.  Both
+    are iterative, so a long cycle cannot overflow the stack.  Reads the
+    machine's columns; the arcs that read epsilon are found at C speed.
     """
     src, dst = a._cols[0], a._cols[3]
     read, write = (a._cols[k] for k in _tapes(side))
     eps_arcs = list(compress(range(len(read)), map(not_, read)))
-    succ: dict[int, list[int]] = {}
+    # Kosaraju over the epsilon subgraph.  A state with no arc that reads
+    # epsilon is a component of its own with no internal arc, so only
+    # the states that have such an arc get a row, and they are the roots
+    # of the search that lists the states in finishing order ...
+    roots = dict.fromkeys(map(src.__getitem__, eps_arcs))
+    succ: list = [()] * a.state_count
+    for s in roots:
+        succ[s] = []
     pred: dict[int, list[int]] = {}
     for k in eps_arcs:
-        succ.setdefault(src[k], []).append(dst[k])
+        succ[src[k]].append((k, dst[k]))
         pred.setdefault(dst[k], []).append(src[k])
-
-    # Kosaraju over the epsilon subgraph.  A state with no arc that reads
-    # epsilon is a component of its own with no internal arc, so the
-    # search starts only from states that have such an arc.  First an
-    # iterative depth-first pass lists the states in finishing order ...
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in succ:
-        if root in seen:
-            continue
-        seen.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            for child in it:
-                if child not in seen:
-                    seen.add(child)
-                    work.append((child, iter(succ.get(child, ()))))
-                    break
-            else:
-                work.pop()
-                order.append(node)
+    order, _ = _postorder(succ, roots)
     # ... then a flood over the reversed arcs from each state not yet
     # placed, last finished first, fills exactly that state's component.
     comp: dict[int, int] = {}
@@ -845,9 +841,13 @@ def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int,
     machine has arcs; past that, a closure is walked within the search
     and not kept.
 
-    Raises :class:`EpsilonCycle` when a cycle that reads epsilon and
-    writes a symbol is reachable on `ids`.
+    Raises :class:`InvalidSymbolId` when `ids` holds epsilon (id 0),
+    which is no symbol to read, and :class:`EpsilonCycle` when a cycle
+    that reads epsilon and writes a symbol is reachable on `ids`.  An id
+    outside the table is read by no arc, so it gives the empty set.
     """
+    if EPSILON in ids:
+        raise InvalidSymbolId("symbol id 0 is epsilon, not a symbol to read")
     slot = _side(a, side)
     closures, reads, writes, dsts = slot
     first, finals = a._first, a.finals

@@ -518,10 +518,12 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
     machine = functools.partial(_machine, defs, symbols, base_dir)
     if isinstance(node, (Concat, Union)):
         return (fst.concat if isinstance(node, Concat) else fst.union)(*map(machine, node.parts))
+    # a closure and a composition start from minimal operands, so that
+    # their products stay small
     if type(node) in _CLOSURES:
-        return fst.closure(machine(node.expr), _CLOSURES[type(node)][1])
+        return fst.closure(fst.minimize(machine(node.expr)), _CLOSURES[type(node)][1])
     if isinstance(node, Compose):
-        return fst.compose(machine(node.lhs), machine(node.rhs))
+        return fst.compose(fst.minimize(machine(node.lhs)), fst.minimize(machine(node.rhs)))
     if isinstance(node, VarRef):
         if node.name not in defs:
             raise UndefinedVariable(node.name)
@@ -535,43 +537,27 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
     raise TypeError(f"not a rule AST node: {node!r}")
 
 
-def _minimized_on_definition(rule_file: RuleFile) -> set[str]:
-    """The names that :func:`compile` minimizes where they are defined:
-    those the file refers to twice or more, and those referred to as an
-    operand of ``||`` or of a closure.  One walk over every statement."""
-    seen, minimized = set(), set()
-    stack = [expr for _, expr in rule_file.definitions] + [rule_file.result]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, VarRef):
-            if node.name in seen:  # a second reference
-                minimized.add(node.name)
-            seen.add(node.name)
-        children = _children(node)
-        if isinstance(node, Compose) or type(node) in _CLOSURES:
-            minimized.update(c.name for c in children if isinstance(c, VarRef))
-        stack += children
-    return minimized
-
-
 def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """Compile a parsed rule file into a normalized transducer.
 
     Every definition is compiled once, when it is defined, and shared by
-    reference.  SFST also minimizes each one there; this compiler does
-    so only where it pays: for a definition that the file refers to
-    twice or more, or as an operand of ``||`` or of a closure, so that
-    a composition's product and a closure start from a minimal machine.
-    Any other definition is kept as built, and the minimization of what
-    consumes it does that work once.  The result is minimized at the
-    end, and it is epsilon-free, deterministic over the pair alphabet,
-    and minimal.  Where the minimizations happen cannot change a byte:
-    union, concatenation, closure and :func:`fst.minimize` keep the
-    language of label pairs, :func:`fst.compose` depends on its
-    operands' pair languages alone, and the last :func:`fst.minimize`
-    gives one machine per pair language.  Each ``|`` or juxtaposition
-    of any number of operands builds its machine once (:func:`fst.union`,
-    :func:`fst.concat`), and an ``#include`` root list comes out of
+    reference.  SFST minimizes each definition there; this compiler
+    minimizes where a machine is used, and only where it pays: each
+    operand of ``||`` and of a closure, so that a composition's product
+    and a closure start from a minimal machine.  The rule depends only
+    on the shape of the expression, so a file makes the same
+    :func:`fst.minimize` calls whether it names its parts or writes them
+    out in full.  Any other operand is kept as built, and the
+    minimization of what consumes it does that work once.  The result
+    is minimized at the end, and it is epsilon-free, deterministic over
+    the pair alphabet, and minimal.  Where the minimizations happen
+    cannot change a byte: union, concatenation, closure and
+    :func:`fst.minimize` keep the language of label pairs,
+    :func:`fst.compose` depends on its operands' pair languages alone,
+    and the last :func:`fst.minimize` gives one machine per pair
+    language.  Each ``|`` or juxtaposition of any number of operands
+    builds its machine once (:func:`fst.union`, :func:`fst.concat`), and
+    an ``#include`` root list comes out of
     :func:`lexicon.compile_root_fst` already minimal, folded by the
     register pass of :func:`fst.minimize`.  A machine with no cycle,
     such as a union of root lists, is minimized by that one pass; one
@@ -592,13 +578,11 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     """
     defs: dict[str, Transducer] = {}
     machine = functools.partial(_machine, defs, symbols, rule_file.base_dir)
-    minimized = _minimized_on_definition(rule_file)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for name, expr in rule_file.definitions:
-            built = machine(expr)
-            defs[name] = fst.minimize(built) if name in minimized else built
+            defs[name] = machine(expr)
         return fst.minimize(machine(rule_file.result))
     finally:
         if was_enabled:

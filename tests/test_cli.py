@@ -187,6 +187,20 @@ def test_analyze_names_the_word_whose_grammar_form_is_malformed(capsys, tmp_path
                       "word 'ab' that is not a root<Tag>... analysis: 'ab'\n")
 
 
+def test_emitting_epsilon_cycle_is_an_exit_1_error(capsys, tmp_path):
+    # surface "b" reaches a loop that reads no surface symbol and writes
+    # "x" on the lexical tape: infinitely many analyses, so analyze
+    # stops with an error; generation reads "x" there and answers
+    rule_file, model = tmp_path / "loop.mrl", tmp_path / "loop.fst"
+    rule_file.write_text("b <T>:<> ( x:<> )*\n", encoding="utf-8")
+    assert run(capsys, ["compile", "-r", str(rule_file), "-o", str(model)])[0] == 0
+    rc, stdout, stderr = run(capsys, ["analyze", "-m", str(model), "q", "b"])
+    assert (rc, stdout) == (1, "q\t?\n")
+    assert stderr == ("hindimorph analyze: error: "
+                      "symbol-writing output-epsilon cycle reachable on 'b'\n")
+    assert run(capsys, ["generate", "-m", str(model), "b<T>"]) == (0, "b<T>\tb\n", "")
+
+
 def test_analyze_missing_model(capsys, tmp_path):
     rc, stdout, stderr = run(capsys, [
         "analyze", "-m", str(tmp_path / "nope.fst"), "घर"])

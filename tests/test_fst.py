@@ -445,13 +445,43 @@ def test_minimize_shapes_match_reference(shape):
     table = oracle.make_table()
     m, cyclic = _minimize_shapes(table)[shape]
     # the register fold runs once with no cycle, and to a fixpoint on one
-    assert (fst._postorder(fst._eps_free_rows(m)[0], m.start) is None) == cyclic
+    assert fst._postorder(fst._eps_free_rows(m)[0], (m.start,))[1] == cyclic
     got = fst.minimize(m)
     assert fst.to_bytes(got) == fst.to_bytes(oracle.minimize_reference(m))
     if shape.startswith("dead-start"):
         assert fst.to_bytes(got) == fst.to_bytes(fst.empty(table))
     if shape == "merging-cycle":
         assert got.state_count == 2
+
+
+def test_postorder_matches_reachability_oracle():
+    # random row graphs, several roots, self-loops and cycles; every odd
+    # trial keeps only the arcs to higher states, so it has no cycle
+    rng = random.Random(32)
+    outcomes = set()
+    for trial in range(400):
+        n = 1 + trial % 11
+        rows = [sorted({(rng.randrange(3), rng.randrange(n)) for _ in range(rng.randrange(4))})
+                for _ in range(n)]
+        if trial % 2:
+            rows = [[(label, d) for label, d in row if d > s] for s, row in enumerate(rows)]
+        roots = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+        # after[s]: the states s reaches by one arc or more
+        after = [{d for _, d in row} for row in rows]
+        while True:
+            grown = [set().union(a, *(after[d] for d in a)) for a in after]
+            if grown == after:
+                break
+            after = grown
+        reached = set(roots).union(*(after[r] for r in roots))
+        order, cyclic = fst._postorder(rows, roots)
+        assert sorted(order) == sorted(reached)
+        assert cyclic == any(s in after[s] for s in reached)
+        if not cyclic:
+            at = {s: k for k, s in enumerate(order)}
+            assert all(at[d] < at[s] for s in order for _, d in rows[s])
+        outcomes.add((trial % 2, cyclic))
+    assert outcomes == {(0, True), (0, False), (1, False)}
 
 
 STRING_SETS = {
@@ -922,6 +952,25 @@ def test_lookup_emitting_cycle_raises_every_time(side):
     with pytest.raises(EpsilonCycle, match="reachable on 'b<>'$"):
         fst.apply(m, "b<>", side=side)
     assert closure_table(m, side) == {1: False, 2: False}
+
+
+def test_lookup_refuses_the_epsilon_id():
+    # id 0 is epsilon, no symbol to read: a lookup refuses it rather
+    # than take the epsilon arc 0 -> 2 for an arc that reads it
+    table = SymbolTable("ax")
+    a, x = table.id_of("a"), table.id_of("x")
+    m = build(3, 0, (2,), [(0, EPSILON, x, 2), (0, a, a, 1), (1, a, a, 2)], table)
+    one = build(2, 0, (1,), [(0, a, a, 1)], table)
+    for machine, ids in ((m, [EPSILON]), (m, [EPSILON, EPSILON]), (m, [a, EPSILON]),
+                         (one, [EPSILON, a])):
+        for side in ("input", "output"):
+            with pytest.raises(InvalidSymbolId, match="^symbol id 0 is epsilon"):
+                fst.lookup(machine, ids, side)
+    assert fst.lookup(m, []) == {(x,)}
+    assert fst.lookup(m, [a, a]) == {(a, a)}
+    assert fst.lookup(one, [a]) == {(a,)}
+    # an id outside the table is read by no arc
+    assert fst.lookup(m, [len(table)]) == fst.lookup(one, [a, 99]) == set()
 
 
 def test_lookup_dedups_texts_by_apply():
