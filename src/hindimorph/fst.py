@@ -815,9 +815,10 @@ def _closure(a: Transducer, side: str, ids: list[int], slot: tuple, state: int, 
             closures.room -= len(closure)
         if keep:
             closures[state] = closure
-    if closure is False:
-        rendered = "".join(map(a.symbols._entries.__getitem__, ids))
-        raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {rendered!r}")
+    if closure is False:  # an id outside the table is named by number
+        on = (repr("".join(map(a.symbols._entries.__getitem__, ids)))
+              if all(0 < i < len(a.symbols) for i in ids) else f"symbol ids {list(ids)}")
+        raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {on}")
     return closure
 
 

@@ -9,6 +9,8 @@ takes its label ids from the :class:`Analysis` it parses anyway, so it
 calls :func:`fst.lookup` directly.  Both render each written id tuple
 once.  Indeclinable words that no rule should touch live in a plain
 dictionary file that shadows the transducer in both directions.
+Nothing is kept per word: a repeated word is looked up again.  The
+tagger, where words repeat, keeps the per-word answers it reuses.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ class MorphError(Exception):
 class MalformedAnalysis(MorphError):
     pass
 
-
-# A model keeps the analyses of at most this many distinct surface words
-# (about 450 bytes each); a miss on a full memo clears it first.
-_MEMO_WORDS = 4096
 
 _set = object.__setattr__
 
@@ -135,9 +133,7 @@ class MorphModel:
     :func:`fst.apply`), which keeps each side's epsilon closures on the
     grammar.  Each word's indeclinable analyses are kept once each,
     sorted by rendered form, the order :func:`analyze` answers in.  The
-    model also keeps the grammar's analyses of up to 4,096 distinct
-    surface words, about 450 bytes each (see :func:`analyze`), so a
-    later replacement of ``grammar`` is not seen.
+    model keeps no analysis of the grammar's: each lookup reads it.
     """
 
     def __init__(self, grammar: Transducer,
@@ -145,7 +141,6 @@ class MorphModel:
         self.grammar = grammar
         self.indeclinables: dict[str, list[Analysis]] = {}
         self._words_by_analysis: dict[str, list[str]] = {}
-        self._analyses: dict[str, tuple[Analysis, ...]] = {}
         indeclinables = indeclinables or {}
         # words in sorted order, so each list of words comes out sorted
         for word in sorted(indeclinables):
@@ -176,10 +171,8 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
     text the grammar writes that is not ``root<Tag>...`` raises
     :class:`MalformedAnalysis` naming the surface word.
 
-    The grammar's answers, soft misses included, are kept on the model
-    for up to 4,096 distinct words, so a repeated word is read once; a
-    later replacement of ``model.grammar`` is not seen.  A miss on a
-    full memo clears it first.  Each call returns a new list.
+    Each call that reaches the grammar makes one :func:`fst.apply` call,
+    for a repeated word too, and returns a new list.
     """
     surface = unicodedata.normalize("NFC", surface)
     stored = model.indeclinables.get(surface)
@@ -187,21 +180,14 @@ def analyze(model: MorphModel, surface: str) -> list[Analysis]:
         return list(stored)
     if "<" in surface:
         return []
-    memo = model._analyses
-    found = memo.get(surface)
-    if found is None:
-        try:
-            found = tuple(map(Analysis.parse, fst.apply(model.grammar, surface, "output")))
-        except fst.UnknownSymbol:
-            found = ()
-        except MalformedAnalysis as exc:  # the grammar wrote it, not the user
-            raise MalformedAnalysis(
-                f"grammar wrote a lexical form for surface word {surface!r} that is {exc}"
-            ) from None
-        if len(memo) >= _MEMO_WORDS:
-            memo.clear()
-        memo[surface] = found
-    return list(found)
+    try:
+        return list(map(Analysis.parse, fst.apply(model.grammar, surface, "output")))
+    except fst.UnknownSymbol:
+        return []
+    except MalformedAnalysis as exc:  # the grammar wrote it, not the user
+        raise MalformedAnalysis(
+            f"grammar wrote a lexical form for surface word {surface!r} that is {exc}"
+        ) from None
 
 
 def generate(model: MorphModel, lexical: str) -> list[str]:

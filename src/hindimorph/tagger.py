@@ -36,6 +36,9 @@ BOUNDARY_WORD_END = "</s>"
 BOUNDARY_TAG = "<s>"
 PUNCT_TAG = "I"
 PUNCT_CHARS = frozenset("।?!,")
+# A model keeps the decode entries of at most this many distinct words;
+# a miss on a full memo clears it first.
+_MEMO_WORDS = 4096
 # Tag sequences kept per position while decoding.  On the bundled corpus
 # this width tags every held-out token as exact Viterbi decoding does,
 # which costs more: it scores every candidate of the previous token.
@@ -176,11 +179,14 @@ class TagModel:
     # The decode tables, built from `weights` when the model is made;
     # later edits to `weights` are not seen by decoding.
     _rows: _Tables = field(init=False, repr=False, compare=False)
-    # Word -> the candidate tag indices and the feature rows of a
-    # dictionary word or punctuation, which the model alone fixes; filled
-    # by decoding and, like `_rows`, blind to later edits of the model.
+    # Word -> its candidate tag indices and feature rows, filled by
+    # decoding with the morph model `_entries_morph`, reset when a decode
+    # passes another and, like `_rows`, blind to later edits of either.
+    # It holds the morph model itself, so no later one can take its id.
     _entries: dict[str, tuple[tuple[int, ...], list[list[float]]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _entries_morph: morph.MorphModel | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A key splits at its last ':' into feature and tag; a key whose
@@ -355,8 +361,14 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     per distinct previous tag among the beam entries.  A beam entry is
     its negated score and its path of tag indices, so sorting the entries
     orders them best first.
+
+    Each word's entry (its candidate tags and its own rows) is kept on
+    the model for up to :data:`_MEMO_WORDS` words, with the morph model
+    it was built with; a decode with another morph model starts afresh.
     """
     index, zero, prev_tag_rows, start, end = model._rows
+    if morph_model is not model._entries_morph:
+        model._entries, model._entries_morph = {}, morph_model
     memo = model._entries
     entries = []
     for word in tokens:
@@ -367,13 +379,9 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
             # and, as pw: and nw:, those its neighbours fire for it.
             entry = (tuple(k for k, t in enumerate(model.tagset) if t in allowed),
                      [index.get(f, zero) for f in extract_features((word,) * 3, 1, BOUNDARY_TAG)])
-            # Kept for a punctuation character or a dictionary word, which
-            # candidate_tags answers from the model alone, so the memo stays
-            # bounded by the model.  Any other word is answered by the morph
-            # model, from an unbounded vocabulary: built at each occurrence.
-            if word in PUNCT_CHARS or (word in model.dictionary
-                                       and unicodedata.is_normalized("NFC", word)):
-                memo[word] = entry
+            if len(memo) >= _MEMO_WORDS:
+                memo.clear()
+            memo[word] = entry
         entries.append(entry)
     last = len(entries) - 1
     beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]

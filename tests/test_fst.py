@@ -954,6 +954,19 @@ def test_lookup_emitting_cycle_raises_every_time(side):
     assert closure_table(m, side) == {1: False, 2: False}
 
 
+def test_emitting_cycle_on_ids_outside_the_table_names_the_ids():
+    # the start reaches 0 <-> 1, which reads epsilon on the output side and
+    # writes "a": the error names ids that no symbol renders by number
+    table = SymbolTable("a")
+    a = table.id_of("a")
+    m = build(2, 0, (0,), [(0, a, EPSILON, 1), (1, a, EPSILON, 0)], table)
+    for ids, named in (([999], "symbol ids [999]"), ([a, -1], "symbol ids [1, -1]"),
+                       ([a], "'a'"), ([], "''")):
+        with pytest.raises(EpsilonCycle) as exc:
+            fst.lookup(m, ids, "output")
+        assert str(exc.value) == f"symbol-writing output-epsilon cycle reachable on {named}"
+
+
 def test_lookup_refuses_the_epsilon_id():
     # id 0 is epsilon, no symbol to read: a lookup refuses it rather
     # than take the epsilon arc 0 -> 2 for an arc that reads it

@@ -61,7 +61,7 @@ def test_vocative_among_plural_analyses(morph_model):
 
 
 def test_unknown_word_is_soft_miss(morph_model):
-    # a rejected and an out-of-alphabet word; the second call reads the memo
+    # a rejected and an out-of-alphabet word, twice each
     for _ in range(2):
         assert morph.analyze(morph_model, "घरों") == []
         assert morph.analyze(morph_model, "xyz") == []
@@ -81,18 +81,13 @@ def test_analysis_objects_carry_structure(morph_model):
     assert str(a) == "माली<Noun><feminine><sg>"
 
 
-def test_analyze_is_nfc_insensitive(grammar):
+def test_analyze_is_nfc_insensitive(morph_model):
     decomposed = "\u092a\u0922\u093c\u0940"   # प + ढ + nukta + ी
     composed = "\u092a\u095d\u0940"           # प + precomposed ढ़ + ी
     assert decomposed != composed
-    # on a fresh model, whichever spelling comes first fills the memo
-    for words in ((decomposed, composed), (composed, decomposed)):
-        model = MorphModel(grammar)
-        results = {tuple(a.render() for a in morph.analyze(model, w))
-                   for w in words + words}
-        assert len(results) == 1
-        assert results != {()}
-        assert len(model._analyses) == 1
+    results = {tuple(a.render() for a in morph.analyze(morph_model, w))
+               for w in (decomposed, composed, decomposed)}
+    assert results == {("पढ़<Verb><Indicative><Feminine>",)}
 
 
 def test_repeated_calls_are_deterministic(morph_model):
@@ -117,23 +112,13 @@ def test_epsilon_cycle_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(fst.EpsilonCycle):
             morph.analyze(model, "b")
-    assert model._analyses == {}
-
-
-def test_memo_is_cleared_at_its_bound(grammar, monkeypatch):
-    words = ["लडका", "लडकी", "मालन", "जाते", "करता", "घरों", "xyz", "पढ़ी", "जा", "शेरनी"]
-    want = [morph.analyze(MorphModel(grammar), w) for w in words]
-    monkeypatch.setattr(morph, "_MEMO_WORDS", 3)
-    model = MorphModel(grammar)
-    for _ in range(2):
-        assert [morph.analyze(model, w) for w in words] == want
-        assert len(model._analyses) <= 3
 
 
 def test_analyze_reads_the_grammar_through_fst_apply(grammar, monkeypatch):
     # What a tracer that wraps the module attribute fst.apply relies on:
-    # one call per grammar lookup, and an out-of-alphabet word told apart
-    # by the UnknownSymbol that the call raises.
+    # one call per grammar lookup, a repeated word's included, and an
+    # out-of-alphabet word told apart by the UnknownSymbol that the call
+    # raises.
     calls = []
     apply = fst.apply
 
@@ -148,14 +133,16 @@ def test_analyze_reads_the_grammar_through_fst_apply(grammar, monkeypatch):
 
     monkeypatch.setattr(fst, "apply", counting)
     model = MorphModel(grammar, {"अरे": [Analysis("अरे", ("Particle",))]})
-    assert len(morph.analyze(model, "लडके")) == 2
-    assert morph.analyze(model, "लडक") == []  # rejected: every letter is in the alphabet
-    assert morph.analyze(model, "घरों") == []  # "ों" is not
-    assert calls == [(grammar, "लडके", "output", None), (grammar, "लडक", "output", None),
-                     (grammar, "घरों", "output", fst.UnknownSymbol)]
-    # memo hits, an indeclinable hit and words holding "<" make no call
+    for _ in range(2):  # analyze keeps no memo: the second round calls again
+        calls.clear()
+        assert len(morph.analyze(model, "लडके")) == 2
+        assert morph.analyze(model, "लडक") == []  # rejected: every letter is in the alphabet
+        assert morph.analyze(model, "घरों") == []  # "ों" is not
+        assert calls == [(grammar, "लडके", "output", None), (grammar, "लडक", "output", None),
+                         (grammar, "घरों", "output", fst.UnknownSymbol)]
+    # an indeclinable hit and words holding "<" make no call
     calls.clear()
-    for word in ("लडके", "लडक", "घरों", "अरे", "लडके<Noun>", "लड<"):
+    for word in ("अरे", "लडके<Noun>", "लड<"):
         morph.analyze(model, word)
     assert calls == []
 
@@ -167,11 +154,10 @@ def test_malformed_form_written_by_the_grammar_names_the_surface_word():
     assert morph.analyze(model, "c") == [Analysis("c", ("N",))]
     message = ("grammar wrote a lexical form for surface word 'ab' that is "
                "not a root<Tag>... analysis: 'ab'")
-    for _ in range(2):  # the word is not kept as a miss
+    for _ in range(2):  # every call raises
         with pytest.raises(MalformedAnalysis) as exc:
             morph.analyze(model, "ab")
         assert str(exc.value) == message
-    assert list(model._analyses) == ["c"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import tracemalloc
 import pytest
 
 import oracle
-from hindimorph import morph, tagger
+from hindimorph import fst, morph, tagger
+from hindimorph.fst import SymbolTable
 from hindimorph._binary import pack_str
 from hindimorph.tagger import (
     CorpusFormatError,
@@ -548,35 +549,44 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
     # outside the tagset.
     stray = TagModel(tag_model.tagset, {**tag_model.weights, "w:x:ZZ": 5.0},
                      tag_model.dictionary, tag_model.l2_lambda)
-    loaded = model_from_bytes(model_to_bytes(stray))
+    blob = model_to_bytes(stray)
     sentences = _substituted_sentences(mini_corpus)
     assert sum(t in UNKNOWN_WORDS for s in sentences for t in s) >= 100
-    # the second pass keeps the analyses of only two words, so the morph
-    # model drops them within a sentence; widths 1 and 5 check the pruning
-    # and its ties on either side of the decoder's fixed width
-    for memo_words in (morph._MEMO_WORDS, 2):
-        monkeypatch.setattr(morph, "_MEMO_WORDS", memo_words)
-        for model in (tag_model, loaded):
+    # the second pass keeps the entries of only two words, so the decoder
+    # drops them within a sentence; widths 1 and 5 check the pruning and
+    # its ties on either side of the decoder's fixed width
+    for memo_words in (tagger._MEMO_WORDS, 2):
+        monkeypatch.setattr(tagger, "_MEMO_WORDS", memo_words)
+        # fresh models, so each pass starts from an empty memo
+        for model in (dataclasses.replace(tag_model), model_from_bytes(blob)):
             for beam in (1, tagger._BEAM, 5):
                 monkeypatch.setattr(tagger, "_BEAM", beam)
                 for tokens in sentences:
                     assert tagger._tag_tokens(model, morph_model, tokens) == (
                         oracle.tag_tokens_reference(model, morph_model, tokens, beam))
+                    assert len(model._entries) <= memo_words
 
 
-def test_decode_memo_keeps_only_model_fixed_entries(tag_model, morph_model, mini_corpus):
+def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpus):
     # One loaded model decodes with the grammar, without it and with it
-    # again: its memo must not carry one fallback's answers into the other.
+    # again: each switch resets its memo, so no fallback's answers carry
+    # into the other's, and it then holds what a fresh model's holds.
     model = model_from_bytes(model_to_bytes(tag_model))
     sentences = _substituted_sentences(mini_corpus)
+    kept = []
     for fallback in (morph_model, None, morph_model):
         for tokens in sentences:
             assert tagger._tag_tokens(model, fallback, tokens) == (
                 oracle.tag_tokens_reference(model, fallback, tokens, 3))
-    assert model._entries
-    assert all(word in model.dictionary or word in tagger.PUNCT_CHARS
-               for word in model._entries)
-    assert not any(word in UNKNOWN_WORDS for word in model._entries)
+        fresh = model_from_bytes(model_to_bytes(tag_model))
+        for tokens in sentences:
+            tagger._tag_tokens(fresh, fallback, tokens)
+        assert model._entries_morph is fallback
+        assert model._entries == fresh._entries
+        assert set(UNKNOWN_WORDS) <= set(model._entries)
+        kept.append(dict(model._entries))
+    # मालन is a noun to the grammar and open without it
+    assert kept[0]["मालन"] != kept[1]["मालन"]
 
 
 @pytest.mark.parametrize("tokens", [
@@ -586,23 +596,42 @@ def test_decode_memo_keeps_only_model_fixed_entries(tag_model, morph_model, mini
 ], ids=["lone", "both-flags", "flag-mismatch"])
 def test_decode_tokens_whose_flag_disagrees_with_their_surface(tag_model, morph_model, tokens):
     # A gold corpus can hold "?!": its punct: flag is set, but it is not
-    # one of PUNCT_CHARS, so the memo must not keep it.
+    # one of PUNCT_CHARS, so its kept entry must still be its own.
     model = model_from_bytes(model_to_bytes(tag_model))
     for _ in range(2):  # the second decode reads the memo
         assert tagger._tag_tokens(model, morph_model, tokens) == (
             oracle.tag_tokens_reference(model, morph_model, tokens, 3))
 
 
-def test_decode_memo_skips_a_dictionary_word_that_is_not_nfc(morph_model):
+def test_decode_memo_keeps_a_dictionary_word_that_is_not_nfc(morph_model):
     # precomposed क़ (U+0958) is not NFC, so candidate_tags looks it up
-    # decomposed, misses the dictionary and asks the morph model
+    # decomposed, misses the dictionary and asks the morph model; the
+    # entry is kept under the word as written, for that morph model
     word = "\u0958ी"
     model = TagModel(MINI_TAGSET, {}, {word: frozenset({"RB"})}, 0.1)
     tokens = [word]
     for fallback in (morph_model, None):
-        assert tagger._tag_tokens(model, fallback, tokens) == (
-            oracle.tag_tokens_reference(model, fallback, tokens, 3))
-    assert model._entries == {}
+        for _ in range(2):  # the second decode reads the memo
+            assert tagger._tag_tokens(model, fallback, tokens) == (
+                oracle.tag_tokens_reference(model, fallback, tokens, 3))
+        assert list(model._entries) == [word]
+    # without a grammar the missed word opens the whole tagset
+    assert model._entries[word][0] == tuple(range(len(MINI_TAGSET)))
+
+
+def test_decode_memo_keeps_no_word_whose_analysis_raises():
+    # an output-epsilon cycle that writes "a" after the surface "b"
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+    grammar = fst.build(3, 0, (0, 2),
+                        [(0, b, b, 1), (1, a, fst.EPSILON, 2), (2, a, fst.EPSILON, 1)],
+                        table)
+    fallback = morph.MorphModel(grammar)
+    model = TagModel(MINI_TAGSET, {}, {}, 0.1)
+    for _ in range(2):
+        with pytest.raises(fst.EpsilonCycle):
+            tagger._tag_tokens(model, fallback, ["a", "b"])
+        assert list(model._entries) == ["a"]
 
 
 # --- evaluation -----------------------------------------------------------
