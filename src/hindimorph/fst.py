@@ -181,11 +181,12 @@ class Transducer:
     label, written label, dst) order.  They are the machine's own
     columns for "input", and one re-sorted copy for "output"; each
     state's arcs keep their offsets in both orders.  No :class:`Arc` is
-    made until `arcs` is read.
+    made until `arcs` is read.  The first :func:`minimize` of the
+    machine keeps its result in ``_minimal``.
     """
 
     __slots__ = ("state_count", "start", "finals", "symbols", "_cols", "_first",
-                 "_arcs", "_sides")
+                 "_arcs", "_sides", "_minimal")
 
     def __init__(self, state_count: int, start: int, finals: frozenset[int],
                  cols: tuple[array, ...], symbols: SymbolTable, first: array | None = None):
@@ -198,6 +199,7 @@ class Transducer:
             map(Counter(cols[0]).get, range(state_count), repeat(0)), initial=0))
         self._arcs: tuple[Arc, ...] | None = None
         self._sides: dict[str, tuple[_Closures, array, array, array]] = {}
+        self._minimal: Transducer | None = None
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -666,14 +668,20 @@ def minimize(a: Transducer) -> Transducer:
        :func:`string_set` runs the same fold over a trie;
     4. the classes are numbered breadth-first from the start, by sorted
        label, so equal relations always give the identical machine.
+
+    The result is kept on `a` (not the other way round, so no reference
+    cycle is made), and a repeat call on `a` returns it: a definition
+    used as several operands is minimized once.
     """
-    rows, finals = _eps_free_rows(a)
-    start = a.start
-    if not all(len(row) == len(dict(row)) for row in rows):
-        rows, finals = _subset(rows, finals, start)
-        start = 0
-    order, cyclic = _postorder(rows, (start,))
-    return _fold(rows, finals, None if cyclic else order, start, a.symbols)
+    if a._minimal is None:
+        rows, finals = _eps_free_rows(a)
+        start = a.start
+        if not all(len(row) == len(dict(row)) for row in rows):
+            rows, finals = _subset(rows, finals, start)
+            start = 0
+        order, cyclic = _postorder(rows, (start,))
+        a._minimal = _fold(rows, finals, None if cyclic else order, start, a.symbols)
+    return a._minimal
 
 
 def _tapes(side: str) -> tuple[int, int]:

@@ -547,7 +547,9 @@ def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:
     and a closure start from a minimal machine.  The rule depends only
     on the shape of the expression, so a file makes the same
     :func:`fst.minimize` calls whether it names its parts or writes them
-    out in full.  Any other operand is kept as built, and the
+    out in full; a definition that is several such operands is
+    minimized once, as :func:`fst.minimize` keeps its result on the
+    machine.  Any other operand is kept as built, and the
     minimization of what consumes it does that work once.  The result
     is minimized at the end, and it is epsilon-free, deterministic over
     the pair alphabet, and minimal.  Where the minimizations happen

@@ -10,10 +10,11 @@ log-likelihood minus an L2 penalty.  Decoding is a beam search of width
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
 
-The public weights are one dict keyed ``template:value:tag``.  Training
-and decoding run on interned feature rows (one float per tag for each
-``template:value`` feature); a model builds its decode rows from its
-weights when it is made.
+The public weights are one dict keyed ``template:value:tag``, one entry
+per feature and tag.  Training and decoding run on interned feature rows
+(one float per tag for each ``template:value`` feature); while training,
+features that fire at the same positions share one row.  A model builds
+its decode rows from its weights when it is made.
 """
 
 from __future__ import annotations
@@ -234,11 +235,14 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     with a fixed step of 0.1 (``_STEP``).
 
     Each feature string is interned once to a row of one weight per tag.
-    An epoch is one sweep over the positions: each position's
-    log-probabilities are computed once and serve both the loss recorded
-    before the epoch and the gradient, which is accumulated only into the
-    rows of the features that fire.  ``weights`` is built once, at the
-    end, in row order: features as the corpus first fires them, each
+    Features that fire at the same positions start at zero and get the
+    same gradient, so they share one row, and their weights stay
+    bit-identical.  An epoch is one sweep over the positions: each
+    position's log-probabilities are computed once, from one row per
+    firing feature, and serve both the loss recorded before the epoch
+    and the gradient, which is accumulated once into each shared row
+    that fires.  ``weights`` is built once, at the end, with one entry
+    per feature and tag: features as the corpus first fires them, each
     with its tags in tagset order.
 
     Iteration order is fixed by the corpus, so the result is
@@ -265,6 +269,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
 
     tag_index = {t: k for k, t in enumerate(tagset)}
     feature_ids: dict[str, int] = {}
+    firing: dict[int, list[int]] = {}  # feature id -> the positions it fires at
     # Each distinct list of feature ids, numbered in order of first use;
     # a position is its list's number and its gold tag index, and its
     # previous tag is the gold one.
@@ -276,11 +281,23 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
         for i, (_, gold_tag) in enumerate(sentence):
             ids = tuple(feature_ids.setdefault(f, len(feature_ids))
                         for f in extract_features(tokens, i, prev_tag))
+            for f in ids:
+                firing.setdefault(f, []).append(len(sweep))
             sweep.append((distinct.setdefault(ids, len(distinct)), tag_index[gold_tag]))
             prev_tag = gold_tag
     feature_lists = list(distinct)
+    # Features that fire at the same positions get the same gradient, so
+    # while training they share one row.  A feature fires at most once at
+    # a position, so a position updates each of its groups once; `rows`
+    # holds each feature's group row, in feature order, for the scores
+    # and the L2 term.
+    groups: dict[tuple[int, ...], int] = {}
+    group_of = [groups.setdefault(tuple(positions), len(groups))
+                for positions in firing.values()]
+    group_lists = [tuple(dict.fromkeys(map(group_of.__getitem__, ids))) for ids in feature_lists]
 
-    rows = [[0.0] * len(tagset) for _ in feature_ids]
+    shared = [[0.0] * len(tagset) for _ in groups]
+    rows = list(map(shared.__getitem__, group_of))
     n = float(len(sweep))
     decay = 2.0 * config.l2_lambda
 
@@ -293,20 +310,21 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
 
     losses: list[float] = []
     for _ in range(config.epochs):
-        grad = [[0.0] * len(tagset) for _ in rows]
+        grad = [[0.0] * len(tagset) for _ in shared]
         total = 0.0
         log_ps = log_probs()
         probs = [list(map(math.exp, log_p)) for log_p in log_ps]
         for d, gold in sweep:
             total += log_ps[d][gold]
             p = probs[d]
-            for f in feature_lists[d]:
-                g = grad[f]
+            for k in group_lists[d]:
+                g = grad[k]
                 g[gold] += 1.0
-                grad[f] = list(map(sub, g, p))
+                grad[k] = list(map(sub, g, p))
         losses.append(loss(total))
-        rows = [[w + _STEP * (g / n - decay * w) for w, g in zip(w_row, g_row)]
-                for w_row, g_row in zip(rows, grad)]
+        shared = [[w + _STEP * (g / n - decay * w) for w, g in zip(w_row, g_row)]
+                  for w_row, g_row in zip(shared, grad)]
+        rows = list(map(shared.__getitem__, group_of))
     log_ps = log_probs()
     total = 0.0
     for d, gold in sweep:

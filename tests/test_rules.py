@@ -403,6 +403,7 @@ PLACEMENT_GRAMMARS = {
     "alias-chain-into-compose": ("$A$ = a <>:x | a b\n$B$ = $A$\n$B$ || a:c x:<> | b:b", 3),
     "union-into-compose": ("$A$ = a:<> <>:b | a:b\n$B$ = ( $A$ | c ) c\n$B$ || b:a c:c", 3),
     "compose-of-closures": ("$A$ = a:b | a <>:b <>:c\n$B$ = ( $A$ | c:a )*\n$B$ || b:c*", 5),
+    "closures-on-both-sides": ("$A$ = a | a b | b c\n$A$* x $A$+ || $A$*", 6),
 }
 
 
@@ -428,6 +429,30 @@ def test_where_definitions_are_minimized_changes_no_byte(monkeypatch, text, call
     minimized.clear()
     assert compiled(parse_rules(render_rules(inlined))) == want
     assert len(minimized) == calls
+
+
+def test_a_definition_under_three_closures_is_read_once(monkeypatch):
+    # fst.minimize keeps its result on the machine it was given, so the
+    # machine of $A$, the operand of all three closures, is read once;
+    # written out in full, the grammar builds and reads three copies
+    rule_file = parse_rules(PLACEMENT_GRAMMARS["closures-on-both-sides"][0])
+    read = []
+
+    def recording(a, eps_free_rows=fst._eps_free_rows):
+        read.append(a)
+        return eps_free_rows(a)
+
+    def compiled(rule_file):
+        read.clear()
+        return fst.to_bytes(rules.compile(rule_file, SymbolTable("abcx")))
+
+    monkeypatch.setattr(fst, "_eps_free_rows", recording)
+    want = compiled(_inlined(rule_file))
+    assert [m.state_count for m in read] == [11, 11, 11, 11, 5, 4]
+    assert compiled(rule_file) == want
+    # $A$, the left and the right operand of ||, and the result
+    assert [m.state_count for m in read] == [11, 11, 5, 4]
+    assert len({id(m) for m in read}) == len(read)
 
 
 @pytest.fixture

@@ -375,16 +375,55 @@ def _bits(values):
     TrainConfig(l2_lambda=0.0, epochs=3),
 ], ids=["epochs0", "epochs1", "epochs3", "lambda0"])
 def test_train_equals_reference_ascent(config):
-    model = train(toy_corpus(), config)
-    weights, losses = oracle.train_reference(toy_corpus(), config)
-    assert list(model.weights) == list(weights)
-    assert _bits(model.weights.values()) == _bits(weights.values())
-    assert _bits(model.loss_history) == _bits(losses)
-    # the trained model decodes from rows built from its weights
-    for sentence in toy_corpus().sentences:
-        tokens = [s for s, _ in sentence]
-        assert tagger._tag_tokens(model, None, tokens) == (
-            oracle.tag_tokens_reference(model, None, tokens, 3))
+    for corpus in (toy_corpus(), _grouped_corpus()):
+        model = train(corpus, config)
+        weights, losses = oracle.train_reference(corpus, config)
+        assert list(model.weights) == list(weights)
+        assert _bits(model.weights.values()) == _bits(weights.values())
+        assert _bits(model.loss_history) == _bits(losses)
+        # the trained model decodes from rows built from its weights
+        for sentence in corpus.sentences:
+            tokens = [s for s, _ in sentence]
+            assert tagger._tag_tokens(model, None, tokens) == (
+                oracle.tag_tokens_reference(model, None, tokens, 3))
+
+
+def _firing_groups(corpus):
+    """The features of `corpus`, grouped by the positions they fire at:
+    a tuple of positions -> its features, in the order they first fire."""
+    firing = {}
+    for position, (features, _) in enumerate(oracle._positions(corpus)):
+        for f in features:
+            firing.setdefault(f, []).append(position)
+    groups = {}
+    for f, positions in firing.items():
+        groups.setdefault(tuple(positions), []).append(f)
+    return groups
+
+
+def _grouped_corpus():
+    """`ab` twice between `cd` and `ef`: w:ab, pw:cd, nw:ef and more fire
+    together at two positions; s1:b and pt:X fire at `ab` and `cb` too."""
+    return TaggedCorpus.parse("cd/X ab/Y ef/X\ncd/X ab/Y ef/X cb/Y\n")
+
+
+def test_grouped_corpus_has_shared_and_overlapping_groups():
+    groups = _firing_groups(_grouped_corpus())
+    assert ["w:ab", "pw:cd", "nw:ef", "s2:ab", "s3:ab", "s4:ab", "p1:a"] in groups.values()
+    assert [positions for positions, features in groups.items() if "w:ab" in features] == [(1, 4)]
+    assert [positions for positions, features in groups.items() if "s1:b" in features] == [(1, 4, 6)]
+
+
+def test_features_that_fire_at_the_same_positions_train_identical_rows(mini_corpus, tag_model):
+    # why train may share one row per group: members of a group start at
+    # zero and get the same gradient at every epoch
+    groups = _firing_groups(mini_corpus)
+    assert (sum(map(len, groups.values())), len(groups)) == (709, 382)
+    for model in (train(mini_corpus, TrainConfig(epochs=5)), tag_model):
+        for features in groups.values():
+            rows = {tuple(model.weights[f"{f}:{t}"].hex() for t in model.tagset)
+                    for f in features}
+            assert len(rows) == 1, features
 
 
 def _pinned(before_312: str, from_312: str) -> str:
