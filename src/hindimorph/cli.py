@@ -3,7 +3,6 @@
 Subcommands::
 
     lexicon-extract <corpus> -o <out>        unique sorted word types
-    lexicon-stats --lexdir <dir>             per-class root counts
     compile -r <rules.mrl> -o <model.fst>
     analyze -m <model.fst> [--indecl <tsv>] [words...|-]
     generate -m <model.fst> [--indecl <tsv>] [lexical...|-]
@@ -27,7 +26,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from . import _text, fst, morph
@@ -58,21 +56,6 @@ def cmd_lexicon_extract(args) -> int:
     payload = "".join(w + "\n" for w in words).encode("utf-8")
     _text.write_atomic(args.output, payload)
     print(f"{len(words)} unique words -> {args.output}")
-    return 0
-
-
-def cmd_lexicon_stats(args) -> int:
-    from . import lexicon
-    lexdir = Path(args.lexdir)
-    if not lexdir.is_dir():
-        raise CliError(f"not a directory: {lexdir}")
-    roots = {cls: lexicon.read_lexicon_file(lexdir / f"{cls}.txt")
-             for cls in lexicon.WORD_CLASSES if (lexdir / f"{cls}.txt").is_file()}
-    if not roots:
-        raise CliError(f"no lexicon files found in {lexdir}")
-    for cls in lexicon.WORD_CLASSES:
-        print(f"{cls}: {len(roots.get(cls, ()))}")
-    print(f"total: {len(set().union(*roots.values()))}")  # a root in two classes counts once
     return 0
 
 
@@ -151,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_lexicon_extract)
-
-    p = sub.add_parser("lexicon-stats", help="per-class root counts for a lexicon directory")
-    p.add_argument("--lexdir", required=True)
-    p.set_defaults(func=cmd_lexicon_stats)
 
     p = sub.add_parser("compile", help="compile a rule file into a transducer model")
     p.add_argument("-r", "--rules", required=True)

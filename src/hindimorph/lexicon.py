@@ -7,11 +7,10 @@ A root list is a UTF-8 text file with one root per line::
 
 ``%`` starts a comment anywhere in a line.  A root list has no class
 column: a paradigm class is a root list of its own, which a grammar
-includes with ``#include``.  A lexicon directory holds one root list
-per word class, named by :data:`WORD_CLASSES`; ``adj_noun`` lists words
-that function as both adjective and noun.  A root list compiles to the
-minimal machine of its roots through :func:`fst.string_set`, which
-builds and folds their trie.
+includes with ``#include``.  A root list compiles to the minimal
+machine of its roots through :func:`fst.string_set`, which builds and
+folds their trie.  :func:`extract_unique_sorted` harvests a corpus's
+word types into a list that reads back as a root list.
 """
 
 from __future__ import annotations
@@ -35,21 +34,23 @@ class DuplicateRoot(LexiconError):
         self.line = line
 
 
-# The word classes of a lexicon directory: file stems, in print order.
-WORD_CLASSES = ("nouns", "pronouns", "adjectives", "verbs", "adverbs", "particles",
-                "adj_noun")
-
-# Punctuation treated as token boundaries when harvesting corpus text.
-PUNCTUATION = "।?!,\"'()"
+# Token boundaries when harvesting corpus text: punctuation, and the
+# characters a root list cannot hold as written (``%`` starts a comment,
+# ``<`` and ``>`` write tags, and a leading U+FEFF is read as a
+# byte-order mark).
+PUNCTUATION = "।?!,\"'()%<>\ufeff"
 _PUNCT_TRANS = str.maketrans({c: " " for c in PUNCTUATION})
 
 
 def extract_unique_sorted(corpus: str) -> list[str]:
     """Unique word types of a raw corpus text, sorted by Unicode scalar values.
 
-    Tokens split on whitespace and on punctuation characters (danda,
-    question/exclamation marks, commas, quotes, parentheses are
-    dropped).  The text is NFC-normalized before deduplication.
+    Tokens split on whitespace and on the characters of
+    :data:`PUNCTUATION`, which are dropped: danda, question and
+    exclamation marks, commas, quotes, parentheses, and ``%``, ``<``,
+    ``>`` and U+FEFF, so that each word, written one per line, reads
+    back unchanged through :func:`read_lexicon_file`.  The text is
+    NFC-normalized before deduplication.
     """
     normalized = unicodedata.normalize("NFC", corpus)
     return sorted(set(normalized.translate(_PUNCT_TRANS).split()))

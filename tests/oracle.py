@@ -6,6 +6,9 @@ collected by naively walking arcs and concatenating symbol strings, and
 the algebra operations are recomputed on plain Python sets.  Nothing in
 this module calls back into the library's own closure/compose/apply
 logic, so agreement between the two is meaningful.
+``remove_epsilons_reference`` walks each state's (epsilon, epsilon)
+closure here, so the normalization references share no epsilon removal
+with ``fst.minimize``.
 
 ``minimize_reference`` keeps the earlier normalization pipeline
 (subset construction, trimming and Moore refinement, each building a
@@ -39,8 +42,7 @@ import unicodedata
 from collections import deque
 
 from hindimorph import tagger
-from hindimorph.fst import (EPSILON, EpsilonCycle, SymbolTable, Transducer, build,
-                            remove_epsilons, scan)
+from hindimorph.fst import EPSILON, EpsilonCycle, SymbolTable, Transducer, build, scan
 
 ALPHABET = ("a", "b", "c")
 
@@ -326,9 +328,32 @@ def mfst_fields(data: bytes) -> tuple[list[str], int, int, list[int],
 # normalization reference
 
 
+def remove_epsilons_reference(a: Transducer) -> Transducer:
+    """Each state's (epsilon, epsilon) closure, walked over :func:`out_arcs`:
+    the state is final when its closure holds a final state, and its arcs
+    are the real arcs of its whole closure."""
+    a_arcs = out_arcs(a)
+    finals: set[int] = set()
+    arcs: set[tuple[int, int, int, int]] = set()
+    for s in range(a.state_count):
+        closure = {s}
+        stack = [s]
+        while stack:
+            for arc in a_arcs[stack.pop()]:
+                if arc.ilab == arc.olab == EPSILON and arc.dst not in closure:
+                    closure.add(arc.dst)
+                    stack.append(arc.dst)
+        if closure & a.finals:
+            finals.add(s)
+        arcs.update((s, arc.ilab, arc.olab, arc.dst) for t in closure for arc in a_arcs[t]
+                    if arc.ilab != EPSILON or arc.olab != EPSILON)
+    return build(a.state_count, a.start, finals, sorted(arcs), a.symbols)
+
+
 def determinize_reference(a: Transducer) -> Transducer:
-    """Subset construction over the pair alphabet, one arc list per subset."""
-    a = remove_epsilons(a)
+    """Subset construction over the pair alphabet, one arc list per subset,
+    on the machine of :func:`remove_epsilons_reference`."""
+    a = remove_epsilons_reference(a)
     a_arcs = out_arcs(a)
     start = frozenset([a.start])
     ids: dict[frozenset[int], int] = {start: 0}

@@ -515,6 +515,23 @@ def test_lexicon_extract(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_extracted_words_compile_as_a_root_list(capsys, tmp_path):
+    # % would start a comment in a root list, and < > would write tags:
+    # the extractor splits at them, so every word it writes is a root
+    corpus = tmp_path / "raw.txt"
+    corpus.write_text("आम 50% छूट <b>नया</b> माल।\n", encoding="utf-8")
+    words = tmp_path / "words.txt"
+    assert run(capsys, ["lexicon-extract", str(corpus), "-o", str(words)])[0] == 0
+    expected = ["/b", "50", "b", "आम", "छूट", "नया", "माल"]
+    assert words.read_text(encoding="utf-8") == "".join(w + "\n" for w in expected)
+    (tmp_path / "r.mrl").write_text('( #include "words.txt" ) <W>:<>\n', encoding="utf-8")
+    out = tmp_path / "out.fst"
+    rc, _, stderr = run(capsys, ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)])
+    assert (rc, stderr) == (0, "")
+    rc, stdout, _ = run(capsys, ["analyze", "-m", str(out), *expected])
+    assert (rc, stdout) == (0, "".join(f"{w}\t{w}<W>\n" for w in expected))
+
+
 @pytest.mark.parametrize("mask", [0o022, 0o027], ids=oct)
 def test_output_files_get_the_umask_mode(capsys, tmp_path, grammar, tag_model, mask):
     corpus = tmp_path / "raw.txt"
@@ -554,20 +571,6 @@ def test_invalid_utf8_input_is_a_domain_error(capsys, tmp_path, fst_file, comman
     assert not (tmp_path / "out").exists()
 
 
-def test_lexicon_stats_on_bundled_data(capsys):
-    rc, stdout, _ = run(capsys, ["lexicon-stats", "--lexdir", str(data_path("lex"))])
-    assert rc == 0
-    assert stdout == (
-        "nouns: 16\n"
-        "pronouns: 6\n"
-        "adjectives: 7\n"
-        "verbs: 6\n"
-        "adverbs: 3\n"
-        "particles: 3\n"
-        "adj_noun: 1\n"
-        "total: 41\n")
-
-
 # (bad second line of a root list, the reader's message); the first line is घर
 ROOT_LIST_ERRORS = {
     "tab-middle": ("जा\tirr", "verbs.txt:2: TAB in a root (one root per line)"),
@@ -580,55 +583,26 @@ ROOT_LIST_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("command", ["compile", "lexicon-stats"])
-@pytest.mark.parametrize("line, message", ROOT_LIST_ERRORS.values(), ids=ROOT_LIST_ERRORS)
-def test_root_list_errors(capsys, tmp_path, command, line, message):
-    # one reader checks a root list, whether a rule file includes it or a
-    # lexicon directory holds it
+@pytest.mark.parametrize("line, message", ROOT_LIST_ERRORS.values(),
+                         ids=[f"{case}-compile" for case in ROOT_LIST_ERRORS])
+def test_root_list_errors(capsys, tmp_path, line, message):
+    # a rule file's #include reads the root list through the one reader
     (tmp_path / "verbs.txt").write_text(f"घर\n{line}\n", encoding="utf-8")
     (tmp_path / "r.mrl").write_text('#include "verbs.txt" <Verb>:<>\n', encoding="utf-8")
     out = tmp_path / "out.fst"
-    argv = {"compile": ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)],
-            "lexicon-stats": ["lexicon-stats", "--lexdir", str(tmp_path)]}[command]
-    rc, stdout, stderr = run(capsys, argv)
-    assert (rc, stdout, stderr) == (1, "", f"hindimorph {command}: error: {message}\n")
+    rc, stdout, stderr = run(capsys, ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)])
+    assert (rc, stdout, stderr) == (1, "", f"hindimorph compile: error: {message}\n")
     assert not out.exists()
-
-
-def test_lexicon_stats_counts_a_shared_root_once(capsys, tmp_path):
-    for cls, roots in {"nouns": "घर\nआम\n", "adjectives": "बड़ा\n", "adj_noun": "आम\n"}.items():
-        (tmp_path / f"{cls}.txt").write_text(roots, encoding="utf-8")
-    rc, stdout, stderr = run(capsys, ["lexicon-stats", "--lexdir", str(tmp_path)])
-    assert (rc, stderr) == (0, "")
-    assert stdout == ("nouns: 2\npronouns: 0\nadjectives: 1\nverbs: 0\n"
-                      "adverbs: 0\nparticles: 0\nadj_noun: 1\ntotal: 3\n")
 
 
 def test_root_comment_starts_at_percent(capsys, tmp_path):
     # "घर   % a noun" is the root घर, as a rule line would read it
     (tmp_path / "nouns.txt").write_text("घर   % a noun\n", encoding="utf-8")
-    (tmp_path / "adj_noun.txt").write_text("घर\n", encoding="utf-8")
     (tmp_path / "r.mrl").write_text('#include "nouns.txt" <N>:<>\n', encoding="utf-8")
     out = tmp_path / "out.fst"
     assert run(capsys, ["compile", "-r", str(tmp_path / "r.mrl"), "-o", str(out)])[0] == 0
     rc, stdout, _ = run(capsys, ["analyze", "-m", str(out), "घर"])
     assert (rc, stdout) == (0, "घर\tघर<N>\n")
-    rc, stdout, _ = run(capsys, ["lexicon-stats", "--lexdir", str(tmp_path)])
-    assert (rc, stdout.splitlines()[0], stdout.splitlines()[-1]) == (0, "nouns: 1", "total: 1")
-
-
-def test_lexicon_stats_empty_directory(capsys, tmp_path):
-    rc, stdout, stderr = run(capsys, ["lexicon-stats", "--lexdir", str(tmp_path)])
-    assert rc == 1
-    assert "no lexicon files found" in stderr
-
-
-def test_lexicon_stats_not_a_directory(capsys, tmp_path):
-    file = tmp_path / "file.txt"
-    file.write_text("x", encoding="utf-8")
-    rc, stdout, stderr = run(capsys, ["lexicon-stats", "--lexdir", str(file)])
-    assert rc == 1
-    assert "not a directory" in stderr
 
 
 # --- argument handling -------------------------------------------------------

@@ -53,6 +53,20 @@ def test_extract_no_duplicates_strictly_increasing():
     assert all(a < b for a, b in zip(words, words[1:]))
 
 
+def test_extracted_words_read_back_as_a_root_list(tmp_path):
+    # letters, combining marks (nukta, a vowel sign, virama, an accent),
+    # the characters a root list reads specially, and whitespace
+    pool = ["क", "अ", "आ", "5", "a", "\u093c", "\u093e", "\u094d", "\u0301",
+            "%", "<", ">", "।", "\ufeff", "\r", "\t", " ", "\n"]
+    rng = random.Random(20121)
+    path = tmp_path / "words.txt"
+    for _ in range(1000):
+        text = "".join(rng.choices(pool, k=rng.randrange(1, 24)))
+        words = extract_unique_sorted(text)
+        path.write_bytes("".join(w + "\n" for w in words).encode("utf-8"))
+        assert read_lexicon_file(path) == words, text
+
+
 # ---------------------------------------------------------------------------
 # lexicon files
 
