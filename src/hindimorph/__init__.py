@@ -9,13 +9,13 @@ Subpackage map:
 
 - :mod:`hindimorph.fst` - transducer data structures and algebra
 - :mod:`hindimorph.rules` - the rule language and its compiler
-- :mod:`hindimorph.lexicon` - root-word lexicon files and tries
+- :mod:`hindimorph.lexicon` - root lists, their machines, and corpus word extraction
 - :mod:`hindimorph.morph` - analysis/generation over a compiled grammar
 - :mod:`hindimorph.tagger` - log-linear POS tagging
 - :mod:`hindimorph.cli` - the ``hindimorph`` command
 
-A small demonstration grammar, lexicon, indeclinable dictionary, and
-tagged mini-corpus ship under :func:`data_path`.
+A small demonstration grammar with its root list, an indeclinable
+dictionary, and a tagged mini-corpus ship under :func:`data_path`.
 """
 
 from __future__ import annotations

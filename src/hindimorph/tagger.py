@@ -5,8 +5,10 @@ The model is a conditional log-linear classifier per token,
     p(t | h) = exp(w . f(h, t)) / sum_t' exp(w . f(h, t')),
 
 trained by full-batch gradient ascent on the mean per-token
-log-likelihood minus an L2 penalty.  Decoding is a beam search of width
-3 over tag sequences conditioned on the previous tag.  Words never seen in
+log-likelihood minus an L2 penalty.  The model is first-order (a
+position's scores read the previous tag and no earlier one), so decoding
+is exact: Viterbi search over each token's candidate tags, with ties
+broken toward the path first in tagset-index order.  Words never seen in
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
 
@@ -25,7 +27,7 @@ import struct
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import sub
+from operator import add, sub
 from pathlib import Path
 from typing import Sequence
 
@@ -40,10 +42,6 @@ PUNCT_CHARS = frozenset("।?!,")
 # A model keeps the decode entries of at most this many distinct words;
 # a miss on a full memo clears it first.
 _MEMO_WORDS = 4096
-# Tag sequences kept per position while decoding.  On the bundled corpus
-# this width tags every held-out token as exact Viterbi decoding does,
-# which costs more: it scores every candidate of the previous token.
-_BEAM = 3
 
 # String-payload feature templates plus the two always-on boolean flags.
 TEMPLATES = ("w", "pw", "nw", "pt", "s1", "s2", "s3", "s4", "p1", "punct", "dig")
@@ -180,11 +178,11 @@ class TagModel:
     # The decode tables, built from `weights` when the model is made;
     # later edits to `weights` are not seen by decoding.
     _rows: _Tables = field(init=False, repr=False, compare=False)
-    # Word -> its candidate tag indices and feature rows, filled by
+    # Word -> its decode entry (see _tag_tokens), filled by
     # decoding with the morph model `_entries_morph`, reset when a decode
     # passes another and, like `_rows`, blind to later edits of either.
     # It holds the morph model itself, so no later one can take its id.
-    _entries: dict[str, tuple[tuple[int, ...], list[list[float]]]] = field(
+    _entries: dict[str, tuple[tuple[int, ...], list[float], list[float], list[float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _entries_morph: morph.MorphModel | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -249,7 +247,9 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     deterministic.  The returned model records the loss (the L2 penalty
     minus the mean per-token log-likelihood) before each epoch and after
     the last one in ``loss_history``.  Raises :class:`TaggerError` unless
-    ``epochs >= 0`` and ``l2_lambda`` is finite and ``>= 0``.
+    ``epochs >= 0`` and ``l2_lambda`` is finite and ``>= 0``, and when the
+    last loss is not at most the first: a large ``l2_lambda`` makes the
+    fixed step overshoot, and the loss then grows without bound.
     """
     config = config or TrainConfig()
     if config.epochs < 0:
@@ -330,6 +330,9 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     for d, gold in sweep:
         total += log_ps[d][gold]
     losses.append(loss(total))
+    if not losses[-1] <= losses[0]:  # a NaN loss fails this too
+        raise TaggerError(f"training diverged (loss {losses[0]:.6g} -> {losses[-1]:.6g}): "
+                          f"l2_lambda {config.l2_lambda} is too large for the step {_STEP}")
 
     weights: dict[str, float] = {}
     if config.epochs:  # with no step taken there is no weight, not even a zero one
@@ -370,19 +373,21 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
 
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 tokens: Sequence[str]) -> list[str]:
-    """Beam-search decode, keeping the :data:`_BEAM` best tag sequences
-    per position; ties break toward earlier tagset order.
+    """Exact Viterbi decode over each token's candidate tags; among paths
+    of equal score, the one first in tagset-index order wins.
 
-    Each position's rows are its token's own rows, its neighbours' rows
-    as previous and next word, and the previous tag's row, in the order
-    of :func:`extract_features`.  The log-probabilities are computed once
-    per distinct previous tag among the beam entries.  A beam entry is
-    its negated score and its path of tag indices, so sorting the entries
-    orders them best first.
+    A word's entry is its candidate tag indices, the column sums (from 0,
+    in :func:`extract_features` order) of its own rows, those of w:, s1:
+    to s4:, p1:, punct: and dig:, and its rows as a neighbour's pw: and
+    nw:.  A position's score for a previous tag is ``((own + pw of the
+    previous word) + nw of the next word) + pt: of that tag``, turned
+    into log-probabilities as :func:`_row_log_probs` does.  For each
+    candidate the search keeps the least ``(negated score, path of tag
+    indices)`` over the previous token's candidates.
 
-    Each word's entry (its candidate tags and its own rows) is kept on
-    the model for up to :data:`_MEMO_WORDS` words, with the morph model
-    it was built with; a decode with another morph model starts afresh.
+    Each word's entry is kept on the model for up to :data:`_MEMO_WORDS`
+    words, with the morph model it was built with; a decode with another
+    morph model starts afresh.
     """
     index, zero, prev_tag_rows, start, end = model._rows
     if morph_model is not model._entries_morph:
@@ -395,37 +400,39 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
             allowed = candidate_tags(model, morph_model, word)
             # Between two copies of itself, the token fires its own features
             # and, as pw: and nw:, those its neighbours fire for it.
+            rows = [index.get(f, zero) for f in extract_features((word,) * 3, 1, BOUNDARY_TAG)]
+            own = [sum(c) for c in zip(*rows[:_PREV_WORD_SLOT], *rows[_PREV_TAG_SLOT + 1:])]
             entry = (tuple(k for k, t in enumerate(model.tagset) if t in allowed),
-                     [index.get(f, zero) for f in extract_features((word,) * 3, 1, BOUNDARY_TAG)])
+                     own, rows[_PREV_WORD_SLOT], rows[_NEXT_WORD_SLOT])
             if len(memo) >= _MEMO_WORDS:
                 memo.clear()
             memo[word] = entry
         entries.append(entry)
-    last = len(entries) - 1
-    beams: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
-    for i, (cands, own) in enumerate(entries):
-        rows = own.copy()
-        rows[_PREV_WORD_SLOT] = entries[i - 1][1][_PREV_WORD_SLOT] if i else start
-        rows[_NEXT_WORD_SLOT] = entries[i + 1][1][_NEXT_WORD_SLOT] if i < last else end
-        by_prev: dict[int, list[float]] = {}
-        expanded = []
-        for neg_score, path in beams:
-            prev = path[-1] if path else -1
-            log_p = by_prev.get(prev)
-            if log_p is None:
-                rows[_PREV_TAG_SLOT] = prev_tag_rows[prev]
-                log_p = by_prev[prev] = _row_log_probs(rows)
+    # tag index -> the best (negated score, path) ending in it; -1 is the start
+    best: dict[int, tuple[float, tuple[int, ...]]] = {-1: (0.0, ())}
+    # each entry between its neighbours, where the sentence's start and end
+    # give the first word's pw: row and the last word's nw: row
+    padded = [((), zero, start, zero), *entries, ((), zero, zero, end)]
+    for (_, _, pw, _), (cands, own, _, _), (_, _, _, nw) in zip(padded, entries, padded[2:]):
+        base = [o + p + n for o, p, n in zip(own, pw, nw)]
+        step: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for prev, (neg_score, path) in best.items():
+            scores = list(map(add, base, prev_tag_rows[prev]))
+            peak = max(scores)  # as in _row_log_probs
+            log_z = peak + math.log(sum(math.exp(s - peak) for s in scores))
             for k in cands:
-                expanded.append((neg_score - log_p[k], path + (k,)))
-        expanded.sort()
-        beams = expanded[:_BEAM]
-    return [model.tagset[k] for k in beams[0][1]]
+                item = (neg_score - (scores[k] - log_z), path + (k,))
+                if k not in step or item < step[k]:
+                    step[k] = item
+        best = step
+    return [model.tagset[k] for k in min(best.values())[1]]
 
 
 def tag(model: TagModel, morph_model: morph.MorphModel | None,
         sentence: str) -> list[tuple[str, str]]:
-    """Tokenize and tag a raw sentence with the width-3 beam of
-    :func:`_tag_tokens`."""
+    """Tokenize and tag a raw sentence with the exact Viterbi decode of
+    :func:`_tag_tokens`: the best-scoring tag path, ties broken toward
+    the path first in tagset-index order."""
     tokens = tokenize_sentence(sentence)
     return list(zip(tokens, _tag_tokens(model, morph_model, tokens)))
 

@@ -22,10 +22,11 @@ Machines are walked through :func:`out_arcs`, per-state arc lists
 built here from ``Transducer.arcs``, not through the library's arc index.
 
 The tagger's reference definitions live here: :func:`objective`,
-:func:`gradient` and :func:`_log_probs` read the string-keyed weight dict
-``template:value:tag`` feature by feature, never the library's feature
-rows, and ``train_reference`` and ``tag_tokens_reference`` train and
-decode with them.
+:func:`gradient`, :func:`_log_probs` and :func:`tag_tokens_reference`
+read the string-keyed weight dict ``template:value:tag`` feature by
+feature, never the library's feature rows; ``train_reference`` trains
+with the first two, and ``tag_tokens_reference`` decodes by trying
+every path.
 ``tokenize_reference`` tokenizes with a character loop over the
 ``str.split()`` chunks, not with the library's regular expression.
 ``parse_analysis_reference`` reads ``root<Tag>...`` with regular
@@ -606,19 +607,47 @@ def train_reference(corpus: tagger.TaggedCorpus,
     return weights, losses
 
 
-def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens, beam: int) -> list[str]:
-    """Beam decode that extracts and scores features anew for every beam entry."""
+def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens) -> list[str]:
+    """Exhaustive decode: the best of every path through the tokens'
+    candidate tags, ties broken toward the path first in tagset order.
+
+    A position's score for tag t sums, from 0, the weights of the token's
+    own features in ``extract_features`` order, then adds those of pw:,
+    nw: and pt:, one at a time; a path's negated score subtracts each
+    position's log-probability in turn.  Paths are walked depth first,
+    so paths that share a prefix share its score, and the
+    log-probabilities of each position and previous tag are computed once.
+    """
     tag_index = {t: i for i, t in enumerate(model.tagset)}
-    beams: list[tuple[float, tuple[str, ...], tuple[int, ...]]] = [(0.0, (), ())]
-    for i, token in enumerate(tokens):
-        cands = tagger.candidate_tags(model, morph_model, token)
-        expanded = []
-        for score, tags, path in beams:
-            prev_tag = tags[-1] if tags else tagger.BOUNDARY_TAG
-            feats = tagger.extract_features(tokens, i, prev_tag)
-            log_p = _log_probs(model.weights, feats, model.tagset)
-            for t in cands:
-                expanded.append((score + log_p[t], tags + (t,), path + (tag_index[t],)))
-        expanded.sort(key=lambda item: (-item[0], item[2]))
-        beams = expanded[:beam]
-    return list(beams[0][1])
+    cands = [tagger.candidate_tags(model, morph_model, token) for token in tokens]
+    log_ps: dict[tuple[int, str], dict[str, float]] = {}
+    best = (math.inf, ())
+
+    def log_probs(i: int, prev_tag: str) -> dict[str, float]:
+        own, context = [], []  # context: pw:, nw: and pt:, in that order
+        for f in tagger.extract_features(tokens, i, prev_tag):
+            (context if f.partition(":")[0] in ("pw", "nw", "pt") else own).append(f)
+        scores = {}
+        for t in model.tagset:
+            score = sum(model.weights.get(f"{f}:{t}", 0.0) for f in own)
+            for f in context:
+                score += model.weights.get(f"{f}:{t}", 0.0)
+            scores[t] = score
+        peak = max(scores.values())
+        log_z = peak + math.log(sum(math.exp(s - peak) for s in scores.values()))
+        return {t: s - log_z for t, s in scores.items()}
+
+    def walk(neg_score: float, path: tuple[int, ...]) -> None:
+        nonlocal best
+        i = len(path)
+        if i == len(tokens):
+            best = min(best, (neg_score, path))
+            return
+        key = (i, model.tagset[path[-1]] if path else tagger.BOUNDARY_TAG)
+        if key not in log_ps:
+            log_ps[key] = log_probs(*key)
+        for t in cands[i]:
+            walk(neg_score - log_ps[key][t], path + (tag_index[t],))
+
+    walk(0.0, ())
+    return [model.tagset[k] for k in best[1]]

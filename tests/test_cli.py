@@ -379,14 +379,27 @@ def test_train_has_no_step_option(capsys, tmp_path):
 
 def test_train_refuses_to_save_non_finite_weights(capsys, tmp_path):
     # a huge prior makes each step overshoot zero by more than the last
-    # until the weights overflow; the file would not load, so none is written
+    # until the weights overflow; the loss ends NaN, so training refuses
+    # the model and no file is written
     out = tmp_path / "m.tag"
     rc, stdout, stderr = run(capsys, [
         "train", "-c", str(data_path("tagged_mini.txt")), "-o", str(out),
         "--epochs", "5", "--lambda", "1e300"])
     assert rc == 1
     assert stdout == ""
-    assert stderr.startswith("hindimorph train: error: tagger model weights are not finite: ")
+    assert stderr.startswith("hindimorph train: error: training diverged (loss 2.30259 -> nan): ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_refuses_a_diverged_model(capsys, tmp_path):
+    # at l2_lambda 12 the weights stay finite, but the loss grows to 3e27
+    out = tmp_path / "m.tag"
+    rc, stdout, stderr = run(capsys, [
+        "train", "-c", str(data_path("tagged_mini.txt")), "-o", str(out), "--lambda", "12"])
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("hindimorph train: error: training diverged ")
+    assert "l2_lambda 12.0 is too large" in stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -627,7 +640,7 @@ def test_missing_required_option_is_a_usage_error(capsys):
 
 
 def test_tag_beam_option_is_a_usage_error(capsys, tag_file, fst_file):
-    # the beam width is fixed at 3
+    # decoding is exact Viterbi search: it has no width to set
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["tag", "-m", str(tag_file), "-f", str(fst_file), "--beam", "3", "आम"])
     assert excinfo.value.code == 2

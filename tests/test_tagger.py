@@ -330,6 +330,15 @@ def test_train_rejects_invalid_config(config):
         train(toy_corpus(), config)
 
 
+def test_train_refuses_a_diverged_model(mini_corpus):
+    # on the bundled corpus the fixed step diverges once l2_lambda passes
+    # about 9.9: at 12 the loss ends near 3e27, from log(10) at zero weights
+    with pytest.raises(TaggerError, match=r"training diverged .*l2_lambda 12\.0 "):
+        train(mini_corpus, TrainConfig(l2_lambda=12.0, epochs=100))
+    model = train(mini_corpus, TrainConfig(l2_lambda=9.5, epochs=100))
+    assert model.loss_history[-1] <= model.loss_history[0]
+
+
 def test_train_config_has_no_step():
     # the step is the constant tagger._STEP; only the prior and the
     # epoch count are settings
@@ -385,7 +394,7 @@ def test_train_equals_reference_ascent(config):
         for sentence in corpus.sentences:
             tokens = [s for s, _ in sentence]
             assert tagger._tag_tokens(model, None, tokens) == (
-                oracle.tag_tokens_reference(model, None, tokens, 3))
+                oracle.tag_tokens_reference(model, None, tokens))
 
 
 def _firing_groups(corpus):
@@ -592,18 +601,54 @@ def test_decode_equals_string_keyed_reference(tag_model, morph_model, mini_corpu
     sentences = _substituted_sentences(mini_corpus)
     assert sum(t in UNKNOWN_WORDS for s in sentences for t in s) >= 100
     # the second pass keeps the entries of only two words, so the decoder
-    # drops them within a sentence; widths 1 and 5 check the pruning and
-    # its ties on either side of the decoder's fixed width
+    # drops them within a sentence
     for memo_words in (tagger._MEMO_WORDS, 2):
         monkeypatch.setattr(tagger, "_MEMO_WORDS", memo_words)
         # fresh models, so each pass starts from an empty memo
         for model in (dataclasses.replace(tag_model), model_from_bytes(blob)):
-            for beam in (1, tagger._BEAM, 5):
-                monkeypatch.setattr(tagger, "_BEAM", beam)
-                for tokens in sentences:
-                    assert tagger._tag_tokens(model, morph_model, tokens) == (
-                        oracle.tag_tokens_reference(model, morph_model, tokens, beam))
-                    assert len(model._entries) <= memo_words
+            for tokens in sentences:
+                assert tagger._tag_tokens(model, morph_model, tokens) == (
+                    oracle.tag_tokens_reference(model, morph_model, tokens))
+                assert len(model._entries) <= memo_words
+
+
+def _random_model(rng):
+    """A model with 8 tags, Gaussian weights of a random spread on most of
+    the features its vocabulary fires, some dictionary words with one or
+    two tags, and a sentence of 2 to 5 of its words."""
+    tagset = tuple(f"T{k}" for k in range(8))
+    words = ["".join(rng.choice("ab1।") for _ in range(rng.randint(1, 3))) for _ in range(5)]
+    features = {tagger._START, tagger._END}
+    for word in words:
+        for prev_tag in (*tagset, tagger.BOUNDARY_TAG):
+            features.update(tagger.extract_features((word,) * 3, 1, prev_tag))
+    sigma = rng.uniform(0.5, 4.0)
+    weights = {f"{f}:{t}": rng.gauss(0.0, sigma) for f in sorted(features) for t in tagset
+               if rng.random() < 0.9}
+    dictionary = {w: frozenset(rng.sample(tagset, rng.randint(1, 2)))
+                  for w in words if rng.random() < 0.4}
+    tokens = [rng.choice(words) for _ in range(rng.randint(2, 5))]
+    return TagModel(tagset, weights, dictionary, 0.1), tokens
+
+
+def test_decode_is_exact(mini_corpus, morph_model):
+    # On models far from the trained one, a search that keeps only a few
+    # paths per position loses the best path now and then; the decode must
+    # find it, with ties broken toward the path first in tagset order.
+    rng = random.Random(2003)
+    for _ in range(200):
+        model, tokens = _random_model(rng)
+        assert tagger._tag_tokens(model, None, tokens) == (
+            oracle.tag_tokens_reference(model, None, tokens))
+    # with no weights every path ties, so each token takes its first
+    # candidate; without its final punctuation a sentence ends on a word
+    # that has more than one
+    zero = train(mini_corpus, TrainConfig(epochs=0))
+    for sentence in _substituted_sentences(mini_corpus):
+        for tokens in (sentence, sentence[:-1]):
+            first = [candidate_tags(zero, morph_model, token)[0] for token in tokens]
+            assert tagger._tag_tokens(zero, morph_model, tokens) == first
+            assert oracle.tag_tokens_reference(zero, morph_model, tokens) == first
 
 
 def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpus):
@@ -616,7 +661,7 @@ def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpu
     for fallback in (morph_model, None, morph_model):
         for tokens in sentences:
             assert tagger._tag_tokens(model, fallback, tokens) == (
-                oracle.tag_tokens_reference(model, fallback, tokens, 3))
+                oracle.tag_tokens_reference(model, fallback, tokens))
         fresh = model_from_bytes(model_to_bytes(tag_model))
         for tokens in sentences:
             tagger._tag_tokens(fresh, fallback, tokens)
@@ -639,7 +684,7 @@ def test_decode_tokens_whose_flag_disagrees_with_their_surface(tag_model, morph_
     model = model_from_bytes(model_to_bytes(tag_model))
     for _ in range(2):  # the second decode reads the memo
         assert tagger._tag_tokens(model, morph_model, tokens) == (
-            oracle.tag_tokens_reference(model, morph_model, tokens, 3))
+            oracle.tag_tokens_reference(model, morph_model, tokens))
 
 
 def test_decode_memo_keeps_a_dictionary_word_that_is_not_nfc(morph_model):
@@ -652,7 +697,7 @@ def test_decode_memo_keeps_a_dictionary_word_that_is_not_nfc(morph_model):
     for fallback in (morph_model, None):
         for _ in range(2):  # the second decode reads the memo
             assert tagger._tag_tokens(model, fallback, tokens) == (
-                oracle.tag_tokens_reference(model, fallback, tokens, 3))
+                oracle.tag_tokens_reference(model, fallback, tokens))
         assert list(model._entries) == [word]
     # without a grammar the missed word opens the whole tagset
     assert model._entries[word][0] == tuple(range(len(MINI_TAGSET)))
