@@ -9,6 +9,14 @@ from array import array
 _U32 = struct.Struct("<I")
 
 
+def little_endian(values: array) -> array:
+    """`values` itself, its items swapped on a big-endian host: the native
+    array of a little-endian block, and the little-endian block of one."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
 def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return _U32.pack(len(raw)) + raw
@@ -22,9 +30,7 @@ def pack_float_map(mapping: dict[str, float], error: type[Exception], what: str)
     if block.count(b"\n") > max(len(keys) - 1, 0):
         bad = next(key for key in keys if "\n" in key)
         raise error(f"{what} {bad!r} holds a newline")
-    values = array("d", map(mapping.__getitem__, keys))
-    if sys.byteorder == "big":
-        values.byteswap()
+    values = little_endian(array("d", map(mapping.__getitem__, keys)))
     return struct.pack("<II", len(keys), len(block)) + block + values.tobytes()
 
 
@@ -86,10 +92,7 @@ class Reader:
         if len(keys) != count:
             raise self._error(
                 f"{self._kind} file counts {count} {what}s but its key block holds {len(keys)}")
-        values = array("d", self.take(8 * count))
-        if sys.byteorder == "big":
-            values.byteswap()
-        result = dict(zip(keys, values))
+        result = dict(zip(keys, little_endian(array("d", self.take(8 * count)))))
         if len(result) != count:
             seen: set[str] = set()
             for key in keys:

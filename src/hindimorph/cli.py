@@ -140,18 +140,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("analyze", help="analyze surface words")
-    p.add_argument("-m", "--model", required=True)
-    p.add_argument("--indecl", default=None,
-                   help="indeclinable dictionary (word<TAB>analysis)")
+    # the options that several subcommands share, each declared once
+    indecl = argparse.ArgumentParser(add_help=False)
+    indecl.add_argument("--indecl", default=None,
+                        help="indeclinable dictionary (word<TAB>analysis)")
+    lookup = argparse.ArgumentParser(add_help=False)
+    lookup.add_argument("-m", "--model", required=True)
+    tagging = argparse.ArgumentParser(add_help=False)
+    tagging.add_argument("-m", "--model", required=True, help="tagger model file")
+    tagging.add_argument("-f", "--fst", required=True, help="morphology transducer file")
+
+    p = sub.add_parser("analyze", parents=[lookup, indecl], help="analyze surface words")
     p.add_argument("words", nargs="*",
                    help="words to analyze; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("generate", help="generate surface forms from lexical strings")
-    p.add_argument("-m", "--model", required=True)
-    p.add_argument("--indecl", default=None,
-                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
+    p = sub.add_parser("generate", parents=[lookup, indecl],
+                       help="generate surface forms from lexical strings")
     p.add_argument("lexical", nargs="*",
                    help="lexical strings; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_generate)
@@ -163,20 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tag", help="tag sentences")
-    p.add_argument("-m", "--model", required=True, help="tagger model file")
-    p.add_argument("-f", "--fst", required=True, help="morphology transducer file")
-    p.add_argument("--indecl", default=None,
-                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
+    p = sub.add_parser("tag", parents=[tagging, indecl], help="tag sentences")
     p.add_argument("sentence", nargs="*",
                    help="sentences; '-' or none reads stdin lines")
     p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("eval", help="evaluate the tagger against a gold corpus")
-    p.add_argument("-m", "--model", required=True, help="tagger model file")
-    p.add_argument("-f", "--fst", required=True, help="morphology transducer file")
-    p.add_argument("--indecl", default=None,
-                   help="indeclinable dictionary (word<TAB>analysis), as for analyze")
+    p = sub.add_parser("eval", parents=[tagging, indecl],
+                       help="evaluate the tagger against a gold corpus")
     p.add_argument("-c", "--corpus", required=True, help="gold tagged corpus")
     p.set_defaults(func=cmd_eval)
     return parser

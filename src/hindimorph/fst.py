@@ -20,7 +20,6 @@ it is what the minimizer and the serialized models rely on.
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from . import _text
-from ._binary import Reader, pack_str
+from ._binary import Reader, little_endian, pack_str
 
 EPSILON = 0
 EPSILON_SYMBOL = "<>"
@@ -1001,14 +1000,12 @@ def to_bytes(a: Transducer) -> bytes:
     block = array("I", bytes(16 * n_arcs))
     for k, col in enumerate(a._cols):
         block[k::4] = col
-    if sys.byteorder == "big":
-        block.byteswap()
     blob = b"".join([
         MAGIC, struct.pack("<HI", FORMAT_VERSION, len(packed)),
         *packed,
         struct.pack(f"<{4 + len(finals)}I", a.state_count, a.start,
                     len(finals), *finals, n_arcs),
-        block.tobytes(),
+        little_endian(block).tobytes(),
     ])
     if a.state_count > len(blob):  # from_bytes would refuse it; trimmed machines fit
         raise FstError(f"{a.state_count} states in a {len(blob)}-byte file; trim the machine")
@@ -1040,12 +1037,10 @@ def from_bytes(data: bytes) -> Transducer:
             raise FstError(f"duplicate symbol entry {sym!r}")
     state_count, start = reader.unpack("<II")
     finals = [f for (f,) in reader.array("<I")]
-    block = array("I", reader.take(16 * reader.u32()))
+    block = little_endian(array("I", reader.take(16 * reader.u32())))
     reader.finish()
     if state_count > len(data):
         raise FstError(f"transducer file declares {state_count} states in {len(data)} bytes")
-    if sys.byteorder == "big":
-        block.byteswap()
     cols = in_file = tuple(block[k::4] for k in range(4))
     if not all(map(le, zip(*cols), zip(*(col[1:] for col in cols)))):
         cols = _columns(sorted(zip(*cols)))

@@ -309,7 +309,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.depth = 0  # parentheses open at the current token
-        self.defined: set[str] = set()
+        self.defined: dict[str, object] = {}  # name -> expression, in file order
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -324,7 +324,6 @@ class _Parser:
         raise RuleSyntaxError(tok.line, tok.col, msg)
 
     def parse_file(self) -> tuple[tuple[tuple[str, object], ...], object]:
-        definitions: list[tuple[str, object]] = []
         result = None
         while True:
             while self.peek().kind == "NEWLINE":
@@ -339,14 +338,13 @@ class _Parser:
                 self.next()  # EQUALS
                 expr = self.parse_statement_expr()
                 self.end_statement()
-                definitions.append((name, expr))
-                self.defined.add(name)
+                self.defined[name] = expr
             else:
                 result = self.parse_statement_expr()
                 self.end_statement()
         if result is None:
             raise EmptyRuleFile("rule file has no result expression")
-        return tuple(definitions), result
+        return tuple(self.defined.items()), result
 
     def end_statement(self) -> None:
         if self.peek().kind == "SEMI":
@@ -467,9 +465,7 @@ def render_node(node, parent_prec: int = 0) -> str:
     if isinstance(node, Pair):
         return f"{_render_symbol(node.lhs)}:{_render_symbol(node.rhs)}"
     if isinstance(node, CharClass):
-        body = "".join("\\" + c if (c in _SPECIAL or c in _WS) else c
-                       for c in node.chars)
-        return f"[{body}]"
+        return f"[{''.join(map(_render_symbol, node.chars))}]"
     if isinstance(node, VarRef):
         return f"${node.name}$"
     if isinstance(node, Include):

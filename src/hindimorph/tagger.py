@@ -7,8 +7,10 @@ The model is a conditional log-linear classifier per token,
 trained by full-batch gradient ascent on the mean per-token
 log-likelihood minus an L2 penalty.  The model is first-order (a
 position's scores read the previous tag and no earlier one), so decoding
-is exact: Viterbi search over each token's candidate tags, with ties
-broken toward the path first in tagset-index order.  Words never seen in
+is exact: Viterbi search over each token's candidate tags, in time
+linear in the sentence's length.  On an exact tie of partial scores the
+lower previous-tag index wins, and a sentence ends on the lowest tag
+index of least score.  Words never seen in
 training fall back on the morphological analyzer: the analyses' leading
 categories map onto tagset candidates.
 
@@ -27,7 +29,7 @@ import struct
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add, sub
+from operator import add, itemgetter, sub
 from pathlib import Path
 from typing import Sequence
 
@@ -259,13 +261,11 @@ def train(corpus: TaggedCorpus, config: TrainConfig | None = None) -> TagModel:
     if not any(corpus.sentences):
         raise EmptyCorpus("training corpus has no tokens")
     tagset = corpus.tagset()
-    dictionary: dict[str, frozenset[str]] = {}
     observed: dict[str, set[str]] = {}
     for sentence in corpus.sentences:
         for surface, tag in sentence:
             observed.setdefault(surface, set()).add(tag)
-    for surface in observed:
-        dictionary[surface] = frozenset(observed[surface])
+    dictionary = {surface: frozenset(tags) for surface, tags in observed.items()}
 
     tag_index = {t: k for k, t in enumerate(tagset)}
     feature_ids: dict[str, int] = {}
@@ -347,34 +347,26 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
 
     Dictionary words get their observed tags; punctuation gets the
     punctuation tag; anything else falls back on morphological analyses
-    (first tag through :data:`MORPH_TAG_MAP`).  A word with no analyses,
-    or an analysis outside the map, opens the full tagset.
+    (first tag through :data:`MORPH_TAG_MAP`, the full tagset for one
+    outside the map).  A word none of whose candidates is in the tagset,
+    such as one with no analyses, gets the full tagset.
     """
     word = unicodedata.normalize("NFC", word)
-    full = set(model.tagset)
     if _is_punct(word):
         cands = {PUNCT_TAG}
     elif word in model.dictionary:
-        cands = set(model.dictionary[word])
+        cands = model.dictionary[word]
     else:
         analyses = morph.analyze(morph_model, word) if morph_model else []
-        if not analyses:
-            cands = full
-        else:
-            cands = set()
-            for analysis in analyses:
-                mapped = MORPH_TAG_MAP.get(analysis.tags[0])
-                cands.update(mapped if mapped else full)
-    cands &= full
-    if not cands:
-        cands = full
-    return tuple(t for t in model.tagset if t in cands)
+        cands = {t for a in analyses for t in MORPH_TAG_MAP.get(a.tags[0], model.tagset)}
+    return tuple(t for t in model.tagset if t in cands) or model.tagset
 
 
 def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 tokens: Sequence[str]) -> list[str]:
-    """Exact Viterbi decode over each token's candidate tags; among paths
-    of equal score, the one first in tagset-index order wins.
+    """Exact Viterbi decode over each token's candidate tags.  On an exact
+    tie of partial scores the lower previous-tag index wins, and the
+    tokens end on the lowest tag index of least score.
 
     A word's entry is its candidate tag indices, the column sums (from 0,
     in :func:`extract_features` order) of its own rows, those of w:, s1:
@@ -382,8 +374,10 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     nw:.  A position's score for a previous tag is ``((own + pw of the
     previous word) + nw of the next word) + pt: of that tag``, turned
     into log-probabilities as :func:`_row_log_probs` does.  For each
-    candidate the search keeps the least ``(negated score, path of tag
-    indices)`` over the previous token's candidates.
+    candidate the search keeps the least negated score over the previous
+    token's candidates, comparing scores alone, and the path to it as a
+    linked list of tag indices, so a decode takes time linear in the
+    number of tokens.
 
     Each word's entry is kept on the model for up to :data:`_MEMO_WORDS`
     words, with the morph model it was built with; a decode with another
@@ -408,31 +402,39 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
                 memo.clear()
             memo[word] = entry
         entries.append(entry)
-    # tag index -> the best (negated score, path) ending in it; -1 is the start
-    best: dict[int, tuple[float, tuple[int, ...]]] = {-1: (0.0, ())}
+    # tag index -> the least negated score of a path ending in it, and that
+    # path as a linked list (k, rest) back to the start, which is -1 and
+    # None; the keys run in index order, so on a tie `<` keeps the lower one
+    best: dict[int, tuple[float, tuple | None]] = {-1: (0.0, None)}
     # each entry between its neighbours, where the sentence's start and end
     # give the first word's pw: row and the last word's nw: row
     padded = [((), zero, start, zero), *entries, ((), zero, zero, end)]
     for (_, _, pw, _), (cands, own, _, _), (_, _, _, nw) in zip(padded, entries, padded[2:]):
         base = [o + p + n for o, p, n in zip(own, pw, nw)]
-        step: dict[int, tuple[float, tuple[int, ...]]] = {}
+        step: dict[int, tuple[float, tuple | None]] = {}
         for prev, (neg_score, path) in best.items():
             scores = list(map(add, base, prev_tag_rows[prev]))
             peak = max(scores)  # as in _row_log_probs
             log_z = peak + math.log(sum(math.exp(s - peak) for s in scores))
             for k in cands:
-                item = (neg_score - (scores[k] - log_z), path + (k,))
-                if k not in step or item < step[k]:
-                    step[k] = item
+                neg = neg_score - (scores[k] - log_z)
+                if k not in step or neg < step[k][0]:
+                    step[k] = (neg, (k, path))
         best = step
-    return [model.tagset[k] for k in min(best.values())[1]]
+    path = min(best.values(), key=itemgetter(0))[1]
+    tags = []
+    while path:
+        k, path = path
+        tags.append(model.tagset[k])
+    return tags[::-1]
 
 
 def tag(model: TagModel, morph_model: morph.MorphModel | None,
         sentence: str) -> list[tuple[str, str]]:
     """Tokenize and tag a raw sentence with the exact Viterbi decode of
-    :func:`_tag_tokens`: the best-scoring tag path, ties broken toward
-    the path first in tagset-index order."""
+    :func:`_tag_tokens`: a best-scoring tag path, where on an exact tie
+    of partial scores the lower previous-tag index wins and the sentence
+    ends on the lowest tag index of least score."""
     tokens = tokenize_sentence(sentence)
     return list(zip(tokens, _tag_tokens(model, morph_model, tokens)))
 

@@ -22,11 +22,12 @@ Machines are walked through :func:`out_arcs`, per-state arc lists
 built here from ``Transducer.arcs``, not through the library's arc index.
 
 The tagger's reference definitions live here: :func:`objective`,
-:func:`gradient`, :func:`_log_probs` and :func:`tag_tokens_reference`
+:func:`gradient`, :func:`_log_probs` and :func:`paths_reference`
 read the string-keyed weight dict ``template:value:tag`` feature by
 feature, never the library's feature rows; ``train_reference`` trains
-with the first two, and ``tag_tokens_reference`` decodes by trying
-every path.
+with the first two, ``paths_reference`` scores every path in the
+decoder's float order, and ``tag_tokens_reference`` decodes by trying
+each of them.
 ``tokenize_reference`` tokenizes with a character loop over the
 ``str.split()`` chunks, not with the library's regular expression.
 ``parse_analysis_reference`` reads ``root<Tag>...`` with regular
@@ -41,6 +42,7 @@ import re
 import struct
 import unicodedata
 from collections import deque
+from typing import Iterator
 
 from hindimorph import tagger
 from hindimorph.fst import EPSILON, EpsilonCycle, SymbolTable, Transducer, build, scan
@@ -607,21 +609,22 @@ def train_reference(corpus: tagger.TaggedCorpus,
     return weights, losses
 
 
-def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens) -> list[str]:
-    """Exhaustive decode: the best of every path through the tokens'
-    candidate tags, ties broken toward the path first in tagset order.
+def paths_reference(model: tagger.TagModel, morph_model,
+                    tokens) -> Iterator[tuple[float, tuple[int, ...]]]:
+    """Every path through the tokens' candidate tags, as its negated
+    score and its tag indices, in tagset order.
 
     A position's score for tag t sums, from 0, the weights of the token's
     own features in ``extract_features`` order, then adds those of pw:,
     nw: and pt:, one at a time; a path's negated score subtracts each
-    position's log-probability in turn.  Paths are walked depth first,
-    so paths that share a prefix share its score, and the
-    log-probabilities of each position and previous tag are computed once.
+    position's log-probability in turn, as the decoder does.  Paths are
+    walked depth first, so paths that share a prefix share its score, and
+    the log-probabilities of each position and previous tag are computed
+    once.
     """
     tag_index = {t: i for i, t in enumerate(model.tagset)}
     cands = [tagger.candidate_tags(model, morph_model, token) for token in tokens]
     log_ps: dict[tuple[int, str], dict[str, float]] = {}
-    best = (math.inf, ())
 
     def log_probs(i: int, prev_tag: str) -> dict[str, float]:
         own, context = [], []  # context: pw:, nw: and pt:, in that order
@@ -637,17 +640,22 @@ def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens) -> list[st
         log_z = peak + math.log(sum(math.exp(s - peak) for s in scores.values()))
         return {t: s - log_z for t, s in scores.items()}
 
-    def walk(neg_score: float, path: tuple[int, ...]) -> None:
-        nonlocal best
+    def walk(neg_score: float, path: tuple[int, ...]):
         i = len(path)
         if i == len(tokens):
-            best = min(best, (neg_score, path))
+            yield neg_score, path
             return
         key = (i, model.tagset[path[-1]] if path else tagger.BOUNDARY_TAG)
         if key not in log_ps:
             log_ps[key] = log_probs(*key)
         for t in cands[i]:
-            walk(neg_score - log_ps[key][t], path + (tag_index[t],))
+            yield from walk(neg_score - log_ps[key][t], path + (tag_index[t],))
 
-    walk(0.0, ())
-    return [model.tagset[k] for k in best[1]]
+    return walk(0.0, ())
+
+
+def tag_tokens_reference(model: tagger.TagModel, morph_model, tokens) -> list[str]:
+    """Exhaustive decode: the best of every path of
+    :func:`paths_reference`, ties broken toward the path first in tagset
+    order."""
+    return [model.tagset[k] for k in min(paths_reference(model, morph_model, tokens))[1]]

@@ -143,6 +143,12 @@ def test_build_validates_states_and_symbols():
         build(2, 0, (1,), ((0, 0, 0, 1), (-1, 0, 0, 1)), table)
 
 
+
+def test_build_refuses_an_arc_field_that_is_not_an_integer():
+    # 1.5 is in range as a symbol id, but no array("I") holds it
+    with pytest.raises(TypeError, match=r"^arc fields must be integers below 2\*\*32$"):
+        build(2, 0, (1,), [(0, 1.5, 1, 1)], SymbolTable("a"))
+
 def test_build_sorts_arcs():
     table = SymbolTable("ab")
     a, b = table.id_of("a"), table.id_of("b")
@@ -1130,6 +1136,11 @@ def test_from_bytes_rejects_garbage():
     with pytest.raises(fst.FstError, match="^symbol table must contain the epsilon entry$"):
         fst.from_bytes(blob[:6] + struct.pack("<I", 0) + blob[10:])
 
+
+
+def test_from_bytes_refuses_a_repeated_symbol():
+    with pytest.raises(fst.FstError, match="^duplicate symbol entry 'a'$"):
+        fst.from_bytes(oracle.mfst_bytes(["a", "a"], 1, 0, [0], []))
 
 @pytest.mark.parametrize("head, message", [
     (b"NOPE" + struct.pack("<H", 1), r"^not a transducer file \(bad magic\)$"),

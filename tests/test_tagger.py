@@ -634,7 +634,7 @@ def _random_model(rng):
 def test_decode_is_exact(mini_corpus, morph_model):
     # On models far from the trained one, a search that keeps only a few
     # paths per position loses the best path now and then; the decode must
-    # find it, with ties broken toward the path first in tagset order.
+    # find it.  No two paths of these models tie for the best score.
     rng = random.Random(2003)
     for _ in range(200):
         model, tokens = _random_model(rng)
@@ -649,6 +649,47 @@ def test_decode_is_exact(mini_corpus, morph_model):
             first = [candidate_tags(zero, morph_model, token)[0] for token in tokens]
             assert tagger._tag_tokens(zero, morph_model, tokens) == first
             assert oracle.tag_tokens_reference(zero, morph_model, tokens) == first
+
+
+def test_decode_of_a_long_line_of_ties():
+    # Two paths, all A and all B, tie on every prefix: the lower previous
+    # tag wins each step, and the line ends on the lower tag.  A decode
+    # that copied or compared whole paths would take quadratic time here.
+    model = TagModel(("A", "B"), {"pt:A:A": 1.0, "pt:B:B": 1.0}, {}, 0.1)
+    assert tagger._tag_tokens(model, None, ["x"] * 3000) == ["A"] * 3000
+
+
+def test_decode_of_a_long_line_with_no_weights(mini_corpus, morph_model):
+    # With no weights every path ties, so each token takes its first
+    # candidate.  लडकू is neither a dictionary word nor a form of the
+    # grammar, so it opens the whole tagset.
+    zero = train(mini_corpus, TrainConfig(epochs=0))
+    assert candidate_tags(zero, morph_model, "लडकू") == zero.tagset
+    assert tagger._tag_tokens(zero, morph_model, ["लडकू"] * 3000) == [zero.tagset[0]] * 3000
+
+
+def test_decode_is_optimal_on_tied_models():
+    # Sparse weights from a few values make many paths tie for the best
+    # score: the decoded path's negated score, summed in the decoder's
+    # order, is the least of every path's, bit for bit.
+    rng = random.Random(37)
+    tied = 0
+    for _ in range(300):
+        tagset = tuple("ABCD"[:rng.randint(2, 4)])
+        tokens = [rng.choice("xyz") for _ in range(rng.randint(1, 5))]
+        features = {tagger._START, tagger._END}
+        for word in "xyz":
+            for prev_tag in (*tagset, tagger.BOUNDARY_TAG):
+                features.update(tagger.extract_features((word,) * 3, 1, prev_tag))
+        weights = {f"{f}:{t}": rng.choice((0.0, 0.0, 1.0, -1.0, 0.5))
+                   for f in sorted(features) for t in tagset if rng.random() < 0.3}
+        model = TagModel(tagset, weights, {}, 0.1)
+        scores = {path: neg for neg, path in oracle.paths_reference(model, None, tokens)}
+        least = min(scores.values())
+        tied += sum(neg == least for neg in scores.values()) > 1
+        decoded = tuple(map(tagset.index, tagger._tag_tokens(model, None, tokens)))
+        assert scores[decoded] == least
+    assert tied >= 30
 
 
 def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpus):
