@@ -19,6 +19,7 @@ it is what the minimizer and the serialized models rely on.
 
 from __future__ import annotations
 
+import re
 import struct
 from array import array
 from bisect import bisect_left
@@ -116,40 +117,28 @@ class SymbolTable:
 def scan(text: str, table: SymbolTable, *, intern: bool = False) -> list[int]:
     """Scan a lexical string into a list of symbol ids.
 
-    A ``<``...``>`` span forms one multi-character tag symbol; any other
-    Unicode scalar is one symbol.  A literal ``<>`` denotes epsilon and
-    contributes nothing.  With ``intern=False`` a symbol absent from the
-    table raises :class:`UnknownSymbol`; with ``intern=True`` it is
-    added.  An unclosed ``<`` raises :class:`UnterminatedTag`.
+    A ``<``...``>`` span (up to the first ``>``) forms one multi-character
+    tag symbol; any other Unicode scalar is one symbol.  A literal ``<>``
+    denotes epsilon and contributes nothing.  With ``intern=False`` a
+    symbol absent from the table raises :class:`UnknownSymbol`; with
+    ``intern=True`` it is added, in text order.  A ``<`` that no ``>``
+    follows raises :class:`UnterminatedTag`, once the symbols before it
+    are read: an unknown one among them raises first, and with
+    ``intern=True`` they are interned.
     """
-    if not intern and "<" not in text:  # one symbol per character
-        ids = list(map(table._ids.get, text))
-        if None in ids:
-            raise UnknownSymbol(f"symbol {text[ids.index(None)]!r} not in table")
-        return ids
-    ids = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "<":
-            end = text.find(">", i + 1)
-            if end < 0:
-                raise UnterminatedTag(f"unterminated tag at offset {i}: {text[i:]!r}")
-            sym = text[i : end + 1]
-            i = end + 1
-            if sym == EPSILON_SYMBOL:
-                continue
-        else:
-            sym = ch
-            i += 1
-        if intern:
-            ids.append(table.intern(sym))
-        else:
-            sid = table.id_of(sym)
-            if sid is None:
-                raise UnknownSymbol(f"symbol {sym!r} not in table")
-            ids.append(sid)
+    symbols = text
+    cut = -1
+    if "<" in text:
+        cut = text.find("<", text.rfind(">") + 1)  # the unclosed "<", if any
+        symbols = [s for s in re.findall(r"(?s)<[^>]*>|.", text[:cut] if cut >= 0 else text)
+                   if s != EPSILON_SYMBOL]
+    ids = list(map(table._ids.get, symbols))
+    if None in ids:
+        if not intern:
+            raise UnknownSymbol(f"symbol {symbols[ids.index(None)]!r} not in table")
+        ids = list(map(table.intern, symbols))
+    if cut >= 0:
+        raise UnterminatedTag(f"unterminated tag at offset {cut}: {text[cut:]!r}")
     return ids
 
 

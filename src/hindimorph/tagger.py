@@ -345,17 +345,17 @@ def candidate_tags(model: TagModel, morph_model: morph.MorphModel | None,
                    word: str) -> tuple[str, ...]:
     """Plausible tags for a word, in tagset order.
 
-    Dictionary words get their observed tags; punctuation gets the
+    Dictionary words get their observed tags; other punctuation gets the
     punctuation tag; anything else falls back on morphological analyses
     (first tag through :data:`MORPH_TAG_MAP`, the full tagset for one
     outside the map).  A word none of whose candidates is in the tagset,
     such as one with no analyses, gets the full tagset.
     """
     word = unicodedata.normalize("NFC", word)
-    if _is_punct(word):
-        cands = {PUNCT_TAG}
-    elif word in model.dictionary:
+    if word in model.dictionary:
         cands = model.dictionary[word]
+    elif _is_punct(word):
+        cands = {PUNCT_TAG}
     else:
         analyses = morph.analyze(morph_model, word) if morph_model else []
         cands = {t for a in analyses for t in MORPH_TAG_MAP.get(a.tags[0], model.tagset)}

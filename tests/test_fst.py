@@ -94,15 +94,15 @@ def test_scan_unterminated_tag():
 
 def test_scan_unknown_symbol_without_intern():
     table = SymbolTable("a")
-    for text in ("ab", "ab<>", "<>ab"):  # with no "<", and through the tag loop
+    for text in ("ab", "ab<>", "<>ab"):  # with no "<", and with tags to split
         with pytest.raises(UnknownSymbol, match=r"^symbol 'b' not in table$"):
             scan(text, table)
 
 
 def test_scan_of_plain_text_matches_the_tag_aware_loop():
-    # a text with no "<" is looked up one character at a time in one pass;
-    # with "<>" (an epsilon) appended, the same text goes through the loop
-    # that reads tags, and must give the same ids or the same error
+    # a text with no "<" is one symbol per character; with "<>" (an
+    # epsilon) appended, the same text is split into tags and scalars, and
+    # must give the same ids or the same error
     rng = random.Random(20)
     table = SymbolTable(["a", "b", "क", "ा", ">", " ", "<Noun>"])
     for _ in range(2000):
@@ -114,6 +114,27 @@ def test_scan_of_plain_text_matches_the_tag_aware_loop():
             except UnknownSymbol as exc:
                 results.append(str(exc))
         assert results[0] == results[1], text
+
+
+def test_scan_reads_the_symbols_before_an_unclosed_tag_first():
+    # an unknown symbol before an unclosed "<" is reported first; with
+    # intern=True the symbols before it are interned, in text order
+    with pytest.raises(UnknownSymbol, match=r"^symbol 'x' not in table$"):
+        scan("xb<", SymbolTable("b"))
+    with pytest.raises(UnterminatedTag, match=r"^unterminated tag at offset 1: '<x'$"):
+        scan("b<x", SymbolTable("b"))
+    table = SymbolTable()
+    with pytest.raises(UnterminatedTag, match=r"^unterminated tag at offset 2: '<c'$"):
+        scan("ab<c", table, intern=True)
+    assert list(table) == ["<>", "a", "b"]
+    # a tag runs to the first ">", so "<a<b>" is one symbol
+    table = SymbolTable()
+    with pytest.raises(UnterminatedTag, match=r"^unterminated tag at offset 6: '<d'$"):
+        scan("<a<b>c<d", table, intern=True)
+    assert list(table) == ["<>", "<a<b>", "c"]
+    table = SymbolTable()
+    assert scan("a<>b<T>\n", table, intern=True) == [1, 2, 3, 4]
+    assert list(table) == ["<>", "a", "b", "<T>", "\n"]
 
 
 def test_render_round_trip():

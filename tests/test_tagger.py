@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 import struct
-import sys
 import tracemalloc
 
 import pytest
@@ -435,30 +434,80 @@ def test_features_that_fire_at_the_same_positions_train_identical_rows(mini_corp
             assert len(rows) == 1, features
 
 
-def _pinned(before_312: str, from_312: str) -> str:
-    """The model hash pinned for this interpreter.  Since Python 3.12,
-    ``sum()`` adds floats with Neumaier compensation (gh-100425).  The
-    trainer and its reference sum with ``sum()``, so from 3.12 on the
-    weights differ in their last bits, and so do the model's bytes."""
-    return before_312 if sys.version_info < (3, 12) else from_312
+def _left_fold_sum(values):
+    """``sum()`` of floats before Python 3.12: a left fold from 0."""
+    total = 0
+    for x in values:
+        total += x
+    return total
 
 
-def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus):
-    config = TrainConfig(epochs=5)
-    model = train(mini_corpus, config)
-    weights, losses = oracle.train_reference(mini_corpus, config)
-    assert list(model.weights) == list(weights)
-    assert _bits(model.weights.values()) == _bits(weights.values())
-    assert _bits(model.loss_history) == _bits(losses)
-    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == _pinned(
+def _compensated_sum(values):
+    """``sum()`` of floats from Python 3.12 on (gh-100425): the first value
+    is added to 0, each next one with Neumaier's compensation, and the
+    compensation is added to the total at the end."""
+    values = iter(values)
+    total = 0 + next(values, 0)
+    compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
+# Each reference, under the name of the model pins it gives: the
+# interpreters whose sum() it is.
+_SUMS = {"before_312": _left_fold_sum, "from_312": _compensated_sum}
+
+
+def _builtin_summation():
+    """The name of the reference that this interpreter's ``sum()`` gives,
+    bit for bit, on seeded float lists."""
+    rng = random.Random(12)
+    samples = [[1e16, 1.0, -1e16]] + [
+        [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 16) for _ in range(rng.randrange(8))]
+        for _ in range(300)]
+    matches = [name for name, reference in _SUMS.items()
+               if all(repr(reference(v)) == repr(sum(v)) for v in samples)]
+    assert len(matches) == 1, matches
+    return matches[0]
+
+
+def _use_sum(monkeypatch, summation):
+    """Make ``sum()`` in the tagger and in its oracle the reference named
+    `summation`."""
+    for module in (tagger, oracle):
+        monkeypatch.setattr(module, "sum", _SUMS[summation], raising=False)
+
+
+def test_train_equals_reference_ascent_on_bundled_corpus(mini_corpus, monkeypatch):
+    pins = dict(
         before_312="df9094559508f4589ee0c3a1ad822029bd17721a7c24cf453abbb7d90f8ff90a",
         from_312="ed69939db03555e31f4ef54f2dfcd1aa53fdd5f214b0e8ca8dd18f97c0cc2abf")
+    config = TrainConfig(epochs=5)
+    for summation, pin in pins.items():  # both, whatever this interpreter's sum()
+        _use_sum(monkeypatch, summation)
+        model = train(mini_corpus, config)
+        weights, losses = oracle.train_reference(mini_corpus, config)
+        assert list(model.weights) == list(weights)
+        assert _bits(model.weights.values()) == _bits(weights.values())
+        assert _bits(model.loss_history) == _bits(losses)
+        assert hashlib.sha256(model_to_bytes(model)).hexdigest() == pin
 
 
-def test_default_model_bytes_are_pinned(tag_model):
-    assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == _pinned(
+def test_default_model_bytes_are_pinned(tag_model, mini_corpus, monkeypatch):
+    pins = dict(
         before_312="31045dcccb4ba16b3c0c7e61c2186c8cd350c50683e23db382571eb708859fdf",
         from_312="f3db6656722978bbb62ecf3cb2211380a209b7cd286de02dc43881ad707b45a3")
+    assert hashlib.sha256(model_to_bytes(tag_model)).hexdigest() == pins[_builtin_summation()]
+    for summation, pin in pins.items():
+        _use_sum(monkeypatch, summation)
+        model = train(mini_corpus, TrainConfig())
+        assert hashlib.sha256(model_to_bytes(model)).hexdigest() == pin
 
 
 def test_loss_history_starts_at_log_tagset_size_and_decreases(tag_model):
@@ -487,6 +536,19 @@ def test_trained_model_metadata(tag_model):
 def test_candidates_punctuation(tag_model, morph_model):
     assert candidate_tags(tag_model, morph_model, "।") == ("I",)
     assert candidate_tags(tag_model, morph_model, "?") == ("I",)
+
+
+def test_candidates_of_punctuation_seen_in_training_are_its_observed_tags():
+    # under a tagset without "I", a punctuation token keeps the tags it was
+    # seen with, rather than opening the whole tagset
+    model = train(TaggedCorpus.parse("राम/N घर/N ।/PUNC\nसीता/N ।/PUNC\n"),
+                  TrainConfig(epochs=0))
+    assert model.tagset == ("N", "PUNC")
+    assert candidate_tags(model, None, "।") == ("PUNC",)
+    assert tag(model, None, "राम ।") == [("राम", "N"), ("।", "PUNC")]
+    # unseen punctuation gets only the punctuation tag, which this tagset
+    # lacks, so it opens the whole tagset
+    assert candidate_tags(model, None, "?") == ("N", "PUNC")
 
 
 def test_candidates_dictionary_words_in_tagset_order(tag_model, morph_model):
@@ -668,12 +730,10 @@ def test_decode_of_a_long_line_with_no_weights(mini_corpus, morph_model):
     assert tagger._tag_tokens(zero, morph_model, ["लडकू"] * 3000) == [zero.tagset[0]] * 3000
 
 
-def test_decode_is_optimal_on_tied_models():
-    # Sparse weights from a few values make many paths tie for the best
-    # score: the decoded path's negated score, summed in the decoder's
-    # order, is the least of every path's, bit for bit.
+def _tied_models():
+    """300 seeded models and tokens, then a near tie: two partial scores
+    one ulp apart, whose paths' totals round equal."""
     rng = random.Random(37)
-    tied = 0
     for _ in range(300):
         tagset = tuple("ABCD"[:rng.randint(2, 4)])
         tokens = [rng.choice("xyz") for _ in range(rng.randint(1, 5))]
@@ -683,13 +743,30 @@ def test_decode_is_optimal_on_tied_models():
                 features.update(tagger.extract_features((word,) * 3, 1, prev_tag))
         weights = {f"{f}:{t}": rng.choice((0.0, 0.0, 1.0, -1.0, 0.5))
                    for f in sorted(features) for t in tagset if rng.random() < 0.3}
-        model = TagModel(tagset, weights, {}, 0.1)
+        yield TagModel(tagset, weights, {}, 0.1), tokens
+    weights = {"pt:A:B": -1.0, "pt:B:A": 1.0, "w:x:A": -1.0, "w:y:A": 1.0, "w:y:B": -1.0,
+               "s1:x:B": -1.0, "nw:y:A": -1.0}
+    yield TagModel(("A", "B"), weights, {}, 0.1), list("xxyxz")
+
+
+def test_decode_is_optimal_on_tied_models():
+    # Sparse weights from a few values make many paths tie for the best
+    # score: the decoded path's negated score, summed in the decoder's
+    # order, is the least of every path's, bit for bit.
+    tied = 0
+    for model, tokens in _tied_models():
+        tagset = model.tagset
         scores = {path: neg for neg, path in oracle.paths_reference(model, None, tokens)}
         least = min(scores.values())
         tied += sum(neg == least for neg in scores.values()) > 1
         decoded = tuple(map(tagset.index, tagger._tag_tokens(model, None, tokens)))
         assert scores[decoded] == least
     assert tied >= 30
+    # the last model, the near tie: the decoder's path is not the oracle's
+    # (the first in tagset order), and both score the least
+    assert tagger._tag_tokens(model, None, tokens) == list("BAAAA")
+    assert oracle.tag_tokens_reference(model, None, tokens) == list("AAAAA")
+    assert least.hex() == "0x1.07dc1f35cde9dp+1"
 
 
 def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpus):
