@@ -693,9 +693,10 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     with both ends in one SCC always lies on a cycle).  The components
     come from Kosaraju's two searches, which need no per-state low-link
     bookkeeping: the depth-first search of :func:`_postorder`, which
-    :func:`minimize` runs too, and a flood over the reversed arcs.  Both
-    are iterative, so a long cycle cannot overflow the stack.  Reads the
-    machine's columns; the arcs that read epsilon are found at C speed.
+    :func:`minimize` runs too, and a flood over the reversed arcs, which
+    is skipped when the first search meets no cycle.  Both are iterative,
+    so a long cycle cannot overflow the stack.  Reads the machine's
+    columns; the arcs that read epsilon are found at C speed.
     """
     src, dst = a._cols[0], a._cols[3]
     read, write = (a._cols[k] for k in _tapes(side))
@@ -708,11 +709,14 @@ def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
     succ: list = [()] * a.state_count
     for s in roots:
         succ[s] = []
-    pred: dict[int, list[int]] = {}
     for k in eps_arcs:
         succ[src[k]].append((k, dst[k]))
+    order, cyclic = _postorder(succ, roots)
+    if not cyclic:  # every component is one state with no internal arc
+        return frozenset()
+    pred: dict[int, list[int]] = {}
+    for k in eps_arcs:
         pred.setdefault(dst[k], []).append(src[k])
-    order, _ = _postorder(succ, roots)
     # ... then a flood over the reversed arcs from each state not yet
     # placed, last finished first, fills exactly that state's component.
     comp: dict[int, int] = {}

@@ -27,11 +27,10 @@ import math
 import re
 import struct
 import unicodedata
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, itemgetter, sub
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _text, morph
 from ._binary import Reader, pack_float_map, pack_str
@@ -63,19 +62,20 @@ MORPH_TAG_MAP: dict[str, tuple[str, ...]] = {
 
 
 class TaggerError(Exception):
-    pass
+    """Base class for errors raised by this module, and the error of a bad
+    training setting, a diverged training or a malformed model."""
 
 
 class EmptyCorpus(TaggerError):
-    pass
+    """A training or evaluation corpus with no tokens."""
 
 
 class TagsetMismatch(TaggerError):
-    pass
+    """Gold tags outside the model's tagset."""
 
 
 class CorpusFormatError(TaggerError):
-    pass
+    """A corpus that is not UTF-8 lines of surface/TAG tokens."""
 
 
 def _is_punct(word: str) -> bool:
@@ -93,11 +93,20 @@ def tokenize_sentence(text: str) -> list[str]:
     return _TOKEN_RE.findall(unicodedata.normalize("NFC", text))
 
 
-@dataclass
 class TaggedCorpus:
-    """Sentences of (surface, tag) pairs."""
+    """Sentences of (surface, tag) pairs; two corpora are equal when their
+    sentences are."""
 
-    sentences: list[list[tuple[str, str]]]
+    def __init__(self, sentences: list[list[tuple[str, str]]]) -> None:
+        self.sentences = sentences
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sentences == other.sentences
+
+    def __repr__(self) -> str:
+        return f"TaggedCorpus(sentences={self.sentences!r})"
 
     @classmethod
     def parse(cls, text: str, source: str = "<corpus>") -> "TaggedCorpus":
@@ -163,35 +172,31 @@ def extract_features(tokens: Sequence[str], i: int, prev_tag: str) -> list[str]:
 _START, _END = extract_features(("",), 0, BOUNDARY_TAG)[
     _PREV_WORD_SLOT:_NEXT_WORD_SLOT + 1]
 
-# What decoding reads of a model (TagModel._rows): feature -> one weight
-# per tag, in tagset order; the row of a feature without weights; the pt:
-# row of each tag by index and of the sentence start at -1; and the rows
-# of _START and _END.
-_Tables = tuple[dict[str, list[float]], list[float], list[list[float]], list[float], list[float]]
 
-
-@dataclass
 class TagModel:
-    tagset: tuple[str, ...]
-    weights: dict[str, float]
-    dictionary: dict[str, frozenset[str]]
-    l2_lambda: float
-    loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
-    # The decode tables, built from `weights` when the model is made;
-    # later edits to `weights` are not seen by decoding.
-    _rows: _Tables = field(init=False, repr=False, compare=False)
-    # Word -> its decode entry (see _tag_tokens), filled by
-    # decoding with the morph model `_entries_morph`, reset when a decode
-    # passes another and, like `_rows`, blind to later edits of either.
-    # It holds the morph model itself, so no later one can take its id.
-    _entries: dict[str, tuple[tuple[int, ...], list[float], list[float], list[float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _entries_morph: morph.MorphModel | None = field(
-        default=None, init=False, repr=False, compare=False)
+    """A tagger: its tagset, its weights keyed ``template:value:tag``, each
+    training word's observed tags, its L2 coefficient and, from
+    :func:`train`, the loss before each epoch and after the last.  Two
+    models are equal when their tagset, weights, dictionary and L2
+    coefficient are; a model is not hashable."""
 
-    def __post_init__(self) -> None:
-        # A key splits at its last ':' into feature and tag; a key whose
-        # tag is not in the tagset is skipped, as decoding never reads it.
+    def __init__(self, tagset: tuple[str, ...], weights: dict[str, float],
+                 dictionary: dict[str, frozenset[str]], l2_lambda: float,
+                 loss_history: list[float] | None = None) -> None:
+        self.tagset, self.weights, self.dictionary, self.l2_lambda = tagset, weights, dictionary, l2_lambda
+        self.loss_history = [] if loss_history is None else loss_history
+        # Word -> its decode entry (see _tag_tokens), filled by decoding
+        # with the morph model `_entries_morph`, reset when a decode passes
+        # another and, like `_rows`, blind to later edits of either.  It
+        # holds the morph model itself, so no later one can take its id.
+        self._entries, self._entries_morph = {}, None
+        # What decoding reads of the model, `_rows`, built from `weights`
+        # here, so later edits to `weights` are not seen by decoding:
+        # feature -> one weight per tag, in tagset order; the row of a
+        # feature without weights; the pt: row of each tag by index and of
+        # the sentence start at -1; and the rows of _START and _END.  A key
+        # splits at its last ':' into feature and tag; a key whose tag is
+        # not in the tagset is skipped, as decoding never reads it.
         tag_index = {t: k for k, t in enumerate(self.tagset)}
         rows: dict[str, list[float]] = {}
         for key, w in self.weights.items():
@@ -207,9 +212,18 @@ class TagModel:
         prev_tag_rows = [rows.get(f"pt:{t}", zero) for t in (*self.tagset, BOUNDARY_TAG)]
         self._rows = (rows, zero, prev_tag_rows, rows.get(_START, zero), rows.get(_END, zero))
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.tagset, self.weights, self.dictionary, self.l2_lambda)
+                == (other.tagset, other.weights, other.dictionary, other.l2_lambda))
 
-@dataclass(frozen=True)
-class TrainConfig:
+    def __repr__(self) -> str:
+        return (f"TagModel(tagset={self.tagset!r}, weights={self.weights!r}, "
+                f"dictionary={self.dictionary!r}, l2_lambda={self.l2_lambda!r})")
+
+
+class TrainConfig(NamedTuple):
     l2_lambda: float = 0.1
     epochs: int = 100
 
@@ -439,8 +453,7 @@ def tag(model: TagModel, morph_model: morph.MorphModel | None,
     return list(zip(tokens, _tag_tokens(model, morph_model, tokens)))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     known_acc: float
     unknown_acc: float
     overall_acc: float
@@ -473,13 +486,10 @@ def evaluate(model: TagModel, morph_model: morph.MorphModel | None,
     total = known_total + unknown_total
     if total == 0:
         raise EmptyCorpus("evaluation corpus has no tokens")
-    return EvalResult(
-        known_acc=known_hits / known_total if known_total else 1.0,
-        unknown_acc=unknown_hits / unknown_total if unknown_total else 1.0,
-        overall_acc=(known_hits + unknown_hits) / total,
-        known_total=known_total,
-        unknown_total=unknown_total,
-    )
+    return EvalResult(known_acc=known_hits / known_total if known_total else 1.0,
+                      unknown_acc=unknown_hits / unknown_total if unknown_total else 1.0,
+                      overall_acc=(known_hits + unknown_hits) / total,
+                      known_total=known_total, unknown_total=unknown_total)
 
 
 # ---------------------------------------------------------------------------

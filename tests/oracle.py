@@ -25,9 +25,11 @@ The tagger's reference definitions live here: :func:`objective`,
 :func:`gradient`, :func:`_log_probs` and :func:`paths_reference`
 read the string-keyed weight dict ``template:value:tag`` feature by
 feature, never the library's feature rows; ``train_reference`` trains
-with the first two, ``paths_reference`` scores every path in the
-decoder's float order, and ``tag_tokens_reference`` decodes by trying
-each of them.
+with the first two, ``paths_reference`` scores every path through the
+tags of :func:`candidate_tags_reference` in the decoder's float order,
+and ``tag_tokens_reference`` decodes by trying each of them.  The
+candidate rule is restated here, not taken from ``tagger.candidate_tags``;
+it reads a word's analyses from ``morph.analyze``.
 ``tokenize_reference`` tokenizes with a character loop over the
 ``str.split()`` chunks, not with the library's regular expression.
 ``parse_analysis_reference`` reads ``root<Tag>...`` with regular
@@ -44,7 +46,7 @@ import unicodedata
 from collections import deque
 from typing import Iterator
 
-from hindimorph import tagger
+from hindimorph import morph, tagger
 from hindimorph.fst import EPSILON, EpsilonCycle, SymbolTable, Transducer, build, scan
 
 ALPHABET = ("a", "b", "c")
@@ -609,6 +611,25 @@ def train_reference(corpus: tagger.TaggedCorpus,
     return weights, losses
 
 
+def candidate_tags_reference(model: tagger.TagModel, morph_model, word: str) -> tuple[str, ...]:
+    """The tags a decode may give `word`, in tagset order: its observed
+    tags if training saw it; else, for a word made only of punctuation
+    characters, the punctuation tag; else the tags that the first tag of
+    each of its analyses maps to, one outside ``MORPH_TAG_MAP`` mapping to
+    every tag.  A word left with no tag of the tagset may take any."""
+    word = unicodedata.normalize("NFC", word)
+    if word in model.dictionary:
+        allowed = set(model.dictionary[word])
+    elif word and set(word) <= tagger.PUNCT_CHARS:
+        allowed = {tagger.PUNCT_TAG}
+    else:
+        allowed = set()
+        for analysis in morph.analyze(morph_model, word) if morph_model else []:
+            allowed.update(tagger.MORPH_TAG_MAP.get(analysis.tags[0], model.tagset))
+    kept = tuple(t for t in model.tagset if t in allowed)
+    return kept if kept else tuple(model.tagset)
+
+
 def paths_reference(model: tagger.TagModel, morph_model,
                     tokens) -> Iterator[tuple[float, tuple[int, ...]]]:
     """Every path through the tokens' candidate tags, as its negated
@@ -623,7 +644,7 @@ def paths_reference(model: tagger.TagModel, morph_model,
     once.
     """
     tag_index = {t: i for i, t in enumerate(model.tagset)}
-    cands = [tagger.candidate_tags(model, morph_model, token) for token in tokens]
+    cands = [candidate_tags_reference(model, morph_model, token) for token in tokens]
     log_ps: dict[tuple[int, str], dict[str, float]] = {}
 
     def log_probs(i: int, prev_tag: str) -> dict[str, float]:

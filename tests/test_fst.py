@@ -851,6 +851,23 @@ def test_deep_epsilon_reading_cycles(side):
     assert fst.apply(quiet, "a", side=side) == ["a"]
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_epsilon_diamond_is_no_cycle(side):
+    # Two writing paths that read epsilon on `side` part at state 0 and
+    # meet again at 3: the search reaches 3 twice, but meets no cycle.
+    table = SymbolTable("ab")
+    a, b = table.id_of("a"), table.id_of("b")
+
+    def arc(src, sym, dst):
+        return (src, EPSILON, sym, dst) if side == "input" else (src, sym, EPSILON, dst)
+
+    diamond = build(5, 0, (4,), [arc(0, a, 1), arc(0, b, 2), arc(1, a, 3), arc(2, b, 3),
+                                 (3, a, a, 4)], table)
+    assert oracle.emitting_eps_cycle_states(diamond, side) == set()
+    assert fst._emitting_eps_cycle_states(diamond, side) == frozenset()
+    assert fst.apply(diamond, "a", side=side) == ["aaa", "bba"]
+
+
 def test_apply_tolerates_silent_epsilon_cycle():
     table = SymbolTable("a")
     a = table.id_of("a")
