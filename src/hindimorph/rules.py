@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import functools
 import gc
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _text, fst, lexicon
 from .fst import EPSILON_SYMBOL, SymbolTable, Transducer
@@ -139,15 +141,33 @@ class RuleFile:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_SPECIAL = set("$%()[]*+?|:<>#\"=;\\")
-_WS = {" ", "\t", "\r"}
-# One-character operators; "||" (COMPOSE) is matched before "|".
-_PUNCTUATION = {"=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "OPT", "|": "PIPE",
-                "(": "LPAREN", ")": "RPAREN", ":": "COLON", ";": "SEMI"}
+# The scalars that a symbol writes with an escape and a $Name$ may not hold.
+_ESCAPED = frozenset("$%()[]*+?|:<>#\"=;\\ \t\r\n")
+# The operators and punctuation; "||" is matched before "|".
+_PUNCTUATION = {"||": "COMPOSE", "=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "OPT",
+                "|": "PIPE", "(": "LPAREN", ")": "RPAREN", ":": "COLON", ";": "SEMI"}
+# One alternative per token kind, tried in this order.  A tag, name,
+# class or include path matches up to the first character it cannot
+# hold, and _lex names the error from what stopped the match.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE> \n )
+  | (?P<BLANK> [ \t\r]+ | %[^\n]* )
+  | (?P<ESCAPE> \\ (?P<escaped> [^\n] )? )
+  | (?P<TAG> < (?P<tag> [^>\n]* ) (?P<tag_end> > )? )
+  | (?P<VAR> \$ (?P<name> [^$\n]* ) (?P<name_end> \$ )? )
+  | (?P<CLASS> \[ (?P<members> (?: \\[^\n] | [^\]\n\\<>\[$] )* )
+                (?P<class_end> [\]\\<>\[$] )? )
+  | (?P<INCLUDE> \# (?P<keyword> include [ \t\r]*
+                    (?: " (?P<path> [^"\n]* ) (?P<path_end> " )? )? )? )
+  | (?P<COMPOSE> \|\| )
+  | (?P<PUNCT> [=*+?|():;] )
+  | (?P<STRAY> [>\]"] )
+  | (?P<SYM> . )
+""", re.VERBOSE)
+_CLASS_MEMBER = re.compile(r"\\(.)|([^ \t\r])")  # escaped, or not a blank
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: object
     line: int
@@ -165,109 +185,69 @@ def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
     line, line_start = 1, 0
     depth = 0
-    i = 0
-    n = len(text)
 
     def err(msg: str, at: int):
         raise RuleSyntaxError(line, at - line_start + 1, msg)
 
-    def emit(kind: str, at: int, value=None):
-        toks.append(_Token(kind, value, line, at - line_start + 1))
-
-    def closing(opening: int, closer: str, what: str) -> int:
-        """Offset of the first `closer` after `opening` on its line."""
-        end = text.find(closer, opening + 1)
-        nl = text.find("\n", opening + 1)
-        if end < 0 or (0 <= nl < end):
-            err(f"unterminated {what}", opening)
-        return end
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        kind, value, at = m.lastgroup, m[0], m.start()
+        if kind == "NEWLINE":
             if depth == 0:
-                emit("NEWLINE", i)
-            i += 1
-            line, line_start = line + 1, i
-        elif ch in _WS:
-            i += 1
-        elif ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "\\":
-            if i + 1 >= n:
-                err("dangling escape at end of file", i)
-            if text[i + 1] == "\n":
-                err("cannot escape a newline", i)
-            emit("SYM", i, text[i + 1])
-            i += 2
-        elif ch == "<":
-            end = closing(i, ">", "tag")
-            body = text[i + 1 : end]
-            if any(c in "<\\" for c in body):
-                err("invalid character inside tag", i)
-            if body:
-                emit("TAG", i, f"<{body}>")
-            else:
-                emit("EPS", i, EPSILON_SYMBOL)
-            i = end + 1
-        elif ch == "$":
-            end = closing(i, "$", "variable name")
-            name = text[i + 1 : end]
-            if not name or any(c in _WS or c in _SPECIAL for c in name):
-                err("invalid variable name", i)
-            emit("VAR", i, name)
-            i = end + 1
-        elif ch == "[":
-            chars: list[str] = []
-            j = i + 1
-            while j < n and text[j] not in "]\n":
-                cc = text[j]
-                if cc == "\\":
-                    if j + 1 >= n or text[j + 1] == "\n":
-                        err("dangling escape in character class", j)
-                    j += 1
-                    chars.append(text[j])
-                elif cc in "<>[$":
-                    err(f"character {cc!r} not allowed in a class (escape it)", j)
-                elif cc not in _WS:
-                    chars.append(cc)
-                j += 1
-            if j >= n or text[j] == "\n":
-                err("unterminated character class", i)
-            if not chars:
-                err("empty character class", i)
-            emit("CLASS", i, tuple(sorted(set(chars))))
-            i = j + 1
-        elif ch == "#":
-            if not text.startswith("#include", i):
-                err("expected #include", i)
-            j = i + len("#include")
-            while j < n and text[j] in _WS:
-                j += 1
-            if j >= n or text[j] != '"':
-                err("expected quoted path after #include", j)
-            end = closing(j, '"', "include path")
-            if end == j + 1:
-                err("empty include path", j)
-            emit("INCLUDE", i, text[j + 1 : end])
-            i = end + 1
-        elif text.startswith("||", i):
-            emit("COMPOSE", i)
-            i += 2
-        elif ch in _PUNCTUATION:
-            if ch == "(":
+                toks.append(_Token(kind, None, line, at - line_start + 1))
+            line, line_start = line + 1, at + 1
+            continue
+        if kind == "BLANK":
+            continue
+        if kind == "ESCAPE":
+            if m["escaped"] is None:
+                err("cannot escape a newline" if m.end() < len(text)
+                    else "dangling escape at end of file", at)
+            kind, value = "SYM", m["escaped"]
+        elif kind == "TAG":
+            if m["tag_end"] is None:
+                err("unterminated tag", at)
+            if "<" in m["tag"] or "\\" in m["tag"]:
+                err("invalid character inside tag", at)
+            if not m["tag"]:
+                kind = "EPS"  # the value "<>" is EPSILON_SYMBOL
+        elif kind == "VAR":
+            if m["name_end"] is None:
+                err("unterminated variable name", at)
+            value = m["name"]
+            if not value or not _ESCAPED.isdisjoint(value):
+                err("invalid variable name", at)
+        elif kind == "CLASS":
+            stop = m["class_end"]
+            if stop is None:
+                err("unterminated character class", at)
+            if stop == "\\":  # before a newline or the end of the text
+                err("dangling escape in character class", m.end() - 1)
+            if stop != "]":
+                err(f"character {stop!r} not allowed in a class (escape it)", m.end() - 1)
+            value = tuple(sorted({escaped or plain for escaped, plain
+                                  in _CLASS_MEMBER.findall(m["members"])}))
+            if not value:
+                err("empty character class", at)
+        elif kind == "INCLUDE":
+            if m["keyword"] is None:
+                err("expected #include", at)
+            if m["path"] is None:
+                err("expected quoted path after #include", m.end())
+            if m["path_end"] is None:
+                err("unterminated include path", m.start("path") - 1)
+            if not m["path"]:
+                err("empty include path", m.start("path") - 1)
+            value = m["path"]
+        elif kind == "STRAY":
+            err(f"unexpected {value!r}", at)
+        elif kind != "SYM":  # "||" or one-character punctuation
+            if value == "(":
                 depth += 1
-            elif ch == ")":
+            elif value == ")":
                 depth = max(0, depth - 1)
-            emit(_PUNCTUATION[ch], i)
-            i += 1
-        elif ch in '>]"':
-            err(f"unexpected {ch!r}", i)
-        else:
-            emit("SYM", i, ch)
-            i += 1
-    emit("EOF", n)
+            kind, value = _PUNCTUATION[value], None
+        toks.append(_Token(kind, value, line, at - line_start + 1))
+    toks.append(_Token("EOF", None, line, len(text) - line_start + 1))
     return toks
 
 
@@ -275,10 +255,23 @@ def _lex(text: str) -> list[_Token]:
 # Parser
 
 _ATOM_STARTERS = {"SYM", "TAG", "EPS", "CLASS", "LPAREN", "VAR", "INCLUDE"}
-# Each closure node with its operator and its fst.closure mode.
-_CLOSURES = {Star: ("*", "star"), Plus: ("+", "plus"), Opt: ("?", "optional")}
-_POSTFIX = {_PUNCTUATION[op]: node for node, (op, _) in _CLOSURES.items()}
-_TOKEN_NAMES = {"NEWLINE": "end of line", "EOF": "end of file", "COMPOSE": "'||'",
+# Each operator node with its text, its precedence (a higher one binds
+# tighter) and its machine, made from its operands' machines.  The
+# operands of "||" and of a closure are minimized, so that a
+# composition's product and a closure start from a minimal machine.
+# Each entry calls fst through the module, so a wrapper put there sees it.
+_POSTFIX_PREC = 3
+_OPERATORS = {
+    Compose: (" || ", 0, lambda lhs, rhs: fst.compose(fst.minimize(lhs), fst.minimize(rhs))),
+    Union: (" | ", 1, lambda *parts: fst.union(*parts)),
+    Concat: (" ", 2, lambda *parts: fst.concat(*parts)),
+    Star: ("*", _POSTFIX_PREC, lambda expr: fst.closure(fst.minimize(expr), "star")),
+    Plus: ("+", _POSTFIX_PREC, lambda expr: fst.closure(fst.minimize(expr), "plus")),
+    Opt: ("?", _POSTFIX_PREC, lambda expr: fst.closure(fst.minimize(expr), "optional")),
+}
+_POSTFIX = {_PUNCTUATION[op]: node for node, (op, prec, _) in _OPERATORS.items()
+            if prec == _POSTFIX_PREC}
+_TOKEN_NAMES = {"NEWLINE": "end of line", "EOF": "end of file",
                 **{kind: f"'{ch}'" for ch, kind in _PUNCTUATION.items()}}
 # Caps open parentheses and AST height, far below Python's recursion limit.
 _MAX_NESTING = 100
@@ -291,7 +284,7 @@ def _children(node) -> tuple:
         return node.parts
     if isinstance(node, Compose):
         return node.lhs, node.rhs
-    if type(node) in _CLOSURES:
+    if type(node) in _OPERATORS:
         return (node.expr,)
     return ()
 
@@ -448,18 +441,26 @@ def parse_rules_file(path) -> RuleFile:
 # ---------------------------------------------------------------------------
 # Pretty-printer
 
-_PREC_COMPOSE, _PREC_UNION, _PREC_CONCAT, _PREC_POSTFIX = 0, 1, 2, 3
-
-
 def _render_symbol(sym: str) -> str:
-    # a tag ("<Tag>" or "<>") is never in these one-character sets
-    if sym in _SPECIAL or sym in _WS or sym == "\n":
-        return "\\" + sym
-    return sym
+    # a tag ("<Tag>" or "<>") is never in this set of single scalars
+    return "\\" + sym if sym in _ESCAPED else sym
 
 
 def render_node(node, parent_prec: int = 0) -> str:
-    """Rule-language text for an AST node (re-parses to an equal AST)."""
+    """Rule-language text for an AST node (re-parses to an equal AST).
+
+    An operand keeps its parentheses where its operator binds no tighter
+    than the one applied to it, except the left operand of ``||``: the
+    parser nests a chain of ``||`` to the left.
+    """
+    if type(node) in _OPERATORS:
+        op, prec, _ = _OPERATORS[type(node)]
+        first, *rest = _children(node)
+        if prec == _POSTFIX_PREC:
+            return render_node(first, prec) + op
+        text = op.join([render_node(first, prec if isinstance(node, Compose) else prec + 1),
+                        *(render_node(part, prec + 1) for part in rest)])
+        return f"( {text} )" if parent_prec > prec else text
     if isinstance(node, Literal):
         return _render_symbol(node.symbol)
     if isinstance(node, Pair):
@@ -470,18 +471,6 @@ def render_node(node, parent_prec: int = 0) -> str:
         return f"${node.name}$"
     if isinstance(node, Include):
         return f'#include "{node.path}"'
-    if type(node) in _CLOSURES:
-        return render_node(node.expr, _PREC_POSTFIX) + _CLOSURES[type(node)][0]
-    if isinstance(node, Concat):
-        text = " ".join(render_node(p, _PREC_CONCAT) for p in node.parts)
-        return f"( {text} )" if parent_prec > _PREC_CONCAT else text
-    if isinstance(node, Union):
-        text = " | ".join(render_node(p, _PREC_UNION) for p in node.parts)
-        return f"( {text} )" if parent_prec > _PREC_UNION else text
-    if isinstance(node, Compose):
-        text = (render_node(node.lhs, _PREC_COMPOSE) + " || "
-                + render_node(node.rhs, _PREC_COMPOSE))
-        return f"( {text} )" if parent_prec > _PREC_COMPOSE else text
     raise TypeError(f"not a rule AST node: {node!r}")
 
 
@@ -511,15 +500,9 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
     if isinstance(node, CharClass):
         arcs = [(0, sid, sid, 1) for sid in map(symbols.intern, node.chars)]
         return fst.build(2, 0, (1,), arcs, symbols)
-    machine = functools.partial(_machine, defs, symbols, base_dir)
-    if isinstance(node, (Concat, Union)):
-        return (fst.concat if isinstance(node, Concat) else fst.union)(*map(machine, node.parts))
-    # a closure and a composition start from minimal operands, so that
-    # their products stay small
-    if type(node) in _CLOSURES:
-        return fst.closure(fst.minimize(machine(node.expr)), _CLOSURES[type(node)][1])
-    if isinstance(node, Compose):
-        return fst.compose(fst.minimize(machine(node.lhs)), fst.minimize(machine(node.rhs)))
+    if type(node) in _OPERATORS:
+        machine = functools.partial(_machine, defs, symbols, base_dir)
+        return _OPERATORS[type(node)][2](*map(machine, _children(node)))
     if isinstance(node, VarRef):
         if node.name not in defs:
             raise UndefinedVariable(node.name)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import random
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,12 @@ SAMPLES = [
     '#include "roots.lex" <Noun>:<>',
     "<Verb>:<> <>:र <>:\\  a:e",
     "क:ख | ग",
+    # an operand of equal precedence keeps its parentheses
+    "a | (b | c)",
+    "(a | b) | c",
+    "a (b c)",
+    "(a b) c",
+    "a || (b || c)",
 ]
 
 
@@ -302,6 +309,71 @@ def test_render_parse_fixpoint(text):
     second = parse_rules(printed)
     assert second == first
     assert render_rules(second) == printed
+
+
+# Leaves of random rule ASTs: symbols that need an escape, tags, <> on
+# either side of a pair, classes and #include paths.
+SYMBOLS = [" ", "\t", "\r", "|", ":", "\\", "%", "$", "#", '"', "<", ">", "[", "]",
+           "(", ")", "*", "+", "?", "=", ";", "a", "क", "ि"]
+TAGS = ["<Noun>", "<pl>", "<>"]
+NAMES = ["A", "B1", "Noun_Stem", "कि"]
+
+
+def random_leaf(rng, names):
+    kind = rng.randrange(5 if names else 4)
+    if kind == 0:
+        return Literal(rng.choice(SYMBOLS + TAGS))
+    if kind == 1:
+        lhs, rhs = rng.choice([(rng.choice(TAGS), rng.choice(SYMBOLS)),
+                               (rng.choice(SYMBOLS), rng.choice(TAGS)),
+                               (rng.choice(SYMBOLS), rng.choice(SYMBOLS))])
+        return Pair(lhs, rhs)
+    if kind == 2:
+        return CharClass(tuple(sorted(set(rng.sample(SYMBOLS, rng.randint(1, 4))))))
+    if kind == 3:
+        return Include(rng.choice(["roots.lex", "a b/50%.lex", "क$.lex", "/abs|path"]))
+    return VarRef(rng.choice(names))
+
+
+def random_expr(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return random_leaf(rng, names)
+    op = rng.choice([Concat, Union, Compose, Star, Plus, Opt])
+    if op in (Concat, Union):
+        return op(tuple(random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
+    if op is Compose:
+        return Compose(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
+    return op(random_expr(rng, names, depth - 1))
+
+
+def test_render_parse_fixpoint_on_random_rule_files():
+    rng = random.Random(40)
+    for _ in range(300):
+        names = rng.sample(NAMES, rng.randint(0, len(NAMES)))
+        definitions = tuple((name, random_expr(rng, names[:i], 4))
+                            for i, name in enumerate(names))
+        rule_file = RuleFile(definitions, random_expr(rng, names, 4))
+        printed = render_rules(rule_file)
+        assert parse_rules(printed) == rule_file, printed
+        assert render_rules(parse_rules(printed)) == printed
+
+
+HOSTILE = [*"$%()[]*+?|:<>#\"=;\\", "#include", "#include \"r.lex\"", "<Noun>", "<>",
+           "\r", "\t", "\n", " ", "a", "कि", "ि", "ढ़"]
+
+
+def test_hostile_rule_text_raises_only_rule_errors():
+    rng = random.Random(40)
+    for _ in range(4000):
+        text = "".join(rng.choice(HOSTILE) for _ in range(rng.randrange(30)))
+        try:
+            parse_rules(text)
+        except EmptyRuleFile:
+            pass
+        except (RuleSyntaxError, UndefinedVariable) as exc:
+            lines = unicodedata.normalize("NFC", text).split("\n")
+            assert 1 <= exc.line <= len(lines), text
+            assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, text
 
 
 def test_render_parse_fixpoint_on_bundled_grammar():
