@@ -20,6 +20,10 @@ Syntax summary::
 A statement ends at a newline (newlines inside parentheses do not end
 statements).  The last expression statement in the file is its result.
 Definitions must precede use; redefinition is an error.
+
+An AST node built by hand refuses, with ``ValueError``, any value that
+the language cannot write, so :func:`render_rules` of any rule file
+whose names are bound parses back to it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import functools
 import gc
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,68 +77,101 @@ class IncludeNotFound(RuleError):
 # AST
 
 
-@dataclass(frozen=True)
-class Literal:
-    symbol: str  # single scalar, "<Tag>", or "<>" for the empty pair
+class _Node:
+    """A rule AST node: immutable, hashable, and equal only to a node of
+    its own class whose fields, the names in ``__slots__``, are equal.
+    A node that :func:`render_node` could not write as text that parses
+    back to it raises ``ValueError``."""
+
+    # the fields in order, and the levels of the AST under the node, itself included
+    __slots__ = ("_values", "_height")
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_height", _checked_height(self))
+
+    def _key(self) -> tuple:  # what equality and the hash read
+        return self._values
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
 
 
-@dataclass(frozen=True)
-class Pair:
-    lhs: str
-    rhs: str
+class Literal(_Node):
+    __slots__ = ("symbol",)  # single scalar, "<Tag>", or "<>" for the empty pair
 
 
-@dataclass(frozen=True)
-class CharClass:
-    chars: tuple[str, ...]
+class Pair(_Node):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple
+class CharClass(_Node):
+    __slots__ = ("chars",)  # sorted distinct scalars
 
 
-@dataclass(frozen=True)
-class Union:
-    parts: tuple
+class Concat(_Node):
+    __slots__ = ("parts",)  # two or more
 
 
-@dataclass(frozen=True)
-class Star:
-    expr: object
+class Union(_Node):
+    __slots__ = ("parts",)  # two or more
 
 
-@dataclass(frozen=True)
-class Plus:
-    expr: object
+class Star(_Node):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class Opt:
-    expr: object
+class Plus(_Node):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class Compose:
-    lhs: object
-    rhs: object
+class Opt(_Node):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class Compose(_Node):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class Include:
-    path: str
+class VarRef(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class RuleFile:
-    definitions: tuple[tuple[str, object], ...]
-    result: object
-    base_dir: Path | None = field(default=None, compare=False)
+class Include(_Node):
+    __slots__ = ("path",)
+
+
+class RuleFile(_Node):
+    """The definitions, ``(name, expression)`` pairs in file order, and
+    the result; `base_dir`, where an ``#include`` reads, takes no part
+    in equality."""
+
+    __slots__ = ("definitions", "result", "base_dir")
+
+    def __init__(self, definitions, result, base_dir: Path | None = None):
+        super().__init__(definitions, result, base_dir)
+
+    def _key(self) -> tuple:
+        return self.definitions, self.result
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +315,44 @@ _TOO_DEEP = f"expression is nested too deeply (more than {_MAX_NESTING} levels)"
 
 
 def _children(node) -> tuple:
-    """The operands of an AST node; a leaf or a ``$Name$`` has none."""
-    if isinstance(node, (Concat, Union)):
-        return node.parts
-    if isinstance(node, Compose):
-        return node.lhs, node.rhs
-    if type(node) in _OPERATORS:
-        return (node.expr,)
-    return ()
+    """The operands of an operator node: the parts of a ``|`` or a
+    juxtaposition, else its fields."""
+    return node.parts if node.__slots__ == ("parts",) else node._values
 
 
-def _height(node) -> int:
-    """Levels of the AST under `node`, counted without recursion."""
-    height, level = 0, [node]
-    while level:
-        height, level = height + 1, [child for n in level for child in _children(n)]
+def _checked_height(node) -> int:
+    """The levels of the AST under `node`, itself included, if
+    :func:`render_node` writes `node` as text that parses back to it;
+    ``ValueError`` if not."""
+    if isinstance(node, RuleFile):
+        pairs, defined = node.definitions, dict(node.definitions)
+        # a defined name is checked as the VarRef it makes
+        operands = (*defined.values(), *map(VarRef, defined), node.result)
+        writable = tuple(map(tuple, pairs)) == pairs and len(defined) == len(pairs)
+    elif type(node) in _OPERATORS:
+        operands = _children(node)
+        # a "|" or juxtaposition of one part would render as the part
+        writable = type(operands) is tuple and (len(operands) > 1 or node.__slots__ == ("expr",))
+    else:
+        operands, writable = (), _lexes_back(render_node(node), node._values)
+    if not (writable and all(isinstance(x, _Node) and type(x) is not RuleFile for x in operands)):
+        raise ValueError(f"the rule language cannot write {node!r}")
+    height = 1 + max([operand._height for operand in operands], default=0)
+    if height > _MAX_NESTING and type(node) in _OPERATORS:
+        raise ValueError(_TOO_DEEP)
     return height
+
+
+@functools.lru_cache(maxsize=4096)
+def _lexes_back(text: str, fields: tuple) -> bool:
+    """Whether the lexer reads `text`, the rendering of a leaf, back as
+    the leaf's fields; ``<>:<>`` lexes so, but does not parse."""
+    try:
+        tokens = _lex(unicodedata.normalize("NFC", text))
+    except (RuleSyntaxError, TypeError):
+        return False
+    values = [tok.value for tok in tokens if tok.value is not None]
+    return values == [*fields] and values != [EPSILON_SYMBOL] * 2
 
 
 class _Parser:
@@ -350,10 +408,10 @@ class _Parser:
 
     def parse_statement_expr(self):
         start = self.peek()
-        expr = self.parse_expr()
-        if _height(expr) > _MAX_NESTING:
-            self.error(start, _TOO_DEEP)
-        return expr
+        try:
+            return self.parse_expr()
+        except ValueError as exc:  # a parsed node refuses only a tree nested too deeply
+            raise RuleSyntaxError(start.line, start.col, str(exc)) from None
 
     def parse_expr(self):
         node = self.parse_union()
@@ -416,9 +474,7 @@ class _Parser:
 
 
 def _describe(tok: _Token) -> str:
-    if tok.kind in _TOKEN_NAMES:
-        return _TOKEN_NAMES[tok.kind]
-    return f"{tok.kind.lower()} {tok.value!r}"
+    return _TOKEN_NAMES.get(tok.kind) or f"{tok.kind.lower()} {tok.value!r}"
 
 
 def parse_rules(text: str, base_dir: Path | str | None = None) -> RuleFile:
@@ -428,9 +484,7 @@ def parse_rules(text: str, base_dir: Path | str | None = None) -> RuleFile:
     precomposed and decomposed Devanagari never reach the grammar.
     """
     toks = _lex(unicodedata.normalize("NFC", text))
-    definitions, result = _Parser(toks).parse_file()
-    return RuleFile(definitions, result,
-                    Path(base_dir) if base_dir is not None else None)
+    return RuleFile(*_Parser(toks).parse_file(), Path(base_dir) if base_dir is not None else None)
 
 
 def parse_rules_file(path) -> RuleFile:
@@ -466,12 +520,14 @@ def render_node(node, parent_prec: int = 0) -> str:
     if isinstance(node, Pair):
         return f"{_render_symbol(node.lhs)}:{_render_symbol(node.rhs)}"
     if isinstance(node, CharClass):
-        return f"[{''.join(map(_render_symbol, node.chars))}]"
+        text = "["
+        for char in map(_render_symbol, node.chars):
+            # an escape also keeps a scalar from composing with the one before
+            text += char if unicodedata.is_normalized("NFC", text + char) else "\\" + char
+        return text + "]"
     if isinstance(node, VarRef):
         return f"${node.name}$"
-    if isinstance(node, Include):
-        return f'#include "{node.path}"'
-    raise TypeError(f"not a rule AST node: {node!r}")
+    return f'#include "{node.path}"'  # Include, the last kind
 
 
 def render_rules(rule_file: RuleFile) -> str:
@@ -507,13 +563,12 @@ def _machine(defs: dict[str, Transducer], symbols: SymbolTable, base_dir: Path |
         if node.name not in defs:
             raise UndefinedVariable(node.name)
         return defs[node.name]
-    if isinstance(node, Include):
-        # an absolute path joined to a directory is that path again
-        path = Path(base_dir or "", node.path)
-        if not path.is_file():
-            raise IncludeNotFound(node.path)
-        return lexicon.compile_root_fst(lexicon.read_lexicon_file(path), symbols)
-    raise TypeError(f"not a rule AST node: {node!r}")
+    # Include, the last kind; an absolute path joined to a directory is
+    # that path again
+    path = Path(base_dir or "", node.path)
+    if not path.is_file():
+        raise IncludeNotFound(node.path)
+    return lexicon.compile_root_fst(lexicon.read_lexicon_file(path), symbols)
 
 
 def compile(rule_file: RuleFile, symbols: SymbolTable) -> Transducer:

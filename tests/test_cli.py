@@ -723,6 +723,9 @@ print(*[m for m in probed if m in sys.modules])
 assert cli.main(["eval", "-m", tag_path, "-f", fst_path, "-c", corpus]) == 0
 assert cli.main(["train", "-c", corpus, "-o", out_path, "--epochs", "1"]) == 0
 print(*[m for m in probed if m in sys.modules])
+rules_path = str(data_path("rules", "hindi.mrl"))
+assert cli.main(["compile", "-r", rules_path, "-o", out_path + ".fst"]) == 0
+print(*[m for m in probed if m in sys.modules])
 """
 
 
@@ -741,6 +744,8 @@ def test_analyze_imports_neither_compiler_nor_tagger(fst_file, tag_file, tmp_pat
         "overall: 1.0000 (501 tokens)",
         f"trained on 83 sentences, 501 tokens; 10 tags, 7090 weights -> {out}",
         "hindimorph.tagger",  # eval and train: the same
+        f"85 states, 114 arcs -> {out}.fst",
+        "hindimorph.lexicon hindimorph.rules hindimorph.tagger",  # compile: not dataclasses
     ]
 
 

@@ -1,6 +1,8 @@
+import copy
 import gc
 import hashlib
 import importlib
+import pickle
 import random
 import unicodedata
 from pathlib import Path
@@ -302,6 +304,104 @@ SAMPLES = [
 ]
 
 
+A = Literal("a")
+# Hand-built values the rule language cannot write, each as a kind and
+# its fields: render_node would write text that does not parse back
+# to them, so the node refuses them.
+UNSAYABLE = [
+    (Literal, "\n"),
+    (Include, 'a"b'),
+    (Union, (A,)),
+    (Concat, (A,)),
+    (Literal, "ab"),
+    (Literal, ""),
+    (Literal, "<a\\b>"),
+    (Pair, "<>", "<>"),
+    (Pair, "a", "\n"),
+    (CharClass, ("b", "a")),
+    (CharClass, ()),
+    (CharClass, ("a", "a")),
+    (CharClass, ("<Noun>",)),
+    (Include, ""),
+    (VarRef, "a$b"),
+    (VarRef, ""),
+    (Concat, ()),
+    (RuleFile, (("a b", A),), A),
+    (RuleFile, (("A", A), ("A", Literal("b"))), A),
+    # a decomposing scalar, a list where the parser makes a tuple, and
+    # operands that are not expressions
+    (Literal, "\u095d"),
+    (Concat, [A, A]),
+    (Star, (A,)),
+    (Compose, A, "a"),
+    (RuleFile, (["A", A],), A),
+    (RuleFile, (), RuleFile((), A)),
+]
+
+
+@pytest.mark.parametrize("kind, fields", [(kind, fields) for kind, *fields in UNSAYABLE],
+                         ids=[f"{kind.__name__}{tuple(fields)!r}" for kind, *fields in UNSAYABLE])
+def test_a_node_refuses_what_the_language_cannot_write(kind, fields):
+    with pytest.raises(ValueError, match=r"^the rule language cannot write "):
+        kind(*fields)
+
+
+def test_a_node_refuses_more_levels_than_the_parser_reads():
+    node = A
+    for _ in range(99):
+        node = Star(node)
+    assert parse_rules(render_rules(RuleFile((), node))).result == node
+    with pytest.raises(ValueError, match=r"^expression is nested too deeply"):
+        Star(node)
+
+
+def test_nodes_compare_by_kind_and_fields_and_show_their_fields(tmp_path):
+    assert A == Literal("a") and hash(A) == hash(Literal("a"))
+    assert A != Literal("b") and A != "a"
+    # one field each, or the same parts: equal fields, unequal kinds
+    assert len({Star(A), Plus(A), Opt(A)}) == 3
+    assert Star(A) != Plus(A) != Opt(A) != Star(A)
+    assert Concat((A, A)) != Union((A, A))
+    assert Compose(A, A) != Pair("a", "a")
+    tree = Union((Concat((A, Star(VarRef("X")))), Pair("<N>", "<>")))
+    same = Union((Concat((Literal("a"), Star(VarRef("X")))), Pair("<N>", "<>")))
+    assert tree == same and hash(tree) == hash(same)
+    for node, name in ((A, "symbol"), (tree, "parts"), (RuleFile((), A), "base_dir")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(AttributeError):
+        A.other = 1
+    assert repr(A) == "Literal(symbol='a')"
+    assert repr(Compose(Pair("a", "<>"), CharClass(("a", "b")))) == (
+        "Compose(lhs=Pair(lhs='a', rhs='<>'), rhs=CharClass(chars=('a', 'b')))")
+    assert repr(RuleFile((("X", A),), VarRef("X"))) == (
+        "RuleFile(definitions=(('X', Literal(symbol='a')),), result=VarRef(name='X'), "
+        "base_dir=None)")
+    # where #include reads takes no part in equality
+    assert RuleFile((), A, tmp_path) == RuleFile((), A)
+    assert hash(RuleFile((), A, tmp_path)) == hash(RuleFile((), A))
+    assert RuleFile((), A) != RuleFile((), Literal("b"))
+    # an unbound name is the compiler's to refuse, not the node's
+    assert RuleFile((), VarRef("X")).result == VarRef("X")
+    with pytest.raises(TypeError):
+        Pair("a")
+    built = RuleFile((("X", tree),), VarRef("X"), tmp_path)
+    for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert twin == built and twin.base_dir == tmp_path
+
+
+def test_a_class_keeps_members_apart_that_nfc_would_compose():
+    # न + nukta composes to ऩ, and > + U+0338 to ≯: an escape keeps
+    # each member a scalar of its own
+    for text, escaped in [("[\u093cन]", "[न\\\u093c]"), ("[\u0338\\>]", "[\\>\\\u0338]")]:
+        parsed = parse_rules(text)
+        assert render_rules(parsed) == escaped + "\n"
+        assert parse_rules(render_rules(parsed)) == parsed
+    assert render_rules(parse_rules("[ab\\]]")) == "[\\]ab]\n"
+
+
 @pytest.mark.parametrize("text", SAMPLES)
 def test_render_parse_fixpoint(text):
     first = parse_rules(text)
@@ -312,14 +412,30 @@ def test_render_parse_fixpoint(text):
 
 
 # Leaves of random rule ASTs: symbols that need an escape, tags, <> on
-# either side of a pair, classes and #include paths.
+# either side of a pair, classes and #include paths; one leaf in 50 is
+# a value the language cannot write.
 SYMBOLS = [" ", "\t", "\r", "|", ":", "\\", "%", "$", "#", '"', "<", ">", "[", "]",
            "(", ")", "*", "+", "?", "=", ";", "a", "क", "ि"]
 TAGS = ["<Noun>", "<pl>", "<>"]
 NAMES = ["A", "B1", "Noun_Stem", "कि"]
 
 
-def random_leaf(rng, names):
+def random_leaf(rng, names, hostile):
+    """A random leaf.  A value the language cannot write is noted in
+    `hostile` before its node refuses it."""
+    if rng.random() < 0.02:
+        symbol = rng.choice(SYMBOLS)
+        hostile.append(rng.choice([
+            (Literal, "\n"),
+            (Literal, symbol + rng.choice(SYMBOLS + TAGS)),
+            (Pair, symbol, "\n"),
+            (Pair, "<>", "<>"),
+            (CharClass, tuple(sorted(set(rng.sample(SYMBOLS, 3)), reverse=True))),
+            (Include, rng.choice(["roots.lex", "क$.lex"]).replace(".", '"')),
+            (VarRef, rng.choice(NAMES) + rng.choice(" $:")),
+        ]))
+        kind, *fields = hostile[-1]
+        return kind(*fields)
     kind = rng.randrange(5 if names else 4)
     if kind == 0:
         return Literal(rng.choice(SYMBOLS + TAGS))
@@ -335,27 +451,39 @@ def random_leaf(rng, names):
     return VarRef(rng.choice(names))
 
 
-def random_expr(rng, names, depth):
+def random_expr(rng, names, depth, hostile):
     if depth == 0 or rng.random() < 0.2:
-        return random_leaf(rng, names)
+        return random_leaf(rng, names, hostile)
     op = rng.choice([Concat, Union, Compose, Star, Plus, Opt])
     if op in (Concat, Union):
-        return op(tuple(random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
+        return op(tuple(random_expr(rng, names, depth - 1, hostile)
+                        for _ in range(rng.randint(2, 3))))
     if op is Compose:
-        return Compose(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
-    return op(random_expr(rng, names, depth - 1))
+        return Compose(random_expr(rng, names, depth - 1, hostile),
+                       random_expr(rng, names, depth - 1, hostile))
+    return op(random_expr(rng, names, depth - 1, hostile))
 
 
 def test_render_parse_fixpoint_on_random_rule_files():
+    # each drawn AST is refused at construction, or round-trips
     rng = random.Random(40)
+    refused = 0
     for _ in range(300):
         names = rng.sample(NAMES, rng.randint(0, len(NAMES)))
-        definitions = tuple((name, random_expr(rng, names[:i], 4))
-                            for i, name in enumerate(names))
-        rule_file = RuleFile(definitions, random_expr(rng, names, 4))
+        hostile = []
+        try:
+            definitions = tuple((name, random_expr(rng, names[:i], 4, hostile))
+                                for i, name in enumerate(names))
+            rule_file = RuleFile(definitions, random_expr(rng, names, 4, hostile))
+        except ValueError:
+            assert hostile, "a value the language can write was refused"
+            refused += 1
+            continue
+        assert not hostile, f"{hostile} was not refused"
         printed = render_rules(rule_file)
         assert parse_rules(printed) == rule_file, printed
         assert render_rules(parse_rules(printed)) == printed
+    assert 30 <= refused <= 200, refused
 
 
 HOSTILE = [*"$%()[]*+?|:<>#\"=;\\", "#include", "#include \"r.lex\"", "<Noun>", "<>",
