@@ -1,9 +1,11 @@
 """The package's one reader and one writer of files.
 
 `read_text` reads every UTF-8 text input: rule files, root lists,
-indeclinable dictionaries, tagged and raw corpora.  `records` walks the
-line records of a root list or an indeclinable dictionary.
-`write_atomic` writes every output file: models and word lists.
+indeclinable dictionaries, tagged and raw corpora.  `newlines` is the
+newline rule of all of them, which text parsed from memory follows too.
+`records` walks the line records of a root list or an indeclinable
+dictionary.  `write_atomic` writes every output file: models and word
+lists.
 """
 
 import os
@@ -11,8 +13,13 @@ import unicodedata
 from pathlib import Path
 
 
+def newlines(text: str) -> str:
+    """`text` with each CRLF and each bare CR read as LF, as in text mode."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_text(path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file, with newlines translated as in text mode.
+    """The text of a UTF-8 file, with its newlines read by :func:`newlines`.
 
     A leading byte-order mark is dropped.  A byte sequence that is not
     UTF-8 raises `error`, naming the path and the offset of its first
@@ -23,7 +30,7 @@ def read_text(path, error: type[Exception]) -> str:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return newlines(text.removeprefix("\ufeff"))
 
 
 def records(path, error: type[Exception]):

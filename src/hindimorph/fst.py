@@ -164,7 +164,8 @@ class Transducer:
     ``s`` are those from ``_first[s]`` up to ``_first[s + 1]``, where
     `_first` is an ``array("I")`` of ``state_count + 1`` offsets.  The
     first :func:`lookup` on a side fills ``_sides[side]``: the side's
-    epsilon-closure table (see :func:`lookup`), then the columns of
+    epsilon-closure table, whose closures later lookups walk and keep
+    as they need them (see :func:`lookup`), then the columns of
     the label read, the label written and the target, in (src, read
     label, written label, dst) order.  They are the machine's own
     columns for "input", and one re-sorted copy for "output"; each
@@ -554,7 +555,8 @@ def _postorder(rows: list, roots: Iterable[int]) -> tuple[list[int], bool]:
     """The states reached from `roots` over rows of (label, dst) pairs,
     children first, by an iterative depth-first search, and whether the
     search met a cycle: an arc back to a state still on its stack.  With
-    no cycle, every state comes after each state it reaches."""
+    no cycle, every state comes after each state it reaches, the order
+    in which :func:`minimize` folds them."""
     mark = [0] * len(rows)  # 1: on the stack, 2: listed
     order: list[int] = []
     cyclic = False
@@ -645,14 +647,13 @@ def minimize(a: Transducer) -> Transducer:
     2. the pair-alphabet subset construction of :func:`determinize`
        runs only if some state still has two arcs with one label (a
        trie or an already minimal machine skips it);
-    3. a depth-first search (:func:`_postorder`, which the epsilon-cycle
-       guard of :func:`lookup` runs too) lists the states children first
-       and tells whether it met a cycle, and :func:`_fold` classes the
-       states with a register keyed by (final, label -> class map): in
-       one pass over that list (Revuz 1992), or on a cycle in repeated
-       passes over every state until the classes stop changing, which
-       drops the states on no accepting path and merges
-       indistinguishable ones (Moore 1956).
+    3. a depth-first search (:func:`_postorder`) lists the states
+       children first and tells whether it met a cycle, and
+       :func:`_fold` classes the states with a register keyed by
+       (final, label -> class map): in one pass over that list (Revuz
+       1992), or on a cycle in repeated passes over every state until
+       the classes stop changing, which drops the states on no
+       accepting path and merges indistinguishable ones (Moore 1956).
        :func:`string_set` runs the same fold over a trie;
     4. the classes are numbered breadth-first from the start, by sorted
        label, so equal relations always give the identical machine.
@@ -680,60 +681,6 @@ def _tapes(side: str) -> tuple[int, int]:
     if side == "output":
         return 2, 1
     raise ValueError(f"unknown apply side {side!r}")
-
-
-def _emitting_eps_cycle_states(a: Transducer, side: str) -> frozenset[int]:
-    """States inside a cycle that reads epsilon on `side` and writes on
-    the other tape.
-
-    Reaching such a state during application means infinitely many
-    outputs, so :func:`lookup` refuses.  Computed from the strongly
-    connected components of the subgraph of arcs that read epsilon: an
-    SCC is bad when one of its internal arcs writes a symbol (an arc
-    with both ends in one SCC always lies on a cycle).  The components
-    come from Kosaraju's two searches, which need no per-state low-link
-    bookkeeping: the depth-first search of :func:`_postorder`, which
-    :func:`minimize` runs too, and a flood over the reversed arcs, which
-    is skipped when the first search meets no cycle.  Both are iterative,
-    so a long cycle cannot overflow the stack.  Reads the machine's
-    columns; the arcs that read epsilon are found at C speed.
-    """
-    src, dst = a._cols[0], a._cols[3]
-    read, write = (a._cols[k] for k in _tapes(side))
-    eps_arcs = list(compress(range(len(read)), map(not_, read)))
-    # Kosaraju over the epsilon subgraph.  A state with no arc that reads
-    # epsilon is a component of its own with no internal arc, so only
-    # the states that have such an arc get a row, and they are the roots
-    # of the search that lists the states in finishing order ...
-    roots = dict.fromkeys(map(src.__getitem__, eps_arcs))
-    succ: list = [()] * a.state_count
-    for s in roots:
-        succ[s] = []
-    for k in eps_arcs:
-        succ[src[k]].append((k, dst[k]))
-    order, cyclic = _postorder(succ, roots)
-    if not cyclic:  # every component is one state with no internal arc
-        return frozenset()
-    pred: dict[int, list[int]] = {}
-    for k in eps_arcs:
-        pred.setdefault(dst[k], []).append(src[k])
-    # ... then a flood over the reversed arcs from each state not yet
-    # placed, last finished first, fills exactly that state's component.
-    comp: dict[int, int] = {}
-    for root in reversed(order):
-        if root in comp:
-            continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            for p in pred.get(stack.pop(), ()):
-                if p not in comp:
-                    comp[p] = root
-                    stack.append(p)
-
-    bad = {comp[src[k]] for k in eps_arcs
-           if write[k] != EPSILON and comp[src[k]] == comp[dst[k]]}
-    return frozenset(s for s, c in comp.items() if c in bad)
 
 
 def _by_output(a: Transducer) -> tuple[array, array, array]:
@@ -764,9 +711,7 @@ def _side(a: Transducer, side: str) -> tuple[_Closures, array, array, array]:
     slot = a._sides.get(side)
     if slot is None:
         read = a._cols[_tapes(side)[0]]
-        # not yet walked: None; on or into an emitting epsilon cycle: False
-        closures = _Closures.fromkeys(compress(a._cols[0], map(not_, read)))
-        closures.update(dict.fromkeys(_emitting_eps_cycle_states(a, side), False))
+        closures = _Closures.fromkeys(compress(a._cols[0], map(not_, read)))  # none walked yet
         closures.room = a.arc_count
         by_read = a._cols[1:] if side == "input" else _by_output(a)
         slot = a._sides[side] = (closures, *by_read)
@@ -776,49 +721,58 @@ def _side(a: Transducer, side: str) -> tuple[_Closures, array, array, array]:
 def _closure(a: Transducer, side: str, ids: list[int], slot: tuple, state: int, pos: int,
              out: tuple[int, ...], seen: set, queue: list) -> tuple:
     """The (state, written) entries that :func:`lookup` queues for
-    `state`, found depth-first over the arcs that read epsilon.  While
-    the table has room, the first visit walks them from an empty output
-    and keeps them; once it is full, a visit walks them straight into
-    the search's `seen` and `queue` and returns ()."""
+    `state`, found by a depth-first walk over the arcs that read
+    epsilon.  While the table has room, the walk starts from an empty
+    output and its entries are kept; once it is full, the walk goes
+    straight into the search's `seen` and `queue` and returns ().
+
+    The walk is its own guard against a cycle that reads epsilon and
+    writes a symbol.  It keeps, for each state on its current path, how
+    much had been written on reaching it: an arc back to a state on the
+    path with more written closes such a cycle and raises
+    :class:`EpsilonCycle`, and one with as much written closes a silent
+    cycle, whose configuration is already seen.  So no path repeats a
+    state, and the walk ends."""
     closures, reads, writes, dsts = slot
-    closure = closures[state]
-    if closure is None:
-        keep = closures.room > 0
-        if keep:
-            pos, out, seen, queue = 0, (), set(), []
-        first, finals = a._first, a.finals
-        stack = [] if (state, pos, out) in seen else [(state, pos, out)]
-        seen.update(stack)
-        while stack:
-            cfg = stack.pop()
-            s, _, written_so_far = cfg
-            if closures.get(s) is False:  # an emitting epsilon cycle is reachable
-                closure = False
-                break
-            k, end = first[s], first[s + 1]
-            if s in finals or k < end and reads[end - 1]:
-                queue.append(cfg)
-            while k < end and not reads[k]:
-                written = writes[k]
-                cfg = (dsts[k], pos, written_so_far + (written,) if written else written_so_far)
-                k += 1
-                if cfg not in seen:
-                    seen.add(cfg)
-                    stack.append(cfg)
-        if closure is None:
-            if not keep:
-                return ()
-            closure = tuple((t, written) for t, _, written in queue)
-            if len(closure) > closures.room:  # the table is full: keep no more
-                closures.room = 0
-                return closure
-            closures.room -= len(closure)
-        if keep:
-            closures[state] = closure
-    if closure is False:  # an id outside the table is named by number
-        on = (repr("".join(map(a.symbols._entries.__getitem__, ids)))
-              if all(0 < i < len(a.symbols) for i in ids) else f"symbol ids {list(ids)}")
-        raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {on}")
+    keep = closures.room > 0
+    if keep:
+        pos, out, seen, queue = 0, (), set(), []
+    elif (state, pos, out) in seen:
+        return ()
+    first, finals = a._first, a.finals
+    path: dict[int, int] = {}  # each state on the path -> the symbols written on reaching it
+    stack: list = [(state, pos, out)]  # configurations to enter, and states to leave the path
+    seen.add(stack[0])
+    while stack:
+        cfg = stack.pop()
+        if cfg.__class__ is int:  # every arc of this state is walked
+            del path[cfg]
+            continue
+        s, _, written_so_far = cfg
+        k, end = first[s], first[s + 1]
+        if s in finals or k < end and reads[end - 1]:
+            queue.append(cfg)
+        path[s] = len(written_so_far)
+        stack.append(s)
+        while k < end and not reads[k]:
+            written = writes[k]
+            cfg = (dsts[k], pos, written_so_far + (written,) if written else written_so_far)
+            k += 1
+            if cfg[0] in path and path[cfg[0]] < len(cfg[2]):
+                on = (repr("".join(map(a.symbols._entries.__getitem__, ids)))
+                      if all(0 < i < len(a.symbols) for i in ids) else f"symbol ids {list(ids)}")
+                raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {on}")
+            if cfg not in seen:
+                seen.add(cfg)
+                stack.append(cfg)
+    if not keep:
+        return ()
+    closure = tuple((t, written) for t, _, written in queue)
+    if len(closure) > closures.room:  # the table is full: keep no more
+        closures.room = 0
+    else:
+        closures.room -= len(closure)
+        closures[state] = closure
     return closure
 
 
@@ -836,11 +790,12 @@ def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int,
     filled lazily, each state's closure as (state, written) entries,
     only for states that are final or have an arc reading a symbol, so
     pass-through states (such as chains of tags written on no surface
-    symbol) are never queued.  A state that reaches an emitting
-    epsilon cycle (:func:`_emitting_eps_cycle_states`) is marked False
-    and raises.  The table keeps at most as many entries as the
-    machine has arcs; past that, a closure is walked within the search
-    and not kept.
+    symbol) are never queued.  The walk that finds a closure
+    (:func:`_closure`) raises on a cycle that reads epsilon and writes,
+    so no closure of a state that reaches one is kept, and each lookup
+    that reaches it walks it again and raises.  The table keeps at most
+    as many entries as the machine has arcs; past that, a closure is
+    walked within the search and not kept.
 
     Raises :class:`InvalidSymbolId` when `ids` holds epsilon (id 0),
     which is no symbol to read, and :class:`EpsilonCycle` when a cycle
@@ -855,10 +810,9 @@ def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int,
     n = len(ids)
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
     queue: list[tuple[int, int, tuple[int, ...]]] = []
-    if a.start in closures:
+    closure = closures.get(a.start, ((a.start, ()),))
+    if closure is None:
         closure = _closure(a, side, ids, slot, a.start, 0, (), seen, queue)
-    else:
-        closure = ((a.start, ()),)
     for t, written in closure:
         seen.add((t, 0, written))
         queue.append((t, 0, written))
@@ -885,7 +839,7 @@ def lookup(a: Transducer, ids: list[int], side: str = "input") -> set[tuple[int,
                         queue.append(cfg)
                     continue
                 closure = closures[dst]
-                if not closure:  # not kept yet, or marked False
+                if closure is None:  # not walked yet, or not kept
                     closure = _closure(a, side, ids, slot, dst, pos, nout, seen, queue)
                 for t, written in closure:
                     cfg = (t, pos, nout + written if written else nout)

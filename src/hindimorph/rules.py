@@ -178,7 +178,7 @@ class RuleFile(_Node):
 # Lexer
 
 # The scalars that a symbol writes with an escape and a $Name$ may not hold.
-_ESCAPED = frozenset("$%()[]*+?|:<>#\"=;\\ \t\r\n")
+_ESCAPED = frozenset("$%()[]*+?|:<>#\"=;\\ \t\n")
 # The operators and punctuation; "||" is matched before "|".
 _PUNCTUATION = {"||": "COMPOSE", "=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "OPT",
                 "|": "PIPE", "(": "LPAREN", ")": "RPAREN", ":": "COLON", ";": "SEMI"}
@@ -187,20 +187,20 @@ _PUNCTUATION = {"||": "COMPOSE", "=": "EQUALS", "*": "STAR", "+": "PLUS", "?": "
 # hold, and _lex names the error from what stopped the match.
 _TOKEN = re.compile(r"""
     (?P<NEWLINE> \n )
-  | (?P<BLANK> [ \t\r]+ | %[^\n]* )
+  | (?P<BLANK> [ \t]+ | %[^\n]* )
   | (?P<ESCAPE> \\ (?P<escaped> [^\n] )? )
   | (?P<TAG> < (?P<tag> [^>\n]* ) (?P<tag_end> > )? )
   | (?P<VAR> \$ (?P<name> [^$\n]* ) (?P<name_end> \$ )? )
   | (?P<CLASS> \[ (?P<members> (?: \\[^\n] | [^\]\n\\<>\[$] )* )
                 (?P<class_end> [\]\\<>\[$] )? )
-  | (?P<INCLUDE> \# (?P<keyword> include [ \t\r]*
+  | (?P<INCLUDE> \# (?P<keyword> include [ \t]*
                     (?: " (?P<path> [^"\n]* ) (?P<path_end> " )? )? )? )
   | (?P<COMPOSE> \|\| )
   | (?P<PUNCT> [=*+?|():;] )
   | (?P<STRAY> [>\]"] )
   | (?P<SYM> . )
 """, re.VERBOSE)
-_CLASS_MEMBER = re.compile(r"\\(.)|([^ \t\r])")  # escaped, or not a blank
+_CLASS_MEMBER = re.compile(r"\\(.)|([^ \t])")  # escaped, or not a blank
 
 
 class _Token(NamedTuple):
@@ -213,11 +213,14 @@ class _Token(NamedTuple):
 def _lex(text: str) -> list[_Token]:
     """The tokens of NFC-normalized rule text, ending with ``EOF``.
 
-    Each token and each :class:`RuleSyntaxError` carries the line and
-    column of its first character.  The column is derived from offsets,
-    ``offset - line_start + 1``, so it counts Unicode scalars: a tab or
-    a combining mark is one column.
+    CRLF and a bare CR read as LF (:func:`_text.newlines`), as they do in
+    a rule file, so no CR reaches a token.  Each token and each
+    :class:`RuleSyntaxError` carries the line and column of its first
+    character.  The column is derived from offsets, ``offset -
+    line_start + 1``, so it counts Unicode scalars: a tab or a combining
+    mark is one column.
     """
+    text = _text.newlines(text)
     toks: list[_Token] = []
     line, line_start = 1, 0
     depth = 0
@@ -481,7 +484,8 @@ def parse_rules(text: str, base_dir: Path | str | None = None) -> RuleFile:
     """Parse rule text into a :class:`RuleFile`.
 
     Text is NFC-normalized first, so byte-level differences between
-    precomposed and decomposed Devanagari never reach the grammar.
+    precomposed and decomposed Devanagari never reach the grammar, and
+    its newlines read as those of a rule file do.
     """
     toks = _lex(unicodedata.normalize("NFC", text))
     return RuleFile(*_Parser(toks).parse_file(), Path(base_dir) if base_dir is not None else None)

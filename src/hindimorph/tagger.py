@@ -112,11 +112,12 @@ class TaggedCorpus:
     def parse(cls, text: str, source: str = "<corpus>") -> "TaggedCorpus":
         """One sentence per line, tokens as surface/TAG (last slash splits).
 
-        Lines break only at a newline: :meth:`read` has turned CR and
-        CRLF line ends into one, and a form feed or U+2028 is whitespace.
+        Lines break only at a newline, and CRLF and a bare CR read as one
+        (:func:`_text.newlines`), as they do in a file that :meth:`read`
+        reads; a form feed or U+2028 is whitespace.
         """
         sentences = []
-        for lineno, raw in enumerate(text.split("\n"), start=1):
+        for lineno, raw in enumerate(_text.newlines(text).split("\n"), start=1):
             line = unicodedata.normalize("NFC", raw).strip()
             if not line:
                 continue

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import pickle
 import random
+import re
 import unicodedata
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from hindimorph.rules import (
     Union,
     VarRef,
     parse_rules,
+    parse_rules_file,
     render_rules,
 )
 
@@ -414,7 +416,7 @@ def test_render_parse_fixpoint(text):
 # Leaves of random rule ASTs: symbols that need an escape, tags, <> on
 # either side of a pair, classes and #include paths; one leaf in 50 is
 # a value the language cannot write.
-SYMBOLS = [" ", "\t", "\r", "|", ":", "\\", "%", "$", "#", '"', "<", ">", "[", "]",
+SYMBOLS = [" ", "\t", "|", ":", "\\", "%", "$", "#", '"', "<", ">", "[", "]",
            "(", ")", "*", "+", "?", "=", ";", "a", "क", "ि"]
 TAGS = ["<Noun>", "<pl>", "<>"]
 NAMES = ["A", "B1", "Noun_Stem", "कि"]
@@ -426,9 +428,10 @@ def random_leaf(rng, names, hostile):
     if rng.random() < 0.02:
         symbol = rng.choice(SYMBOLS)
         hostile.append(rng.choice([
-            (Literal, "\n"),
+            (Literal, rng.choice("\n\r")),
             (Literal, symbol + rng.choice(SYMBOLS + TAGS)),
-            (Pair, symbol, "\n"),
+            (Pair, symbol, rng.choice("\n\r")),
+            (CharClass, ("\r",)),
             (Pair, "<>", "<>"),
             (CharClass, tuple(sorted(set(rng.sample(SYMBOLS, 3)), reverse=True))),
             (Include, rng.choice(["roots.lex", "क$.lex"]).replace(".", '"')),
@@ -464,8 +467,9 @@ def random_expr(rng, names, depth, hostile):
     return op(random_expr(rng, names, depth - 1, hostile))
 
 
-def test_render_parse_fixpoint_on_random_rule_files():
-    # each drawn AST is refused at construction, or round-trips
+def test_render_parse_fixpoint_on_random_rule_files(tmp_path):
+    # each drawn AST is refused at construction, or round-trips, in
+    # memory and through a file written byte for byte
     rng = random.Random(40)
     refused = 0
     for _ in range(300):
@@ -483,6 +487,8 @@ def test_render_parse_fixpoint_on_random_rule_files():
         printed = render_rules(rule_file)
         assert parse_rules(printed) == rule_file, printed
         assert render_rules(parse_rules(printed)) == printed
+        (tmp_path / "printed.mrl").write_text(printed, encoding="utf-8", newline="")
+        assert parse_rules_file(tmp_path / "printed.mrl") == rule_file, printed
     assert 30 <= refused <= 200, refused
 
 
@@ -499,7 +505,8 @@ def test_hostile_rule_text_raises_only_rule_errors():
         except EmptyRuleFile:
             pass
         except (RuleSyntaxError, UndefinedVariable) as exc:
-            lines = unicodedata.normalize("NFC", text).split("\n")
+            # CRLF, a bare CR and LF each end a line
+            lines = re.split(r"\r\n|\r|\n", unicodedata.normalize("NFC", text))
             assert 1 <= exc.line <= len(lines), text
             assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1, text
 

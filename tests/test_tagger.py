@@ -131,6 +131,18 @@ def test_parse_breaks_lines_only_at_newline(sep):
         TaggedCorpus.parse(text + "bad\n", source="x.txt")
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"])
+def test_parse_reads_newlines_as_read_does(tmp_path, newline):
+    # a bare CR, a CRLF and an LF each end a sentence, in memory as in a file
+    text = newline.join(["a/N b/V", "", "c/N", ""])
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert TaggedCorpus.parse(text) == TaggedCorpus.read(path)
+    assert TaggedCorpus.parse(text).sentences == [[("a", "N"), ("b", "V")], [("c", "N")]]
+    with pytest.raises(CorpusFormatError, match=r"^x\.txt:4: token 'bad'"):
+        TaggedCorpus.parse(text + "bad" + newline, source="x.txt")
+
+
 def test_read_drops_a_bom(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("a/X b/Y\nc/X\n", encoding="utf-8")
