@@ -727,12 +727,20 @@ def _closure(a: Transducer, side: str, ids: list[int], slot: tuple, state: int, 
     straight into the search's `seen` and `queue` and returns ().
 
     The walk is its own guard against a cycle that reads epsilon and
-    writes a symbol.  It keeps, for each state on its current path, how
-    much had been written on reaching it: an arc back to a state on the
-    path with more written closes such a cycle and raises
+    writes a symbol.  It keeps, for each state on its current path, what
+    had been written on reaching it: an arc back to a state on the path
+    with more written closes such a cycle and raises
     :class:`EpsilonCycle`, and one with as much written closes a silent
     cycle, whose configuration is already seen.  So no path repeats a
-    state, and the walk ends."""
+    state, and the walk ends.
+
+    What the walk writes past the output it starts from is kept as
+    shared prefixes: node 0 is nothing written, and node n > 0 is node
+    ``parents[n]`` followed by the symbol ``syms[n]``.  Nodes are
+    interned by (parent, symbol), so equal writes are one node and one
+    seen key, and a written tuple is built only for an entry that is
+    queued.  A walk thus takes time and memory linear in the arcs it
+    follows and the entries it queues, however long a path that writes."""
     closures, reads, writes, dsts = slot
     keep = closures.room > 0
     if keep:
@@ -740,31 +748,48 @@ def _closure(a: Transducer, side: str, ids: list[int], slot: tuple, state: int, 
     elif (state, pos, out) in seen:
         return ()
     first, finals = a._first, a.finals
-    path: dict[int, int] = {}  # each state on the path -> the symbols written on reaching it
-    stack: list = [(state, pos, out)]  # configurations to enter, and states to leave the path
-    seen.add(stack[0])
+    parents, syms, nodes = [0], [0], {}
+    path: dict[int, int] = {}  # each state on the path -> its node on reaching it
+    stack: list = [(state, 0)]  # (state, node) to enter, and states to leave the path
+    walked = {stack[0]}
     while stack:
         cfg = stack.pop()
         if cfg.__class__ is int:  # every arc of this state is walked
             del path[cfg]
             continue
-        s, _, written_so_far = cfg
+        s, node = cfg
         k, end = first[s], first[s + 1]
         if s in finals or k < end and reads[end - 1]:
-            queue.append(cfg)
-        path[s] = len(written_so_far)
+            written, n = [], node
+            while n:
+                written.append(syms[n])
+                n = parents[n]
+            entry = (s, pos, out + tuple(reversed(written)) if node else out)
+            if entry in seen:  # reached before, with all it reaches
+                continue
+            seen.add(entry)
+            queue.append(entry)
+        path[s] = node
         stack.append(s)
         while k < end and not reads[k]:
-            written = writes[k]
-            cfg = (dsts[k], pos, written_so_far + (written,) if written else written_so_far)
+            dst, sym = dsts[k], writes[k]
             k += 1
-            if cfg[0] in path and path[cfg[0]] < len(cfg[2]):
+            child = node
+            if sym:
+                child = nodes.get((node, sym))
+                if child is None:
+                    child = nodes[node, sym] = len(parents)
+                    parents.append(node)
+                    syms.append(sym)
+            if path.get(dst, child) != child:  # the path has written since dst
                 on = (repr("".join(map(a.symbols._entries.__getitem__, ids)))
                       if all(0 < i < len(a.symbols) for i in ids) else f"symbol ids {list(ids)}")
                 raise EpsilonCycle(f"symbol-writing {side}-epsilon cycle reachable on {on}")
-            if cfg not in seen:
-                seen.add(cfg)
+            cfg = (dst, child)
+            if cfg not in walked:
+                walked.add(cfg)
                 stack.append(cfg)
+    seen.add((state, pos, out))
     if not keep:
         return ()
     closure = tuple((t, written) for t, _, written in queue)

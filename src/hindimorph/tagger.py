@@ -392,7 +392,10 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     candidate the search keeps the least negated score over the previous
     token's candidates, comparing scores alone, and the path to it as a
     linked list of tag indices, so a decode takes time linear in the
-    number of tokens.
+    number of tokens.  Scoring stops at the token after the last one with
+    two or more candidates, the last step that compares paths; each token
+    past it takes its one candidate, and a line with no choice is scored
+    not at all.  The tags are those of the full search.
 
     Each word's entry is kept on the model for up to :data:`_MEMO_WORDS`
     words, with the morph model it was built with; a decode with another
@@ -421,10 +424,14 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     # path as a linked list (k, rest) back to the start, which is -1 and
     # None; the keys run in index order, so on a tie `<` keeps the lower one
     best: dict[int, tuple[float, tuple | None]] = {-1: (0.0, None)}
+    # the search stops after the token that follows the last one with a
+    # choice: from there on `best` holds one path, and no score is compared
+    stop = next((i + 2 for i in reversed(range(len(entries))) if len(entries[i][0]) > 1), 0)
     # each entry between its neighbours, where the sentence's start and end
     # give the first word's pw: row and the last word's nw: row
     padded = [((), zero, start, zero), *entries, ((), zero, zero, end)]
-    for (_, _, pw, _), (cands, own, _, _), (_, _, _, nw) in zip(padded, entries, padded[2:]):
+    scored = zip(padded, entries[:stop], padded[2:])
+    for (_, _, pw, _), (cands, own, _, _), (_, _, _, nw) in scored:
         base = [o + p + n for o, p, n in zip(own, pw, nw)]
         step: dict[int, tuple[float, tuple | None]] = {}
         for prev, (neg_score, path) in best.items():
@@ -441,7 +448,9 @@ def _tag_tokens(model: TagModel, morph_model: morph.MorphModel | None,
     while path:
         k, path = path
         tags.append(model.tagset[k])
-    return tags[::-1]
+    tags.reverse()
+    tags.extend(model.tagset[cands[0]] for cands, _, _, _ in entries[stop:])
+    return tags
 
 
 def tag(model: TagModel, morph_model: morph.MorphModel | None,

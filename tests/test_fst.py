@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -851,6 +852,30 @@ def test_deep_epsilon_reading_cycles(side):
     quiet = build(n + 1, 0, (n,),
                   [(s, EPSILON, EPSILON, (s + 1) % n) for s in range(n)] + [exit_arc], table)
     assert fst.apply(quiet, "a", side=side) == ["a"]
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_long_writing_epsilon_paths_take_linear_memory(side):
+    # A chain of n arcs that read epsilon on `side` and write b, and a
+    # cycle of n such arcs.  The walk keeps what it has written as shared
+    # prefixes; a written tuple built at every step would hold about
+    # n * n / 2 ids, some 100 MiB at this n.
+    n = 5000
+    table = SymbolTable("ab")
+    b = table.id_of("b")
+    writing = (EPSILON, b) if side == "input" else (b, EPSILON)
+    chain = build(n + 1, 0, (n,), [(s, *writing, s + 1) for s in range(n)], table)
+    cycle = build(n, 0, (0,), [(s, *writing, (s + 1) % n) for s in range(n)], table)
+    message = f"^symbol-writing {side}-epsilon cycle reachable on ''$"
+    tracemalloc.start()
+    try:
+        assert fst.lookup(chain, [], side) == {(b,) * n}
+        with pytest.raises(EpsilonCycle, match=message):
+            fst.lookup(cycle, [], side)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("side", ["input", "output"])

@@ -843,6 +843,79 @@ def test_decode_is_optimal_on_tied_models():
     assert least.hex() == "0x1.07dc1f35cde9dp+1"
 
 
+def _forced_tail_lines():
+    """Seeded models whose words are mostly single-tag dictionary words,
+    each with lines whose last choice falls at every position, and a line
+    with no choice at all.  Even trials draw weights from a few values, so
+    that many paths tie; odd ones draw Gaussian weights, so that none do.
+    Each line comes with the index of its last choice, or -1."""
+    rng = random.Random(43)
+    for trial in range(80):
+        tagset = tuple("ABCD"[:rng.randint(2, 4)])
+        forced = ["f", "g", "h", "।"]
+        dictionary = {w: frozenset({rng.choice(tagset)}) for w in forced}
+        dictionary["c"] = frozenset(rng.sample(tagset, 2))  # and "u" opens the tagset
+        features = {tagger._START, tagger._END}
+        for word in (*forced, "c", "u"):
+            for prev_tag in (*tagset, tagger.BOUNDARY_TAG):
+                features.update(tagger.extract_features((word,) * 3, 1, prev_tag))
+        if trial % 2:
+            weights = {f"{f}:{t}": rng.gauss(0.0, 2.0) for f in sorted(features) for t in tagset}
+        else:
+            weights = {f"{f}:{t}": rng.choice((0.0, 1.0, -1.0, 0.5))
+                       for f in sorted(features) for t in tagset if rng.random() < 0.3}
+        model = TagModel(tagset, weights, dictionary, 0.1)
+        n = rng.randint(1, 7)
+        for last in range(-1, n):
+            tokens = [rng.choice(forced + ["c", "u"] if i < last else forced) for i in range(n)]
+            if last >= 0:
+                tokens[last] = rng.choice("cu")
+            yield trial, model, tokens, last
+
+
+def test_decode_of_a_forced_tail_equals_reference():
+    # Past the token after a line's last choice no path is compared, so
+    # the tail is read off its candidates; the tags and the decoded
+    # path's score stay those of the full search, bit for bit.
+    lines = 0
+    for trial, model, tokens, _ in _forced_tail_lines():
+        decoded = tagger._tag_tokens(model, None, tokens)
+        scores = {path: neg for neg, path in oracle.paths_reference(model, None, tokens)}
+        assert scores[tuple(map(model.tagset.index, decoded))] == min(scores.values())
+        if trial % 2:
+            assert decoded == oracle.tag_tokens_reference(model, None, tokens)
+        lines += 1
+    assert lines >= 300
+
+
+def test_decode_scores_up_to_the_step_after_the_last_choice(monkeypatch):
+    # Each step computes one log-sum-exp per previous candidate, so the
+    # calls to math.log count the work: none on a line with no choice,
+    # and on any other line the previous candidates of each step up to
+    # the one after its last choice.
+    logs = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logs.append(x)
+            return math.log(x)
+
+    monkeypatch.setattr(tagger, "math", CountingMath())
+    for _, model, tokens, last in _forced_tail_lines():
+        previous = [1] + [len(candidate_tags(model, None, t)) for t in tokens[:-1]]
+        logs.clear()
+        tagger._tag_tokens(model, None, tokens)
+        assert len(logs) == (sum(previous[:last + 2]) if last >= 0 else 0)
+    # a line of 3,000 forced words after one choice scores two steps
+    model = TagModel(("A", "B"), {}, {"x": frozenset("A")}, 0.1)
+    logs.clear()
+    assert tagger._tag_tokens(model, None, ["y"] + ["x"] * 3000) == ["A"] * 3001
+    assert len(logs) == 1 + 2
+
+
 def test_decode_memo_is_reset_per_morph_model(tag_model, morph_model, mini_corpus):
     # One loaded model decodes with the grammar, without it and with it
     # again: each switch resets its memo, so no fallback's answers carry
@@ -908,6 +981,28 @@ def test_decode_memo_keeps_no_word_whose_analysis_raises():
         with pytest.raises(fst.EpsilonCycle):
             tagger._tag_tokens(model, fallback, ["a", "b"])
         assert list(model._entries) == ["a"]
+    # past the last choice, "b" is in the forced tail, whose tags are read
+    # off its candidates: its entry is still built first, and raises
+    for tokens in (["a", "।", "।", "b"], ["।", "b"], ["।", "b", "a"]):
+        model = TagModel(MINI_TAGSET, {}, {}, 0.1)
+        with pytest.raises(fst.EpsilonCycle):
+            tagger._tag_tokens(model, fallback, tokens)
+        assert list(model._entries) == list(dict.fromkeys(tokens[:tokens.index("b")]))
+
+
+def test_decode_builds_the_entry_of_every_token(tag_model, morph_model):
+    # the forced tail of a line is read off its candidates, but every
+    # token's entry is built and kept, as a full search builds them
+    model = model_from_bytes(model_to_bytes(tag_model))
+    tokens = ["लडकू", "है", "है", "।", "उसका", "है", "।"]
+    assert [len(candidate_tags(model, morph_model, t)) for t in tokens] == [10, 1, 1, 1, 1, 1, 1]
+    assert tagger._tag_tokens(model, morph_model, tokens) == (
+        oracle.tag_tokens_reference(model, morph_model, tokens))
+    fresh = model_from_bytes(model_to_bytes(tag_model))
+    for token in tokens:
+        tagger._tag_tokens(fresh, morph_model, [token])
+    assert model._entries == fresh._entries
+    assert list(model._entries) == list(dict.fromkeys(tokens))
 
 
 # --- evaluation -----------------------------------------------------------
